@@ -25,7 +25,6 @@ from .power import NormalLocationModel, TabulatedPowerModel, default_model
 from .procedures import (
     VARIANTS,
     DecisionReport,
-    TestBattery,
     adaptive_fdp_estimate,
     alpha_star,
     estimate_m0,

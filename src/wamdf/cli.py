@@ -45,6 +45,8 @@ EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
 EXIT_WARNING = 3
 
+_TSV_BLOCK = 8192   # rows per block in _write_tsv
+
 
 class InputError(Exception):
     """Bad or inconsistent input files/flags (exit code 1)."""
@@ -95,10 +97,19 @@ def _threads(args):
     return os.cpu_count() or 1
 
 
-def _load_model(args):
-    if getattr(args, "power_table", None):
-        return TabulatedPowerModel.from_csv(args.power_table)
-    return None
+def _write_tsv(path, header, columns):
+    """Write equal-length columns as a tab-separated table.
+
+    Float columns are written as ``.10g``, integer and boolean columns as
+    integers.  Rows are formatted in blocks, so memory stays bounded.
+    """
+    columns = [np.asarray(c) for c in columns]
+    line = "\t".join("{:d}" if c.dtype.kind in "biu" else "{:.10g}" for c in columns) + "\n"
+    with open(path, "w") as fh:
+        fh.write("\t".join(header) + "\n")
+        for start in range(0, columns[0].size, _TSV_BLOCK):
+            block = [c[start:start + _TSV_BLOCK].tolist() for c in columns]
+            fh.writelines(line.format(*row) for row in zip(*block))
 
 
 # ---------------------------------------------------------------- weights
@@ -107,7 +118,7 @@ def cmd_weights(args):
     if (args.alpha is None) == (args.t is None):
         raise InputError("exactly one of --alpha / --t is required")
     prior = PriorSpec.from_csv(args.prior)
-    model = _load_model(args)
+    model = TabulatedPowerModel.from_csv(args.power_table) if args.power_table else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.alpha is not None:
@@ -118,11 +129,8 @@ def cmd_weights(args):
     out = os.path.join(outdir, "weights.json")
     profile.to_json(out)
     tsv = os.path.join(outdir, "weights.tsv")
-    with open(tsv, "w") as fh:
-        fh.write("index\tp\tgamma\tweight\tthreshold\n")
-        for i in range(prior.M):
-            fh.write(f"{i}\t{prior.p[i]:.10g}\t{prior.gamma[i]:.10g}"
-                     f"\t{profile.weights[i]:.10g}\t{profile.thresholds[i]:.10g}\n")
+    _write_tsv(tsv, ["index", "p", "gamma", "weight", "threshold"],
+               [np.arange(prior.M), prior.p, prior.gamma, profile.weights, profile.thresholds])
     _manifest(args, [args.prior], [out, tsv])
     if profile.warning:
         for w in caught:
@@ -180,7 +188,9 @@ def cmd_run(args):
     out_json = os.path.join(outdir, "report.json")
     out_tsv = os.path.join(outdir, "report.tsv")
     report.to_json(out_json)
-    report.to_tsv(out_tsv)
+    _write_tsv(out_tsv, ["index", "p", "weight", "q", "rejected"],
+               [np.arange(report.pvalues.size), report.pvalues, report.weights, report.q,
+                report.rejected])
     _manifest(args, inputs, [out_json, out_tsv])
     print(f"{args.variant}: rejected {report.n_rejected} of {pvalues.size} "
           f"(t_hat={report.t_hat:.6g}, m0_hat={report.m0_hat:.6g})")
@@ -282,19 +292,13 @@ def _parse_x(args):
 
 def _write_analysis(result, outdir):
     out_tsv = os.path.join(outdir, "features.tsv")
-    t = result.table
-    with open(out_tsv, "w") as fh:
-        fh.write("feature\tn\tz\tp\tgamma\tweight\tq\trejected_wa\trejected_ua\n")
-        for j, i in enumerate(result.valid_indices):
-            fh.write(f"{i}\t{t['n'][j]:.10g}\t{t['z'][j]:.10g}\t{t['p'][j]:.10g}"
-                     f"\t{t['gamma'][j]:.10g}\t{t['weight'][j]:.10g}\t{t['q'][j]:.10g}"
-                     f"\t{int(t['rejected_wa'][j])}\t{int(t['rejected_ua'][j])}\n")
+    features = ["n", "z", "p", "gamma", "weight", "q", "rejected_wa", "rejected_ua"]
+    _write_tsv(out_tsv, ["feature"] + features,
+               [result.valid_indices] + [result.table[c] for c in features])
     out_power = os.path.join(outdir, "weight_power.tsv")
-    with open(out_power, "w") as fh:
-        fh.write("feature\tgamma\tweight\tpower_unweighted\tpower_weighted\n")
-        for j, i in enumerate(result.valid_indices):
-            fh.write(f"{i}\t{t['gamma'][j]:.10g}\t{t['weight'][j]:.10g}"
-                     f"\t{t['power_unweighted'][j]:.10g}\t{t['power_weighted'][j]:.10g}\n")
+    power = ["gamma", "weight", "power_unweighted", "power_weighted"]
+    _write_tsv(out_power, ["feature"] + power,
+               [result.valid_indices] + [result.table[c] for c in power])
     out_json = os.path.join(outdir, "analysis.json")
     with open(out_json, "w") as fh:
         json.dump(

@@ -106,9 +106,9 @@ class TabulatedPowerModel:
     The table is a set of (t, power) knots including (0, 0) and (1, 1),
     with strictly increasing t and power and strictly decreasing secant
     slopes (concavity is validated at load).  Power between knots is
-    linearly interpolated; the slope at t is the secant slope of the
-    segment containing t, so the inverse-slope query returns a segment
-    boundary.  The same curve is used for every effect size.
+    linearly interpolated; the slope on ``(t_i, t_{i+1}]`` is that
+    segment's secant, so the inverse-slope query returns a knot.  The same
+    curve is used for every effect size.
     """
 
     kind = "tabulated"
@@ -145,10 +145,21 @@ class TabulatedPowerModel:
         return cls(t, p)
 
     def _segment(self, tt):
-        # index of the segment [t_i, t_{i+1}) containing each t; right edge
-        # belongs to the last segment
-        idx = np.searchsorted(self._t, tt, side="right") - 1
+        # index of the segment (t_i, t_{i+1}] containing each t; t = 0
+        # belongs to the first segment
+        idx = np.searchsorted(self._t, tt, side="left") - 1
         return np.clip(idx, 0, self._t.size - 2)
+
+    def _knot(self, gamma, slope):
+        # the largest t with slope(t) >= slope is knot j, where j counts the
+        # secants >= slope (a slope equal to secant j maps to knot j + 1);
+        # the clamp keeps t inside (0, 1) like the bisection bracket
+        _check_gamma(gamma)
+        s = np.asarray(slope, dtype=float)
+        if np.any(s <= 0) or not np.all(np.isfinite(s)):
+            raise ValueError("slope must be positive and finite")
+        j = np.searchsorted(-self._secants, -s, side="right")
+        return np.clip(self._t[j], 1e-15, 1 - 1e-15)
 
     def power(self, gamma, t):
         _check_gamma(gamma)
@@ -167,26 +178,23 @@ class TabulatedPowerModel:
         return out if out.ndim else float(out)
 
     def threshold_for_slope(self, gamma, slope):
-        """Invert the (stepwise) slope by bracketed bisection.
+        """Largest knot t with ``power_slope(gamma, t) >= slope``, clamped to [1e-15, 1 - 1e-15]."""
+        t = self._knot(gamma, slope)
+        return t if t.ndim else float(t)
 
-        The secant slopes decrease across segments, so the crossing point
-        is a knot; bisection pins it to within 1e-12.
-        """
-        _check_gamma(gamma)
-        s = np.asarray(slope, dtype=float)
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ValueError("slope must be positive and finite")
-        out = np.empty(s.size)
-        for i, si in enumerate(s.flat):
-            out[i] = _bisect_decreasing(lambda t: self.power_slope(1.0, t), si)
-        return out.reshape(s.shape) if s.ndim else float(out[0])
+    def threshold_power_split(self, gamma, slope):
+        """(t, 1-t, power, 1-power) at the inverse-slope knot."""
+        t = self._knot(gamma, slope)
+        pi = np.interp(t, self._t, self._p)
+        return t, 1.0 - t, pi, 1.0 - pi
 
 
 def _bisect_decreasing(f, target, lo=1e-15, hi=1 - 1e-15, tol=1e-12, max_iter=200):
     """Bisect a nonincreasing f on [lo, hi] for f(t) = target.
 
     Concavity guarantees the bracket; 200 iterations more than exhaust
-    double precision.
+    double precision.  The closed-form and tabulated inverse-slope queries
+    are tested against this generic search.
     """
     flo = f(lo)
     fhi = f(hi)

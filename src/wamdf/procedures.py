@@ -12,13 +12,12 @@ Variant tags follow the weighted/unweighted x adaptive/unadaptive grid:
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "VARIANTS",
-    "TestBattery",
     "DecisionReport",
     "weighted_pvalues",
     "estimate_m0",
@@ -42,31 +41,11 @@ def weighted_pvalues(pvalues, weights):
     w = np.asarray(weights, dtype=float)
     if p.shape != w.shape:
         raise ValueError("p-values and weights must have equal length")
-    if np.any(p < 0) or np.any(p > 1):
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("p-values must lie in [0, 1]")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise ValueError("weights must be positive and finite")
     return p / w
-
-
-@dataclass
-class TestBattery:
-    """Observed p-values with their weights and derived weighted p-values."""
-
-    __test__ = False  # domain class, not a pytest case
-
-    pvalues: np.ndarray
-    weights: np.ndarray
-    q: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.pvalues = np.asarray(self.pvalues, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.q = weighted_pvalues(self.pvalues, self.weights)
-
-    @property
-    def M(self):
-        return self.pvalues.size
 
 
 @dataclass
@@ -109,16 +88,6 @@ class DecisionReport:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
-    def to_tsv(self, path):
-        """Per-hypothesis table: index, P, w, Q, rejected."""
-        with open(path, "w") as fh:
-            fh.write("index\tp\tweight\tq\trejected\n")
-            for i in range(self.pvalues.size):
-                fh.write(
-                    f"{i}\t{self.pvalues[i]:.{10}g}\t{self.weights[i]:.{10}g}"
-                    f"\t{self.q[i]:.{10}g}\t{int(self.rejected[i])}\n"
-                )
-
 
 def estimate_m0(q, lam):
     """Census estimate of the number of true nulls from weighted p-values.
@@ -147,19 +116,17 @@ def step_up_threshold(q, m0_hat, alpha, u):
 
     With ordered ``Q_(1) <= ... <= Q_(M)``, take ``j`` the largest m with
     ``Q_(m) <= alpha * m / m0_hat`` (0 if none) and return
-    ``t_hat = min(j * alpha / m0_hat, u)`` along with the indices of the
-    hypotheses with ``Q_m <= t_hat``.  This rejects the same set as
-    maximizing t subject to the estimated FDP staying at or below alpha.
-    Tied weighted p-values at the threshold are rejected together.
+    ``t_hat = min(j * alpha / m0_hat, u)``.  Rejecting ``Q_m <= t_hat``
+    gives the same set as maximizing t subject to the estimated FDP
+    staying at or below alpha; tied weighted p-values at the threshold
+    are rejected together.
     """
     q = np.asarray(q, dtype=float)
     m = q.size
     order = np.sort(q)
     passes = order <= alpha * np.arange(1, m + 1) / m0_hat
     j = int(np.flatnonzero(passes)[-1] + 1) if passes.any() else 0
-    t_hat = min(j * alpha / m0_hat, u) if j > 0 else 0.0
-    rejected = q <= t_hat
-    return t_hat, np.flatnonzero(rejected)
+    return min(j * alpha / m0_hat, u) if j > 0 else 0.0
 
 
 def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
@@ -202,7 +169,7 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
         w = np.asarray(weights, dtype=float)
         if w.shape != p.shape:
             raise ValueError("weights must match the p-value vector length")
-    battery = TestBattery(p, w)
+    q = weighted_pvalues(p, w)
 
     adaptive = variant in ("UA", "WA")
     if adaptive and lam is None:
@@ -222,8 +189,8 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
     if lam is not None and lam > u + 1e-12:
         raise ValueError("lambda must not exceed u")
 
-    m0_hat = estimate_m0(battery.q, lam) if adaptive else float(battery.M)
-    t_hat, _ = step_up_threshold(battery.q, m0_hat, level, u)
+    m0_hat = estimate_m0(q, lam) if adaptive else float(q.size)
+    t_hat = step_up_threshold(q, m0_hat, level, u)
     return DecisionReport(
         variant=variant,
         alpha=alpha,
@@ -231,10 +198,10 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
         u=u,
         t_hat=t_hat,
         m0_hat=m0_hat,
-        rejected=battery.q <= t_hat,
-        pvalues=battery.pvalues,
-        weights=battery.weights,
-        q=battery.q,
+        rejected=q <= t_hat,
+        pvalues=p,
+        weights=w,
+        q=q,
     )
 
 

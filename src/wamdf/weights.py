@@ -76,10 +76,10 @@ class PriorSpec:
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         if self.p.shape != self.gamma.shape or self.p.ndim != 1 or self.p.size < 1:
             raise ValueError("p and gamma must be 1-d vectors of equal length >= 1")
-        if np.any(self.p <= 0) or np.any(self.p >= 1):
-            raise ValueError("prior probabilities must lie strictly in (0, 1)")
-        if np.any(self.gamma <= 0) or not np.all(np.isfinite(self.gamma)):
-            raise ValueError("effect sizes must be positive and finite")
+        if not np.all((self.p > 0) & (self.p < 1)):
+            raise ValueError("prior probabilities p must lie strictly in (0, 1)")
+        if not np.all((self.gamma > 0) & (self.gamma < np.inf)):
+            raise ValueError("effect sizes gamma must be positive and finite")
 
     @property
     def M(self):
@@ -178,20 +178,6 @@ def mean_threshold(prior, k, model=None):
     return float(np.mean(solve_thresholds(prior, k, model)))
 
 
-def _split(model, gamma, slope):
-    """(t, 1-t, power, 1-power) at the inverse-slope threshold.
-
-    Models exposing ``threshold_power_split`` supply accurate complements;
-    otherwise they are formed by subtraction (fine away from t = 1).
-    """
-    fn = getattr(model, "threshold_power_split", None)
-    if fn is not None:
-        return fn(gamma, slope)
-    t = model.threshold_for_slope(gamma, slope)
-    pi = model.power(gamma, t)
-    return t, 1.0 - t, pi, 1.0 - pi
-
-
 def _fdp_values(prior, ks, model):
     """FDP approximator at each multiplier in ``ks`` (one broadcasted pass).
 
@@ -201,7 +187,7 @@ def _fdp_values(prior, ks, model):
     """
     ks = np.asarray(ks, dtype=float)
     slopes = ks[:, None] / prior.p[None, :]
-    t, tc, pi, pic = _split(model, prior.gamma[None, :], slopes)
+    t, tc, pi, pic = model.threshold_power_split(prior.gamma[None, :], slopes)
     g = (1.0 - prior.p) * t + prior.p * pi
     gc = (1.0 - prior.p) * tc + prior.p * pic
     t_bar = t.mean(axis=1)
@@ -246,17 +232,31 @@ def _k_bracket(prior, model):
     return lo, hi
 
 
+def _widen(lo, hi):
+    """One geometric expansion step of a k bracket, clamped to the float range."""
+    return max(lo * 1e-4, _K_FLOOR), min(hi * 1e4, _K_CEIL)
+
+
 def _expand_bracket(f, lo, hi):
     """Grow [lo, hi] geometrically in k until f changes sign at the ends."""
     flo, fhi = f(lo), f(hi)
     for _ in range(_MAX_EXPANSIONS):
         if flo * fhi <= 0:
             return lo, hi
-        lo, hi = max(lo * 1e-4, _K_FLOOR), min(hi * 1e4, _K_CEIL)
+        lo, hi = _widen(lo, hi)
         flo, fhi = f(lo), f(hi)
     if flo * fhi <= 0:
         return lo, hi
     raise BracketExpansionError("could not bracket the multiplier k", (lo, hi))
+
+
+def _profile(prior, k_star, model, warning=False):
+    """Weight profile at multiplier k*: ``w_m = t_m / t_bar``, ``u = 1/max(w)``."""
+    thresholds = solve_thresholds(prior, k_star, model)
+    t_bar = float(np.mean(thresholds))
+    w = thresholds / t_bar
+    return WeightProfile(weights=w, k_star=float(k_star), t_bar=t_bar,
+                         u=1.0 / float(w.max()), warning=warning)
 
 
 def optimal_fixed_t_weights(prior, t, model=None):
@@ -288,11 +288,7 @@ def optimal_fixed_t_weights(prior, t, model=None):
     lo, hi = _expand_bracket(resid, *_k_bracket(prior, model))
     log_k = brentq(lambda lk: resid(np.exp(lk)), np.log(lo), np.log(hi),
                    xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    k_star = float(np.exp(log_k))
-    thresholds = solve_thresholds(prior, k_star, model)
-    t_bar = float(np.mean(thresholds))
-    w = thresholds / t_bar
-    return WeightProfile(weights=w, k_star=k_star, t_bar=t_bar, u=1.0 / float(w.max()))
+    return _profile(prior, float(np.exp(log_k)), model)
 
 
 def _smallest_downward_crossing(prior, alpha, lo, hi, model):
@@ -344,7 +340,7 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     for _ in range(_MAX_EXPANSIONS):
         if k_star is not None or (lo == _K_FLOOR and hi == _K_CEIL):
             break
-        lo, hi = max(lo * 1e-4, _K_FLOOR), min(hi * 1e4, _K_CEIL)
+        lo, hi = _widen(lo, hi)
         k_star = _smallest_downward_crossing(prior, alpha, lo, hi, model)
     if k_star is None:
         detail = (
@@ -360,16 +356,7 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
             "a crossing was found but existence is not guaranteed in this regime",
             RuntimeWarning,
         )
-    thresholds = solve_thresholds(prior, k_star, model)
-    t_bar = float(np.mean(thresholds))
-    w = thresholds / t_bar
-    return WeightProfile(
-        weights=w,
-        k_star=float(k_star),
-        t_bar=t_bar,
-        u=1.0 / float(w.max()),
-        warning=out_of_regime,
-    )
+    return _profile(prior, k_star, model, out_of_regime)
 
 
 def perturb_weights(profile, multipliers, renormalize=False):

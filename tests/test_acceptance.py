@@ -194,7 +194,7 @@ def test_criterion_7_step_up_sup_equivalence():
         u = min(1.0 / weights.max(), rng.uniform(lam, 1.0))
         m0_hat = estimate_m0(q, lam)
         alpha = rng.uniform(0.01, 0.3)
-        _, rejected = step_up_threshold(q, m0_hat, alpha, u)
+        rejected = np.flatnonzero(q <= step_up_threshold(q, m0_hat, alpha, u))
 
         candidates = np.unique(np.r_[0.0, q[q <= u], u])
         feasible = [t for t in candidates if adaptive_fdp_estimate(t, q, m0_hat) <= alpha]

@@ -171,6 +171,51 @@ class TestRunCommand:
         assert d["u"] == 0.2
 
 
+class TestTsvRows:
+    # literal rows pin the number formats: floats as .10g, flags as integers
+
+    def test_weights_tsv(self, tmp_path, prior_file):
+        out = tmp_path / "out"
+        assert main(["weights", str(prior_file), "--alpha", "0.05", "--out", str(out)]) == EXIT_OK
+        lines = (out / "weights.tsv").read_text().split("\n")
+        assert lines[0] == "index\tp\tgamma\tweight\tthreshold"
+        assert lines[1] == "0\t0.5\t2\t1.260065883\t0.03537176254"
+        assert lines[6] == "5\t0.5\t3\t0.7399341168\t0.02077095668"
+
+    def test_report_tsv(self, tmp_path):
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text(WORKED_PVALUES)
+        out = tmp_path / "out"
+        assert main(["run", str(pvals), "--variant", "WA", "--alpha", "0.05",
+                     "--lambda", "0.028", "--u", "0.79", "--out", str(out)]) == EXIT_OK
+        lines = (out / "report.tsv").read_text().split("\n")
+        assert lines[1] == "0\t0.00074\t0.74\t0.001\t1"
+        assert lines[10] == "9\t0.62456\t0.74\t0.844\t0"
+
+    def test_report_tsv_layout(self, tmp_path):
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p\n0.01\n0.2\n0.9\n")
+        out = tmp_path / "out"
+        assert main(["run", str(pvals), "--variant", "UA", "--alpha", "0.2",
+                     "--lambda", "0.5", "--out", str(out)]) == EXIT_OK
+        lines = (out / "report.tsv").read_text().strip().split("\n")
+        assert lines[0] == "index\tp\tweight\tq\trejected"
+        assert len(lines) == 4
+
+    def test_features_tsv(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["analyze", "--synthetic", "80", "--seed", "31",
+                     "--x", "0.86,1.34,1.81,2.37,3.00", "--out", str(out)]) == EXIT_OK
+        lines = (out / "features.tsv").read_text().split("\n")
+        assert lines[0] == "feature\tn\tz\tp\tgamma\tweight\tq\trejected_wa\trejected_ua"
+        assert lines[1] == ("0\t72\t1.029314528\t0.1516659493\t1.63385694\t2.059877326"
+                            "\t0.07362863183\t0\t0")
+        assert lines[19] == ("18\t65\t1.734318043\t0.0414308339\t1.552402943\t2.009204064"
+                             "\t0.02062052066\t1\t0")
+        power = (out / "weight_power.tsv").read_text().split("\n")
+        assert power[1] == "0\t1.63385694\t2.059877326\t0.3145673889\t0.430874529"
+
+
 class TestSimulateCommand:
     def test_small_run_outputs(self, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Power-curve model: frozen values, derivative checks, inversion properties."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,56 @@ class TestTabulatedModel:
         path.write_text("a,b\n0,0\n1,1\n")
         with pytest.raises(ValueError, match="header"):
             TabulatedPowerModel.from_csv(path)
+
+    def test_inverse_slope_matches_bisection(self):
+        # random strictly concave tables: decreasing secants on random knots,
+        # scaled so the curve ends at (1, 1)
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(3, 25))
+            t = np.r_[0.0, np.sort(rng.uniform(0, 1, n - 2)), 1.0]
+            if rng.random() < 0.5:
+                t[1:-1] = np.sort(10.0 ** rng.uniform(-8, 0, n - 2))
+            steep = np.sort(rng.exponential(1.0, n - 1))[::-1] ** rng.uniform(1, 4)
+            p = np.r_[0.0, np.cumsum(steep * np.diff(t))]
+            p /= p[-1]
+            p[-1] = 1.0
+            model = TabulatedPowerModel(t, p)
+            secants = np.diff(p) / np.diff(t)
+            # the slope on (t_i, t_{i+1}] is secant i, also at the knots
+            np.testing.assert_array_equal(model.power_slope(1.0, t[1:-1]), secants[:-1])
+            knots, sec = t.tolist(), secants.tolist()
+
+            def slope(x):
+                return sec[min(max(bisect.bisect_left(knots, x) - 1, 0), n - 2)]
+
+            slopes = np.r_[
+                secants,
+                2.0 * secants[0],
+                0.5 * secants[-1],
+                10.0 ** rng.uniform(np.log10(secants[-1]), np.log10(secants[0]), 8),
+            ]
+            oracle = np.array(
+                [_bisect_decreasing(slope, s) for s in slopes]
+            )
+            found = model.threshold_for_slope(1.0, slopes)
+            np.testing.assert_allclose(found, oracle, rtol=0, atol=1e-12)
+            t_split, tc, pi, pic = model.threshold_power_split(1.0, slopes)
+            np.testing.assert_allclose(t_split, oracle, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(t_split, found)
+            np.testing.assert_array_equal(tc, 1.0 - found)
+            np.testing.assert_array_equal(pi, model.power(1.0, found))
+            np.testing.assert_array_equal(pic, 1.0 - pi)
+
+    def test_tie_rule_and_clamp(self):
+        # a slope equal to secant j maps to knot j + 1; slopes outside the
+        # secant range clamp to the bisection bracket [1e-15, 1 - 1e-15]
+        t, p = _concave_table(6)
+        model = TabulatedPowerModel(t, p)
+        secants = np.diff(p) / np.diff(t)
+        np.testing.assert_array_equal(
+            model.threshold_for_slope(1.0, secants[:-1]), t[1:-1]
+        )
+        assert model.threshold_for_slope(1.0, secants[-1]) == 1 - 1e-15
+        assert model.threshold_for_slope(1.0, 2 * secants[0]) == 1e-15
+        assert model.threshold_for_slope(1.0, 0.5 * secants[-1]) == 1 - 1e-15

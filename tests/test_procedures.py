@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wamdf.procedures import (
-    TestBattery,
     adaptive_fdp_estimate,
     alpha_star,
     estimate_m0,
@@ -64,12 +63,19 @@ class TestWeightedPvalues:
         with pytest.raises(ValueError):
             weighted_pvalues([0.5, 0.5], [1.0])
 
+    def test_rejects_nan_and_inf(self):
+        with pytest.raises(ValueError, match="p-values"):
+            weighted_pvalues([0.5, np.nan], [1.0, 1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="weights"):
+                weighted_pvalues([0.5, 0.5], [1.0, bad])
+
     def test_battery_invariant(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(0, 1, 50)
         w = rng.uniform(0.2, 3.0, 50)
-        battery = TestBattery(p, w)
-        np.testing.assert_allclose(battery.q * w, p, atol=1e-12)
+        q = weighted_pvalues(p, w)
+        np.testing.assert_allclose(q * w, p, atol=1e-12)
 
 
 class TestEstimateM0:
@@ -102,12 +108,15 @@ class TestAdaptiveFdpEstimate:
 
 class TestStepUpThreshold:
     def test_nothing_passes(self):
-        t_hat, rejected = step_up_threshold(np.ones(5), 5.0, 0.05, 0.5)
+        q = np.ones(5)
+        t_hat = step_up_threshold(q, 5.0, 0.05, 0.5)
+        rejected = np.flatnonzero(q <= t_hat)
         assert t_hat == 0.0 and rejected.size == 0
 
     def test_worked_example(self):
         m0 = estimate_m0(WORKED_Q, 0.028)
-        t_hat, rejected = step_up_threshold(WORKED_Q, m0, 0.05, 0.79)
+        t_hat = step_up_threshold(WORKED_Q, m0, 0.05, 0.79)
+        rejected = np.flatnonzero(WORKED_Q <= t_hat)
         # j = 3; the selected threshold is 3 * alpha / m0_hat
         assert t_hat == pytest.approx(3 * 0.05 / m0, rel=1e-12)
         assert t_hat == pytest.approx(0.018225, abs=1e-6)
@@ -125,7 +134,8 @@ class TestStepUpThreshold:
             u = min(1.0 / w.max(), rng.uniform(lam, 1.0))
             m0 = estimate_m0(q, lam)
             alpha = rng.uniform(0.01, 0.3)
-            t_hat, rejected = step_up_threshold(q, m0, alpha, u)
+            t_hat = step_up_threshold(q, m0, alpha, u)
+            rejected = np.flatnonzero(q <= t_hat)
             oracle = sup_threshold_oracle(q, m0, alpha, u)
             np.testing.assert_array_equal(
                 np.flatnonzero(oracle), np.sort(rejected)
@@ -133,7 +143,8 @@ class TestStepUpThreshold:
 
     def test_threshold_capped_at_u(self):
         q = np.array([0.01, 0.02, 0.9])
-        t_hat, rejected = step_up_threshold(q, 1.0, 0.9, 0.5)
+        t_hat = step_up_threshold(q, 1.0, 0.9, 0.5)
+        rejected = np.flatnonzero(q <= t_hat)
         assert t_hat == 0.5
         assert rejected.size == 2
 
@@ -189,6 +200,17 @@ class TestRunProcedure:
         with pytest.raises(ValueError):
             run_procedure("UU", np.array([]))
 
+    def test_rejects_nan_and_inf(self):
+        # a NaN p-value would count in M but never be rejected; a NaN weight
+        # would give u = nan; an infinite one a misleading lambda error
+        with pytest.raises(ValueError, match="p-values"):
+            run_procedure("UU", np.array([0.01, np.nan]))
+        with pytest.raises(ValueError, match="weights"):
+            run_procedure("WU", np.array([0.01, 0.5]), weights=np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="weights"):
+            run_procedure("WA", np.array([0.01, 0.5]), weights=np.array([1.0, np.inf]),
+                          lam=0.1)
+
     def test_adding_weight_keeps_rejection(self):
         # raising one weight (others fixed, same m0_hat and u) never drops
         # that hypothesis from the rejection set
@@ -200,14 +222,14 @@ class TestRunProcedure:
             u = 1.0 / (w.max() * 1.5)
             m0 = float(m)
             q = p / w
-            _, rejected = step_up_threshold(q, m0, 0.1, u)
+            rejected = np.flatnonzero(q <= step_up_threshold(q, m0, 0.1, u))
             if rejected.size == 0:
                 continue
             target = rejected[0]
             w2 = w.copy()
             w2[target] *= 1.3
             q2 = p / w2
-            _, rejected2 = step_up_threshold(q2, m0, 0.1, u)
+            rejected2 = np.flatnonzero(q2 <= step_up_threshold(q2, m0, 0.1, u))
             assert target in rejected2
 
     def test_adaptive_contains_unadaptive_when_m0_small(self):
@@ -283,18 +305,13 @@ class TestFdrUpperBound:
 
 
 class TestReportSerialization:
-    def test_json_and_tsv(self, tmp_path):
+    def test_json(self, tmp_path):
         p = np.array([0.01, 0.2, 0.9])
         report = run_procedure("UA", p, alpha=0.2, lam=0.5)
         jpath = tmp_path / "report.json"
-        tpath = tmp_path / "report.tsv"
         report.to_json(jpath)
-        report.to_tsv(tpath)
         with open(jpath) as fh:
             d = json.load(fh)
         assert d["variant"] == "UA"
         assert d["R"] == report.n_rejected
         assert d["rejected_indices"] == report.rejected_indices.tolist()
-        lines = tpath.read_text().strip().split("\n")
-        assert lines[0] == "index\tp\tweight\tq\trejected"
-        assert len(lines) == 4

@@ -35,6 +35,12 @@ class TestPriorSpec:
         with pytest.raises(ValueError):
             PriorSpec([0.5, 0.5], [1.0])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="prior probabilities p"):
+            PriorSpec([0.5, np.nan], [1.0, 1.0])
+        with pytest.raises(ValueError, match="effect sizes gamma"):
+            PriorSpec([0.5, 0.5], [1.0, np.nan])
+
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "prior.csv"
         path.write_text("p,gamma\n0.5,2.0\n0.3,1.5\n")
