@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .simulate import (
     run_simulation,
     simulation_preset,
     substream,
-    write_summary_json,
 )
 from .weights import (
     BracketExpansionError,
@@ -48,41 +47,29 @@ EXIT_WARNING = 3
 _TSV_BLOCK = 8192   # rows per block in _write_tsv
 
 
-class InputError(Exception):
-    """Bad or inconsistent input files/flags (exit code 1)."""
-
-
-@dataclass
-class RunManifest:
-    """Provenance record written next to every output."""
-
-    subcommand: str
-    flags: dict
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    seed: int | None = None
-    version: str = __version__
-    timestamp: str = ""
-
-    def write(self, outdir):
-        self.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        path = os.path.join(outdir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, default=str)
-            fh.write("\n")
-        return path
-
-
 def _outdir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
+def _write_json(path, obj):
+    """Write ``obj`` as indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, default=str)
+        fh.write("\n")
+
+
 def _manifest(args, inputs, outputs, seed=None):
-    flags = {k: v for k, v in vars(args).items() if k != "func"}
-    m = RunManifest(subcommand=args.subcommand, flags=flags, inputs=inputs,
-                    outputs=outputs, seed=seed)
-    m.write(args.out)
+    """Provenance record written next to every output."""
+    _write_json(os.path.join(args.out, "manifest.json"), {
+        "subcommand": args.subcommand,
+        "flags": {k: v for k, v in vars(args).items() if k != "func"},
+        "inputs": inputs,
+        "outputs": outputs,
+        "seed": seed,
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    })
 
 
 def _threads(args):
@@ -93,7 +80,7 @@ def _threads(args):
         try:
             return max(1, int(env))
         except ValueError:
-            raise InputError(f"WAMDF_THREADS={env!r} is not an integer")
+            raise ValueError(f"WAMDF_THREADS={env!r} is not an integer")
     return os.cpu_count() or 1
 
 
@@ -116,7 +103,7 @@ def _write_tsv(path, header, columns):
 
 def cmd_weights(args):
     if (args.alpha is None) == (args.t is None):
-        raise InputError("exactly one of --alpha / --t is required")
+        raise ValueError("exactly one of --alpha / --t is required")
     prior = PriorSpec.from_csv(args.prior)
     model = TabulatedPowerModel.from_csv(args.power_table) if args.power_table else None
     with warnings.catch_warnings(record=True) as caught:
@@ -127,7 +114,7 @@ def cmd_weights(args):
             profile = optimal_fixed_t_weights(prior, args.t, model)
     outdir = _outdir(args)
     out = os.path.join(outdir, "weights.json")
-    profile.to_json(out)
+    _write_json(out, profile.to_dict())
     tsv = os.path.join(outdir, "weights.tsv")
     _write_tsv(tsv, ["index", "p", "gamma", "weight", "threshold"],
                [np.arange(prior.M), prior.p, prior.gamma, profile.weights, profile.thresholds])
@@ -145,18 +132,23 @@ def _read_pvalue_csv(path):
     """CSV with header ``p`` or ``p,weight``; returns (p, weights-or-None)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        names = [f.strip() for f in reader.fieldnames or []]
-        if names not in (["p"], ["p", "weight"]):
-            raise InputError(f"{path}: expected header 'p' or 'p,weight'")
-        p, w = [], []
-        for row in reader:
-            p.append(float(row["p"]))
-            if "weight" in row and row["weight"] not in (None, ""):
-                w.append(float(row["weight"]))
+        try:
+            reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
+            if reader.fieldnames not in (["p"], ["p", "weight"]):
+                raise ValueError(f"{path}: expected header 'p' or 'p,weight'")
+            p, w = [], []
+            for row in reader:
+                if None in row:
+                    raise ValueError(f"{path}:{reader.line_num}: more fields than the header")
+                p.append(float(row["p"]))
+                if row.get("weight") not in (None, ""):
+                    w.append(float(row["weight"]))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not p:
-        raise InputError(f"{path}: no p-values")
+        raise ValueError(f"{path}: no p-values")
     if w and len(w) != len(p):
-        raise InputError(f"{path}: weight column is incomplete")
+        raise ValueError(f"{path}: weight column is incomplete")
     return np.array(p), (np.array(w) if w else None)
 
 
@@ -176,18 +168,15 @@ def cmd_run(args):
     elif not args.unit:
         weights = inline_w
     if args.variant in ("WU", "WA") and weights is None:
-        raise InputError(f"variant {args.variant} needs --weights, a weight column, or --unit")
+        raise ValueError(f"variant {args.variant} needs --weights, a weight column, or --unit")
     if weights is not None and weights.size != pvalues.size:
-        raise InputError("weights and p-values differ in length")
-    try:
-        report = run_procedure(args.variant, pvalues, weights=weights, alpha=args.alpha,
-                               lam=args.lam, u=args.u, finite_fdr=args.finite_fdr)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        raise ValueError("weights and p-values differ in length")
+    report = run_procedure(args.variant, pvalues, weights=weights, alpha=args.alpha,
+                           lam=args.lam, u=args.u, finite_fdr=args.finite_fdr)
     outdir = _outdir(args)
     out_json = os.path.join(outdir, "report.json")
     out_tsv = os.path.join(outdir, "report.tsv")
-    report.to_json(out_json)
+    _write_json(out_json, report.to_dict())
     _write_tsv(out_tsv, ["index", "p", "weight", "q", "rejected"],
                [np.arange(report.pvalues.size), report.pvalues, report.weights, report.q,
                 report.rejected])
@@ -240,11 +229,11 @@ def cmd_simulate(args):
         configs = [config]
     else:
         if args.preset is None:
-            raise InputError("either --config or --preset is required")
+            raise ValueError("either --config or --preset is required")
         if args.preset not in (1, 2, 3, 4):
-            raise InputError(f"invalid preset {args.preset}; expected 1-4")
+            raise ValueError(f"invalid preset {args.preset}; expected 1-4")
         if args.seed is None:
-            raise InputError("--seed is required (no silent nondeterminism)")
+            raise ValueError("--seed is required (no silent nondeterminism)")
         a_values = args.a if args.a else [1.0, 3.0, 5.0]
         configs = [
             simulation_preset(args.preset, a=a, M=args.M, n_reps=args.K,
@@ -257,7 +246,7 @@ def cmd_simulate(args):
     outputs = []
     for s in summaries:
         out = os.path.join(outdir, f"summary_a{s.config.gamma_a:g}.json")
-        write_summary_json(s, out)
+        _write_json(out, s.to_dict())
         outputs.append(out)
     table = os.path.join(outdir, "table.tsv")
     long_form = os.path.join(outdir, "long.tsv")
@@ -281,13 +270,13 @@ def _parse_x(args):
         try:
             return np.array([float(v) for v in args.x.split(",")])
         except ValueError:
-            raise InputError(f"--x must be comma-separated numbers, got {args.x!r}")
+            raise ValueError(f"--x must be comma-separated numbers, got {args.x!r}")
     if args.x_file:
         try:
             return np.loadtxt(args.x_file, ndmin=1)
         except Exception as exc:
-            raise InputError(f"could not read covariate file {args.x_file}: {exc}")
-    raise InputError("a covariate is required: --x or --x-file")
+            raise ValueError(f"could not read covariate file {args.x_file}: {exc}")
+    raise ValueError("a covariate is required: --x or --x-file")
 
 
 def _write_analysis(result, outdir):
@@ -300,24 +289,19 @@ def _write_analysis(result, outdir):
     _write_tsv(out_power, ["feature"] + power,
                [result.valid_indices] + [result.table[c] for c in power])
     out_json = os.path.join(outdir, "analysis.json")
-    with open(out_json, "w") as fh:
-        json.dump(
-            {
-                "n_features": int(result.valid_indices.size + result.excluded_indices.size),
-                "n_tested": int(result.valid_indices.size),
-                "excluded_features": result.excluded_indices.tolist(),
-                "k_info": result.calibration.k_info,
-                "achieved_avg_power": result.calibration.achieved_power,
-                "lambda": result.calibration.profile.t_bar,
-                "u": result.calibration.profile.u,
-                "rejected_wa": result.n_rejected_wa,
-                "rejected_ua": result.n_rejected_ua,
-                "wa": result.wa.to_dict(),
-                "ua": result.ua.to_dict(),
-            },
-            fh, indent=2,
-        )
-        fh.write("\n")
+    _write_json(out_json, {
+        "n_features": int(result.valid_indices.size + result.excluded_indices.size),
+        "n_tested": int(result.valid_indices.size),
+        "excluded_features": result.excluded_indices.tolist(),
+        "k_info": result.calibration.k_info,
+        "achieved_avg_power": result.calibration.achieved_power,
+        "lambda": result.calibration.profile.t_bar,
+        "u": result.calibration.profile.u,
+        "rejected_wa": result.n_rejected_wa,
+        "rejected_ua": result.n_rejected_ua,
+        "wa": result.wa.to_dict(),
+        "ua": result.ua.to_dict(),
+    })
     return [out_tsv, out_power, out_json]
 
 
@@ -326,7 +310,7 @@ def cmd_analyze(args):
     inputs = []
     if args.synthetic:
         if args.seed is None:
-            raise InputError("--seed is required with --synthetic")
+            raise ValueError("--seed is required with --synthetic")
         rng = substream(args.seed, 0)
         dataset, theta = generate_synthetic_counts(
             args.synthetic, x, rng, beta=args.beta,
@@ -334,11 +318,8 @@ def cmd_analyze(args):
         )
     else:
         if not args.counts:
-            raise InputError("either a counts file or --synthetic is required")
-        try:
-            dataset = CountDataset.from_csv(args.counts, x)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+            raise ValueError("either a counts file or --synthetic is required")
+        dataset = CountDataset.from_csv(args.counts, x)
         theta = None
         inputs.append(args.counts)
     p_prior = args.p_prior
@@ -347,12 +328,9 @@ def cmd_analyze(args):
         try:
             p_prior = np.loadtxt(args.p_prior_file, ndmin=1)
         except Exception as exc:
-            raise InputError(f"could not read prior file {args.p_prior_file}: {exc}")
-    try:
-        result = analyze(dataset, alpha=args.alpha, p_prior=p_prior,
-                         target_avg_power=args.target_power)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+            raise ValueError(f"could not read prior file {args.p_prior_file}: {exc}")
+    result = analyze(dataset, alpha=args.alpha, p_prior=p_prior,
+                     target_avg_power=args.target_power)
     outdir = _outdir(args)
     outputs = _write_analysis(result, outdir)
     if theta is not None:
@@ -377,10 +355,10 @@ def cmd_bounds(args):
         out["alpha_star"] = alpha_star(args.alpha, args.lam, args.w_max)
     if args.w0_bar is not None:
         if args.m0 is None:
-            raise InputError("--m0 is required with --w0-bar")
+            raise ValueError("--m0 is required with --w0-bar")
         out["fdr_upper_bound"] = fdr_upper_bound(args.alpha, args.lam, args.w0_bar, args.m0)
     if len(out) == 2:
-        raise InputError("nothing to compute: give --w-max and/or --w0-bar")
+        raise ValueError("nothing to compute: give --w-max and/or --w0-bar")
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
@@ -462,25 +440,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (NoSolutionError, BracketExpansionError) as exc:
+        # NoSolutionError is a ValueError, so this clause comes first
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NoSolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: the pre-data FDP equation needs alpha <= 1 - max(p); "
-            "a prior placing that much mass on false nulls cannot be "
-            "weighted at this level.",
-            file=sys.stderr,
-        )
+        if isinstance(exc, NoSolutionError):
+            print(
+                "hint: the pre-data FDP equation needs alpha <= 1 - max(p); "
+                "a prior placing that much mass on false nulls cannot be "
+                "weighted at this level.",
+                file=sys.stderr,
+            )
         return EXIT_NO_SOLUTION
-    except BracketExpansionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

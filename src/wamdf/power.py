@@ -46,7 +46,7 @@ class NormalLocationModel:
         """
         g = _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0) or np.any(tt > 1):
+        if not np.all((tt >= 0) & (tt <= 1)):
             raise ValueError("size threshold t must lie in [0, 1]")
         # -ndtri(t) = Phi^{-1}(1 - t) but stays accurate for t near 0
         with np.errstate(divide="ignore"):
@@ -66,7 +66,7 @@ class NormalLocationModel:
         """
         g = _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
-        if np.any(tt <= 0) or np.any(tt >= 1):
+        if not np.all((tt > 0) & (tt < 1)):
             raise ValueError("slope is defined only for t in (0, 1)")
         z = -ndtri(tt)
         out = np.exp(g * z - 0.5 * g * g)
@@ -118,6 +118,8 @@ class TabulatedPowerModel:
         p = np.asarray(power, dtype=float)
         if t.ndim != 1 or t.shape != p.shape or t.size < 3:
             raise ValueError("need matching 1-d t/power columns with >= 3 rows")
+        if not np.all(np.isfinite(t) & np.isfinite(p)):
+            raise ValueError("t and power knots must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("t column must be strictly increasing")
         if t[0] != 0.0 or t[-1] != 1.0 or p[0] != 0.0 or p[-1] != 1.0:
@@ -135,8 +137,10 @@ class TabulatedPowerModel:
     def from_csv(cls, path):
         """Load knots from a CSV file with header ``t,power``."""
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["t", "power"]:
+            # a short row reads "" for its missing cells, which float() rejects
+            reader = csv.DictReader(fh, restval="")
+            reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
+            if reader.fieldnames != ["t", "power"]:
                 raise ValueError(f"{path}: expected header 't,power'")
             rows = [(float(r["t"]), float(r["power"])) for r in reader]
         if not rows:
@@ -164,7 +168,7 @@ class TabulatedPowerModel:
     def power(self, gamma, t):
         _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0) or np.any(tt > 1):
+        if not np.all((tt >= 0) & (tt <= 1)):
             raise ValueError("size threshold t must lie in [0, 1]")
         out = np.interp(tt, self._t, self._p)
         return out if out.ndim else float(out)
@@ -172,7 +176,7 @@ class TabulatedPowerModel:
     def power_slope(self, gamma, t):
         _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
-        if np.any(tt <= 0) or np.any(tt >= 1):
+        if not np.all((tt > 0) & (tt < 1)):
             raise ValueError("slope is defined only for t in (0, 1)")
         out = self._secants[self._segment(tt)]
         return out if out.ndim else float(out)

@@ -11,7 +11,6 @@ Variant tags follow the weighted/unweighted x adaptive/unadaptive grid:
     WA  weighted adaptive
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +82,6 @@ class DecisionReport:
             "R": self.n_rejected,
         }
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 def estimate_m0(q, lam):
     """Census estimate of the number of true nulls from weighted p-values.
@@ -115,16 +109,17 @@ def step_up_threshold(q, m0_hat, alpha, u):
     """Step-up selection of the overall threshold on weighted p-values.
 
     With ordered ``Q_(1) <= ... <= Q_(M)``, take ``j`` the largest m with
-    ``Q_(m) <= alpha * m / m0_hat`` (0 if none) and return
+    ``Q_(m) <= min(alpha * m / m0_hat, u)`` (0 if none) and return
     ``t_hat = min(j * alpha / m0_hat, u)``.  Rejecting ``Q_m <= t_hat``
-    gives the same set as maximizing t subject to the estimated FDP
-    staying at or below alpha; tied weighted p-values at the threshold
-    are rejected together.
+    gives the same set as the largest t in [0, u] whose estimated FDP is
+    at or below alpha; tied weighted p-values at the threshold are
+    rejected together.  A p-value above u never counts toward j: at
+    ``t = u`` it is not rejected, so it cannot lower the estimated FDP.
     """
     q = np.asarray(q, dtype=float)
     m = q.size
     order = np.sort(q)
-    passes = order <= alpha * np.arange(1, m + 1) / m0_hat
+    passes = (order <= alpha * np.arange(1, m + 1) / m0_hat) & (order <= u)
     j = int(np.flatnonzero(passes)[-1] + 1) if passes.any() else 0
     return min(j * alpha / m0_hat, u) if j > 0 else 0.0
 
@@ -158,6 +153,8 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if not np.all((alpha > 0) & (alpha < 1)):
+        raise ValueError("alpha must lie in (0, 1)")
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p-values must be a nonempty 1-d vector")
@@ -184,6 +181,8 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
         u = lam
     elif u is None:
         u = 1.0 / w_max
+    if not np.all((u > 0) & (u < np.inf)):
+        raise ValueError("u must be positive and finite")
     if u * w_max > 1.0 + 1e-9:
         raise ValueError("u * max(weights) must not exceed 1")
     if lam is not None and lam > u + 1e-12:

@@ -8,7 +8,6 @@ proportions.  Replications use independent counter-based RNG substreams
 keyed by (seed, replication), so serial and parallel runs agree bitwise.
 """
 
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -125,6 +124,9 @@ class SimConfig:
                 alpha=kwargs.pop("alpha", 0.05),
             )
             return replace(base, **kwargs)
+        missing = [k for k in ("M", "n_reps", "seed") if k not in kwargs]
+        if missing:
+            raise ValueError(f"{path}: no preset, and missing {', '.join(missing)}")
         return cls(**kwargs)
 
 
@@ -343,9 +345,3 @@ def run_simulation(config, threads=1):
         fdp={v: np.array(x) for v, x in fdp.items()},
         cdp={v: np.array(x) for v, x in cdp.items()},
     )
-
-
-def write_summary_json(summary, path):
-    with open(path, "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=2)
-        fh.write("\n")

@@ -10,7 +10,6 @@ adaptive procedure) pins k down.
 """
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -93,9 +92,10 @@ class PriorSpec:
     def from_csv(cls, path):
         """Load priors from a CSV file with header ``p,gamma``."""
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            names = [f.strip() for f in reader.fieldnames or []]
-            if names != ["p", "gamma"]:
+            # a short row reads "" for its missing cells, which float() rejects
+            reader = csv.DictReader(fh, restval="")
+            reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
+            if reader.fieldnames != ["p", "gamma"]:
                 raise ValueError(f"{path}: expected header 'p,gamma'")
             rows = [(float(r["p"]), float(r["gamma"])) for r in reader]
         if not rows:
@@ -145,18 +145,25 @@ class WeightProfile:
             "warning": self.warning,
         }
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_dict(cls, d):
+        """Inverse of ``to_dict``; ``warning`` is optional."""
+        keys = ("weights", "k_star", "t_bar", "u")
+        missing = [k for k in keys if k not in d] if isinstance(d, dict) else list(keys)
+        if missing:
+            raise ValueError(f"weight profile is missing {', '.join(missing)}")
+        try:
+            w = np.asarray(d["weights"], dtype=float)
+            k_star, t_bar, u = (float(d[k]) for k in keys[1:])
+        except TypeError as exc:
+            raise ValueError(f"weight profile values must be numbers ({exc})") from None
+        if w.ndim != 1 or w.size == 0 or not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("weights must be a nonempty vector of positive finite numbers")
         return cls(
-            weights=np.asarray(d["weights"], dtype=float),
-            k_star=float(d["k_star"]),
-            t_bar=float(d["t_bar"]),
-            u=float(d["u"]),
+            weights=w,
+            k_star=k_star,
+            t_bar=t_bar,
+            u=u,
             warning=bool(d.get("warning", False)),
         )
 

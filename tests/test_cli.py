@@ -335,17 +335,123 @@ class TestBoundsCommand:
         ]) == EXIT_INPUT
 
 
+class TestExitMap:
+    # every failure maps to 1 or 2 in main, with a one-line "error:" message
+
+    def test_analyze_no_solution_exit_2_with_hint(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("0,1,1,0,5\n3,1,2,4,1\n")
+        code = main(["analyze", str(counts), "--x", "1,2,3,4,5", "--p-prior", "0.97",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_NO_SOLUTION
+        err = capsys.readouterr().err
+        assert err.startswith("error: no multiplier attains")
+        assert "\nhint: the pre-data FDP equation needs alpha <= 1 - max(p)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{}", "--variant", "UU"],
+        ["weights", "{}", "--t", "0.1"],
+        ["analyze", "{}", "--x", "1,2,3"],
+        ["simulate", "--config", "{}"],
+    ], ids=["run", "weights", "analyze", "simulate"])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_input_exit_1(self, tmp_path, capsys, argv, kind):
+        path = tmp_path if kind == "directory" else tmp_path / "nope.csv"
+        argv = [a.format(path) for a in argv] + ["--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("profile, named", [
+        ('{"weights": [1, 1], "t_bar": 0.1, "u": 1}', "k_star"),
+        ('[1, 1]', "weights"),
+        ('{"weights": [1, -1], "k_star": 1, "t_bar": 0.1, "u": 1}', "positive finite"),
+        ('{"weights": [1, NaN], "k_star": 1, "t_bar": 0.1, "u": 1}', "positive finite"),
+        ('{"weights": [1, 1], "k_star": null, "t_bar": 0.1, "u": 1}', "numbers"),
+        ('{"weights": {"a": 1}, "k_star": 1, "t_bar": 0.1, "u": 1}', "numbers"),
+    ], ids=["no-k_star", "not-an-object", "negative", "nan", "null", "object-weights"])
+    def test_bad_weights_json_exit_1(self, tmp_path, capsys, profile, named):
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p\n0.01\n0.2\n")
+        wjson = tmp_path / "w.json"
+        wjson.write_text(profile)
+        assert main(["run", str(pvals), "--weights", str(wjson), "--variant", "WA",
+                     "--lambda", "0.1", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("prior, table", [
+        ("p,gamma\n0.5\n", None),
+        ("p,gamma\n0.5,2\n", "t,power\n0,0\n0.5\n1,1\n"),
+    ], ids=["short-prior-row", "short-table-row"])
+    def test_short_csv_row_exit_1(self, tmp_path, capsys, prior, table):
+        path = tmp_path / "prior.csv"
+        path.write_text(prior)
+        argv = ["weights", str(path), "--t", "0.1", "--out", str(tmp_path / "o")]
+        if table:
+            (tmp_path / "table.csv").write_text(table)
+            argv += ["--power-table", str(tmp_path / "table.csv")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_spaced_headers_are_read(self, tmp_path):
+        # headers are matched after stripping spaces, and rows are read the same way
+        prior = tmp_path / "prior.csv"
+        prior.write_text(" p , gamma\n0.5,2\n0.5,3\n")
+        table = tmp_path / "table.csv"
+        table.write_text("t , power\n0,0\n0.2,0.6\n1,1\n")
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p , weight \n0.01,1\n0.5,1\n")
+        assert main(["weights", str(prior), "--t", "0.1", "--power-table", str(table),
+                     "--out", str(tmp_path / "w")]) == EXIT_OK
+        assert main(["run", str(pvals), "--variant", "WU", "--out", str(tmp_path / "r")]) == EXIT_OK
+
+    def test_config_without_preset_or_sizes_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("alpha = 0.05\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "M, n_reps, seed" in err
+
+
+class TestJsonPins:
+    # literal bytes and key orders; these hold at the parent commit too
+
+    def test_report_json_bytes(self, tmp_path):
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p\n0.01\n0.2\n0.9\n")
+        out = tmp_path / "out"
+        assert main(["run", str(pvals), "--variant", "UA", "--alpha", "0.2",
+                     "--lambda", "0.5", "--out", str(out)]) == EXIT_OK
+        assert (out / "report.json").read_text() == (
+            '{\n  "variant": "UA",\n  "alpha": 0.2,\n  "lambda": 0.5,\n  "u": 1.0,\n'
+            '  "t_hat": 0.05,\n  "m0_hat": 4.0,\n  "rejected_indices": [\n    0\n  ],\n'
+            '  "R": 1\n}\n'
+        )
+
+    def test_manifest_key_order(self, tmp_path):
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p\n0.01\n0.2\n0.9\n")
+        out = tmp_path / "out"
+        assert main(["run", str(pvals), "--variant", "UU", "--out", str(out)]) == EXIT_OK
+        text = (out / "manifest.json").read_text()
+        assert text.endswith("}\n")
+        assert list(json.loads(text)) == [
+            "subcommand", "flags", "inputs", "outputs", "seed", "version", "timestamp",
+        ]
+
+
 class TestThreadsResolution:
     def test_env_fallback(self, monkeypatch):
         import argparse
 
-        from wamdf.cli import InputError, _threads
+        from wamdf.cli import _threads
 
         args = argparse.Namespace(threads=None)
         monkeypatch.setenv("WAMDF_THREADS", "3")
         assert _threads(args) == 3
         monkeypatch.setenv("WAMDF_THREADS", "zebra")
-        with pytest.raises(InputError):
+        with pytest.raises(ValueError):
             _threads(args)
         args.threads = 5
         assert _threads(args) == 5

@@ -75,6 +75,15 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             MODEL.threshold_for_slope(2.0, 0.0)
 
+    @pytest.mark.parametrize("model", [MODEL, TabulatedPowerModel([0.0, 0.2, 1.0], [0.0, 0.6, 1.0])],
+                             ids=["normal", "tabulated"])
+    def test_nan_threshold(self, model):
+        # a NaN t used to give a NaN power or slope
+        with pytest.raises(ValueError, match="t must lie"):
+            model.power(2.0, np.nan)
+        with pytest.raises(ValueError, match="t in"):
+            model.power_slope(2.0, np.array([0.5, np.nan]))
+
 
 class TestAgainstHighPrecisionOracle:
     def test_power_matches_mpmath(self):
@@ -172,6 +181,16 @@ class TestTabulatedModel:
             TabulatedPowerModel([0.0, 0.5, 1.0], [0.0, 0.9, 0.8])
         with pytest.raises(ValueError):
             TabulatedPowerModel([0.1, 0.5, 1.0], [0.1, 0.7, 1.0])
+
+    @pytest.mark.parametrize("t, power", [
+        ([0.0, 0.1, np.nan, 0.5, 1.0], [0.0, 0.4, 0.6, 0.8, 1.0]),
+        ([0.0, 0.1, 0.3, 0.5, 1.0], [0.0, 0.4, np.nan, 0.8, 1.0]),
+        ([0.0, 0.1, 0.3, 0.5, 1.0], [0.0, 0.4, np.inf, 0.8, 1.0]),
+    ])
+    def test_rejects_nonfinite_knots(self, t, power):
+        # a NaN knot used to load, and every slope then mapped to t = 0.1
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedPowerModel(t, power)
 
     def test_csv_roundtrip(self, tmp_path):
         t, p = _concave_table(9)

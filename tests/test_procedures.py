@@ -148,6 +148,16 @@ class TestStepUpThreshold:
         assert t_hat == 0.5
         assert rejected.size == 2
 
+    def test_cap_below_step_up_point_is_not_feasible(self):
+        # the uncapped step-up passes at m = 4 (1/3 <= 0.5 * 4 / m0_hat), but
+        # at t = u = 0.25 only one test is rejected and the estimated FDP is
+        # m0_hat * 0.25 = 1.43 > alpha, so no t in [0, u] is admissible
+        q = np.array([0.25, 1 / 3, 1 / 3, 1 / 3])
+        m0 = estimate_m0(q, 0.125)
+        assert adaptive_fdp_estimate(0.25, q, m0) > 0.5
+        assert step_up_threshold(q, m0, 0.5, 0.25) == 0.0
+        assert not sup_threshold_oracle(q, m0, 0.5, 0.25).any()
+
 
 class TestRunProcedure:
     def test_uu_is_textbook_bh(self):
@@ -210,6 +220,18 @@ class TestRunProcedure:
         with pytest.raises(ValueError, match="weights"):
             run_procedure("WA", np.array([0.01, 0.5]), weights=np.array([1.0, np.inf]),
                           lam=0.1)
+
+    @pytest.mark.parametrize("alpha", [np.nan, 0.0, 1.0, 5.0, -0.1])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        # alpha = nan used to reject nothing and alpha = 5 everything
+        with pytest.raises(ValueError, match="alpha"):
+            run_procedure("UU", np.array([0.01, 0.5]), alpha=alpha)
+
+    @pytest.mark.parametrize("u", [np.nan, 0.0, -0.5, np.inf])
+    def test_rejects_u_not_positive_finite(self, u):
+        # u = nan used to pass the u * max(w) <= 1 check and then cap nothing
+        with pytest.raises(ValueError, match="u must"):
+            run_procedure("UA", np.array([0.01, 0.5]), lam=0.1, u=u)
 
     def test_adding_weight_keeps_rejection(self):
         # raising one weight (others fixed, same m0_hat and u) never drops
@@ -309,7 +331,7 @@ class TestReportSerialization:
         p = np.array([0.01, 0.2, 0.9])
         report = run_procedure("UA", p, alpha=0.2, lam=0.5)
         jpath = tmp_path / "report.json"
-        report.to_json(jpath)
+        jpath.write_text(json.dumps(report.to_dict()))
         with open(jpath) as fh:
             d = json.load(fh)
         assert d["variant"] == "UA"

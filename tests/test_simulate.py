@@ -242,12 +242,10 @@ class TestRunSimulation:
     def test_summary_serialization(self, tmp_path):
         import json
 
-        from wamdf.simulate import write_summary_json
-
         config = simulation_preset(1, a=3, M=30, n_reps=3, seed=41)
         summary = run_simulation(config)
         path = tmp_path / "summary.json"
-        write_summary_json(summary, path)
+        path.write_text(json.dumps(summary.to_dict()))
         with open(path) as fh:
             d = json.load(fh)
         assert d["M"] == 30 and d["n_completed"] == 3

@@ -320,7 +320,7 @@ class TestWeightProfileSerialization:
 
         profile = asymptotically_optimal_weights(worked_prior(), 0.05)
         path = tmp_path / "weights.json"
-        profile.to_json(path)
+        path.write_text(json.dumps(profile.to_dict()))
         with open(path) as fh:
             loaded = WeightProfile.from_dict(json.load(fh))
         np.testing.assert_array_equal(loaded.weights, profile.weights)
