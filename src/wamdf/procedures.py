@@ -212,8 +212,10 @@ def alpha_star(alpha, lam, w_max):
     below alpha for any fixed weights with maximum ``w_max``, under
     independence of the null statistics.
     """
-    if w_max <= 0:
-        raise ValueError("w_max must be positive")
+    if not np.all((alpha > 0) & (alpha < 1)):
+        raise ValueError("alpha must lie in (0, 1)")
+    if not np.all((w_max > 0) & (w_max < np.inf)):
+        raise ValueError("w_max must be positive and finite")
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
     if lam * w_max >= 1.0:
@@ -228,12 +230,14 @@ def fdr_upper_bound(alpha, lam, w0_bar, m0):
     where ``w0_bar`` is the mean weight over true nulls.  Unit weights
     recover the classic adaptive bound ``alpha * (1 - lam^m0)``.
     """
+    if not np.all((alpha > 0) & (alpha < 1)):
+        raise ValueError("alpha must lie in (0, 1)")
     if m0 < 1:
         raise ValueError("m0 must be at least 1")
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    if w0_bar <= 0:
-        raise ValueError("w0_bar must be positive")
+    if not np.all((w0_bar > 0) & (w0_bar < np.inf)):
+        raise ValueError("w0_bar must be positive and finite")
     if lam * w0_bar >= 1.0:
         raise ValueError("lambda * w0_bar must be below 1")
     geom = 1.0 - (lam * w0_bar) ** m0

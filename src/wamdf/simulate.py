@@ -214,7 +214,20 @@ def _draw_positive_uniform02(rng, size, limit=None, max_tries=100):
 
 
 def _replicate(config, rep):
-    """One replication; returns (ok, warned, {variant: (fdp, cdp, R)})."""
+    """One replication; returns (ok, warned, {variant: (fdp, cdp, R)}).
+
+    A replication whose weight solve has no solution is skipped (ok is
+    False).  Any other failure is re-raised with its type kept and
+    ``(seed, rep)`` in its message, so ``substream(seed, rep)`` can replay it.
+    """
+    try:
+        return _replicate_once(config, rep)
+    except Exception as exc:
+        exc.args = (f"replication (seed={config.seed}, rep={rep}): {exc}",)
+        raise
+
+
+def _replicate_once(config, rep):
     rng = substream(config.seed, rep)
     theta, p, gamma, pvalues = generate_model1(config, rng)
     prior = PriorSpec(p, gamma)

@@ -40,6 +40,11 @@ _K_LO, _K_HI = 1e-8, 1e8
 _K_FLOOR, _K_CEIL = 1e-300, 1e300
 _SCAN_POINTS = 512
 _MAX_EXPANSIONS = 6
+# The crossing scan first visits every _COARSE_STEP-th grid point, and
+# evaluates the grid in row blocks of at most _BLOCK_ELEMENTS (k, pair)
+# elements, so its temporaries stay near a dozen 512 KB arrays at any M.
+_COARSE_STEP = 8
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class NoSolutionError(ValueError):
@@ -185,29 +190,70 @@ def mean_threshold(prior, k, model=None):
     return float(np.mean(solve_thresholds(prior, k, model)))
 
 
-def _fdp_values(prior, ks, model):
-    """FDP approximator at each multiplier in ``ks`` (one broadcasted pass).
+@dataclass
+class _Pairs:
+    """A prior's distinct (p, gamma) pairs in first-occurrence order, with
+    their multiplicities, the battery size and max(p)."""
 
-    Works with the survival masses 1 - t and 1 - G directly: near k = 0
-    every threshold sits within float rounding of 1 and the leading ratio
-    would otherwise be pure cancellation noise.
+    p: np.ndarray
+    gamma: np.ndarray
+    count: np.ndarray
+    M: int
+    p_max: float
+
+
+def _collapse(prior):
+    """Collapse tied (p, gamma) pairs; an untied prior keeps its own columns."""
+    # the complex key orders pairs by p, then gamma; asking for first
+    # indices makes np.unique sort stably, so they are first occurrences
+    _, first, count = np.unique(prior.p + 1j * prior.gamma, return_index=True,
+                                return_counts=True)
+    order = np.argsort(first)
+    keep = first[order]
+    return _Pairs(prior.p[keep], prior.gamma[keep], count[order].astype(float),
+                  prior.M, prior.p_max)
+
+
+def _fdp_values(pairs, ks, model):
+    """FDP approximator at each multiplier in ``ks``, in one broadcast pass.
+
+    Means over the battery weight each distinct pair by its multiplicity
+    (``sum(x * count) / M``), so unit counts give the bits of a plain mean.
+    Each row is reduced on its own, so splitting ``ks`` into blocks leaves
+    every value bitwise unchanged; callers scanning many multipliers go
+    through ``_fdp_scan``.  Works with the survival masses 1 - t and
+    1 - G directly: near k = 0 every threshold sits within float rounding
+    of 1 and the leading ratio would otherwise be pure cancellation noise.
     """
-    ks = np.asarray(ks, dtype=float)
-    slopes = ks[:, None] / prior.p[None, :]
-    t, tc, pi, pic = model.threshold_power_split(prior.gamma[None, :], slopes)
-    g = (1.0 - prior.p) * t + prior.p * pi
-    gc = (1.0 - prior.p) * tc + prior.p * pic
-    t_bar = t.mean(axis=1)
-    g_bar = g.mean(axis=1)
-    tc_bar = tc.mean(axis=1)
-    gc_bar = gc.mean(axis=1)
+    slopes = ks[:, None] / pairs.p[None, :]
+    t, tc, pi, pic = model.threshold_power_split(pairs.gamma[None, :], slopes)
+    g = (1.0 - pairs.p) * t + pairs.p * pi
+    gc = (1.0 - pairs.p) * tc + pairs.p * pic
+    t_bar, g_bar, tc_bar, gc_bar = ((x * pairs.count).sum(axis=1) / pairs.M
+                                    for x in (t, g, tc, gc))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (gc_bar / tc_bar) * (t_bar / g_bar)
     # k -> infinity: all thresholds underflow, the estimator vanishes
     vals = np.where((t_bar == 0.0) | (g_bar == 0.0), 0.0, vals)
     # k -> 0: survival masses underflow; use the limiting lower bound
-    vals = np.where(tc_bar == 0.0, 1.0 - prior.p_max, vals)
+    vals = np.where(tc_bar == 0.0, 1.0 - pairs.p_max, vals)
     return vals
+
+
+def _fdp_scan(pairs, ks, model):
+    """``_fdp_values`` over all of ``ks``, evaluated in ascending row blocks of
+    at most ``_BLOCK_ELEMENTS`` elements, so memory is O(block), not O(len(ks) * M)."""
+    rows = max(1, _BLOCK_ELEMENTS // pairs.p.size)
+    return np.concatenate([np.empty(0)] + [_fdp_values(pairs, ks[start:start + rows], model)
+                                           for start in range(0, ks.size, rows)])
+
+
+def _fdp_at(pairs, k, model):
+    """FDP approximator at one multiplier; warns when it degenerates to 0."""
+    value = float(_fdp_values(pairs, np.array([float(k)]), model)[0])
+    if value == 0.0:
+        warnings.warn("all thresholds underflowed to 0; FDP approximator degenerate", RuntimeWarning)
+    return value
 
 
 def fdp_approximator(prior, k, model=None):
@@ -221,10 +267,7 @@ def fdp_approximator(prior, k, model=None):
     if k <= 0:
         raise ValueError("multiplier k must be positive")
     model = model or default_model()
-    value = float(_fdp_values(prior, np.array([float(k)]), model)[0])
-    if value == 0.0:
-        warnings.warn("all thresholds underflowed to 0; FDP approximator degenerate", RuntimeWarning)
-    return value
+    return _fdp_at(_collapse(prior), k, model)
 
 
 def _k_bracket(prior, model):
@@ -298,27 +341,53 @@ def optimal_fixed_t_weights(prior, t, model=None):
     return _profile(prior, float(np.exp(log_k)), model)
 
 
-def _smallest_downward_crossing(prior, alpha, lo, hi, model):
+def _first_down(vals):
+    """Index of the first i with vals[i] >= 0 > vals[i + 1], or None."""
+    down = np.flatnonzero((vals[:-1] >= 0) & (vals[1:] < 0))
+    return int(down[0]) if down.size else None
+
+
+def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     """Smallest k where the FDP approximator crosses alpha from above.
 
-    The approximator need not be monotone in k, so scan a log-spaced grid
-    (ascending, at least four points per decade) for the first interval
-    with value >= alpha on the left and < alpha on the right, then bisect
-    inside it.  Returns None when the grid shows no such interval.
+    The approximator need not be monotone in k, so the crossing is looked
+    for on a log-spaced grid (ascending, at least four points per decade):
+    the first interval with value >= alpha on the left and < alpha on the
+    right, refined by brentq inside it.  The grid is searched coarse to
+    fine: every ``_COARSE_STEP``-th point first, then every point of the
+    first coarse interval that crosses downward.  When the coarse points
+    show no downward crossing, the rest of the grid is scanned too.
+    A bump above alpha, or a dip below it, that is narrower than one coarse
+    step and lies before the first coarse crossing is not seen (the full
+    grid has the same limit at its own resolution).  Returns None when no
+    crossing is found.
     """
     n_points = max(_SCAN_POINTS, int(4 * (np.log10(hi) - np.log10(lo))))
     grid = np.exp(np.linspace(np.log(lo), np.log(hi), n_points))
-    vals = _fdp_values(prior, grid, model) - alpha
-    down = np.flatnonzero((vals[:-1] >= 0) & (vals[1:] < 0))
-    if down.size == 0:
+    coarse = np.r_[np.arange(0, n_points - 1, _COARSE_STEP), n_points - 1]
+    vals = _fdp_scan(pairs, grid[coarse], model) - alpha
+    j = _first_down(vals)
+    if j is not None:
+        # the first downward coarse interval, its end values reused
+        offset, b = coarse[j], coarse[j + 1]
+        vals = np.concatenate([vals[j:j + 1], _fdp_scan(pairs, grid[offset + 1:b], model) - alpha,
+                               vals[j + 1:j + 2]])
+    else:
+        # no coarse crossing: fill in the points between the coarse ones
+        offset, rest = 0, np.setdiff1d(np.arange(n_points), coarse)
+        full = np.empty(n_points)
+        full[coarse], full[rest] = vals, _fdp_scan(pairs, grid[rest], model) - alpha
+        vals = full
+    d = _first_down(vals)
+    if d is None:
         return None
-    i = down[0]
-    if vals[i] == 0.0:
+    i = offset + d
+    if vals[d] == 0.0:
         return float(grid[i])
     # refine in log space: k can sit hundreds of decades below 1, where an
     # absolute tolerance on k itself would stop the solver immediately
     log_k = brentq(
-        lambda lk: fdp_approximator(prior, np.exp(lk), model) - alpha,
+        lambda lk: _fdp_at(pairs, np.exp(lk), model) - alpha,
         np.log(grid[i]), np.log(grid[i + 1]), xtol=1e-13, rtol=8.9e-16, maxiter=200,
     )
     return float(np.exp(log_k))
@@ -342,13 +411,14 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     model = model or default_model()
     out_of_regime = alpha > 1.0 - prior.p_max
 
+    pairs = _collapse(prior)
     lo, hi = _k_bracket(prior, model)
-    k_star = _smallest_downward_crossing(prior, alpha, lo, hi, model)
+    k_star = _smallest_downward_crossing(pairs, alpha, lo, hi, model)
     for _ in range(_MAX_EXPANSIONS):
         if k_star is not None or (lo == _K_FLOOR and hi == _K_CEIL):
             break
         lo, hi = _widen(lo, hi)
-        k_star = _smallest_downward_crossing(prior, alpha, lo, hi, model)
+        k_star = _smallest_downward_crossing(pairs, alpha, lo, hi, model)
     if k_star is None:
         detail = (
             f" (alpha={alpha:g} > 1 - max(p) = {1.0 - prior.p_max:g}; "

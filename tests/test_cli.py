@@ -334,6 +334,22 @@ class TestBoundsCommand:
             "bounds", "--alpha", "0.05", "--lambda", "0.9", "--w-max", "2.0",
         ]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("args", [
+        ["--alpha", "nan", "--w-max", "1.5"],
+        ["--alpha", "inf", "--w-max", "1.5"],
+        ["--alpha", "1.5", "--w-max", "1.5"],
+        ["--alpha", "0.05", "--w-max", "nan"],
+        ["--alpha", "0.05", "--w-max", "inf"],
+        ["--alpha", "nan", "--w0-bar", "0.9", "--m0", "5"],
+        ["--alpha", "0.05", "--w0-bar", "nan", "--m0", "5"],
+        ["--alpha", "0.05", "--w0-bar", "inf", "--m0", "5"],
+    ])
+    def test_non_finite_inputs_exit_1(self, args, capsys):
+        assert main(["bounds", "--lambda", "0.2", *args]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestExitMap:
     # every failure maps to 1 or 2 in main, with a one-line "error:" message

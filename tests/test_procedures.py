@@ -307,6 +307,14 @@ class TestAlphaStar:
         with pytest.raises(ValueError):
             alpha_star(0.05, 0.5, 2.0)
 
+    @pytest.mark.parametrize("alpha, w_max", [
+        (float("nan"), 1.5), (0.0, 1.5), (1.0, 1.5), (-0.1, 1.5), (float("inf"), 1.5),
+        (0.05, float("nan")), (0.05, float("inf")), (0.05, 0.0), (0.05, -1.0),
+    ])
+    def test_rejects_bad_alpha_and_w_max(self, alpha, w_max):
+        with pytest.raises(ValueError, match="alpha|w_max"):
+            alpha_star(alpha, 0.2, w_max)
+
 
 class TestFdrUpperBound:
     def test_unit_weights_recover_classic(self):
@@ -324,6 +332,14 @@ class TestFdrUpperBound:
             fdr_upper_bound(0.05, 0.6, 2.0, 5)
         with pytest.raises(ValueError):
             fdr_upper_bound(0.05, 0.3, 1.0, 0)
+
+    @pytest.mark.parametrize("alpha, w0_bar", [
+        (float("nan"), 0.9), (0.0, 0.9), (1.0, 0.9), (float("inf"), 0.9),
+        (0.05, float("nan")), (0.05, float("inf")), (0.05, 0.0), (0.05, -1.0),
+    ])
+    def test_rejects_bad_alpha_and_w0_bar(self, alpha, w0_bar):
+        with pytest.raises(ValueError, match="alpha|w0_bar"):
+            fdr_upper_bound(alpha, 0.2, w0_bar, 5)
 
 
 class TestReportSerialization:

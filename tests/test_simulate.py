@@ -239,6 +239,28 @@ class TestRunSimulation:
         for v in config.variants:
             assert summary.fdp[v].size == summary.n_completed
 
+    def test_worker_failure_names_its_replication(self, monkeypatch):
+        # any failure but NoSolutionError propagates with its type and
+        # (seed, rep), and substream(seed, rep) replays the failing input
+        import wamdf.simulate as simulate
+
+        solve = simulate.asymptotically_optimal_weights
+        seen = []
+
+        def failing_solve(prior, alpha):
+            seen.append(prior.p.copy())
+            if len(seen) == 3:
+                raise FloatingPointError("overflow in the solve")
+            return solve(prior, alpha)
+
+        monkeypatch.setattr(simulate, "asymptotically_optimal_weights", failing_solve)
+        config = simulation_preset(2, a=3, M=20, n_reps=5, seed=17)
+        with pytest.raises(FloatingPointError,
+                           match=r"^replication \(seed=17, rep=2\): overflow in the solve$"):
+            run_simulation(config, threads=1)
+        _, p, _, _ = generate_model1(config, substream(17, 2))
+        np.testing.assert_array_equal(seen[2], p)
+
     def test_summary_serialization(self, tmp_path):
         import json
 
