@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 input error, 2 model-precondition failure
 """
 
 import argparse
-import csv
 import datetime
 import json
 import os
@@ -30,6 +29,7 @@ from .simulate import (
     simulation_preset,
     substream,
 )
+from .tables import read_table
 from .weights import (
     BracketExpansionError,
     NoSolutionError,
@@ -118,7 +118,7 @@ def cmd_weights(args):
     tsv = os.path.join(outdir, "weights.tsv")
     _write_tsv(tsv, ["index", "p", "gamma", "weight", "threshold"],
                [np.arange(prior.M), prior.p, prior.gamma, profile.weights, profile.thresholds])
-    _manifest(args, [args.prior], [out, tsv])
+    _manifest(args, [f for f in (args.prior, args.power_table) if f], [out, tsv])
     if profile.warning:
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
@@ -128,32 +128,9 @@ def cmd_weights(args):
 
 # ---------------------------------------------------------------- run
 
-def _read_pvalue_csv(path):
-    """CSV with header ``p`` or ``p,weight``; returns (p, weights-or-None)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
-            if reader.fieldnames not in (["p"], ["p", "weight"]):
-                raise ValueError(f"{path}: expected header 'p' or 'p,weight'")
-            p, w = [], []
-            for row in reader:
-                if None in row:
-                    raise ValueError(f"{path}:{reader.line_num}: more fields than the header")
-                p.append(float(row["p"]))
-                if row.get("weight") not in (None, ""):
-                    w.append(float(row["weight"]))
-        except csv.Error as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not p:
-        raise ValueError(f"{path}: no p-values")
-    if w and len(w) != len(p):
-        raise ValueError(f"{path}: weight column is incomplete")
-    return np.array(p), (np.array(w) if w else None)
-
-
 def cmd_run(args):
-    pvalues, inline_w = _read_pvalue_csv(args.pvalues)
+    header, table = read_table(args.pvalues, [("p",), ("p", "weight")])
+    pvalues = table[:, 0]
     weights = None
     inputs = [args.pvalues]
     if args.weights:
@@ -165,8 +142,8 @@ def cmd_run(args):
             args.lam = profile.t_bar
         if args.u is None and args.variant in ("WU", "WA"):
             args.u = profile.u
-    elif not args.unit:
-        weights = inline_w
+    elif not args.unit and header == ("p", "weight"):
+        weights = table[:, 1]
     if args.variant in ("WU", "WA") and weights is None:
         raise ValueError(f"variant {args.variant} needs --weights, a weight column, or --unit")
     if weights is not None and weights.size != pvalues.size:
@@ -265,18 +242,12 @@ def cmd_simulate(args):
 
 # ---------------------------------------------------------------- analyze
 
-def _parse_x(args):
-    if args.x:
-        try:
-            return np.array([float(v) for v in args.x.split(",")])
-        except ValueError:
-            raise ValueError(f"--x must be comma-separated numbers, got {args.x!r}")
-    if args.x_file:
-        try:
-            return np.loadtxt(args.x_file, ndmin=1)
-        except Exception as exc:
-            raise ValueError(f"could not read covariate file {args.x_file}: {exc}")
-    raise ValueError("a covariate is required: --x or --x-file")
+def _read_column(path):
+    """Values of a one-column table file (one value per line)."""
+    table = read_table(path)[1]
+    if table.shape[1] != 1:
+        raise ValueError(f"{path}: expected one value per line")
+    return table[:, 0]
 
 
 def _write_analysis(result, outdir):
@@ -306,8 +277,17 @@ def _write_analysis(result, outdir):
 
 
 def cmd_analyze(args):
-    x = _parse_x(args)
     inputs = []
+    if args.x:
+        try:
+            x = np.array([float(v) for v in args.x.split(",")])
+        except ValueError:
+            raise ValueError(f"--x must be comma-separated numbers, got {args.x!r}")
+    elif args.x_file:
+        x = _read_column(args.x_file)
+        inputs.append(args.x_file)
+    else:
+        raise ValueError("a covariate is required: --x or --x-file")
     if args.synthetic:
         if args.seed is None:
             raise ValueError("--seed is required with --synthetic")
@@ -325,10 +305,7 @@ def cmd_analyze(args):
     p_prior = args.p_prior
     if args.p_prior_file:
         inputs.append(args.p_prior_file)
-        try:
-            p_prior = np.loadtxt(args.p_prior_file, ndmin=1)
-        except Exception as exc:
-            raise ValueError(f"could not read prior file {args.p_prior_file}: {exc}")
+        p_prior = _read_column(args.p_prior_file)
     result = analyze(dataset, alpha=args.alpha, p_prior=p_prior,
                      target_avg_power=args.target_power)
     outdir = _outdir(args)

@@ -9,7 +9,6 @@ its null distribution.  Effect sizes for the weighting step scale as
 calibrated so the posited average power across features hits a target.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from scipy.special import ndtr
 
 from .power import default_model
 from .procedures import run_procedure
+from .tables import read_table
 from .weights import PriorSpec, asymptotically_optimal_weights
 
 __all__ = [
@@ -81,26 +81,7 @@ class CountDataset:
 
         A leading header row is skipped if its first field is not numeric.
         """
-        rows = []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), 1):
-                if not row:
-                    continue
-                if lineno == 1:
-                    try:
-                        float(row[0])
-                    except ValueError:
-                        continue
-                try:
-                    rows.append([int(v) for v in row])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: non-integer count ({exc})") from None
-        if not rows:
-            raise ValueError(f"{path}: no count rows")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
-        return cls(np.array(rows), x)
+        return cls(read_table(path, dtype=np.int64)[1], x)
 
 
 def score_statistic(y, x):

@@ -8,10 +8,10 @@ and ``pi_gamma'`` continuous and strictly decreasing on (0, 1) with infinite
 limit at 0 and zero limit at 1.
 """
 
-import csv
-
 import numpy as np
 from scipy.special import ndtr, ndtri
+
+from .tables import read_table
 
 __all__ = [
     "NormalLocationModel",
@@ -136,17 +136,7 @@ class TabulatedPowerModel:
     @classmethod
     def from_csv(cls, path):
         """Load knots from a CSV file with header ``t,power``."""
-        with open(path, newline="") as fh:
-            # a short row reads "" for its missing cells, which float() rejects
-            reader = csv.DictReader(fh, restval="")
-            reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
-            if reader.fieldnames != ["t", "power"]:
-                raise ValueError(f"{path}: expected header 't,power'")
-            rows = [(float(r["t"]), float(r["power"])) for r in reader]
-        if not rows:
-            raise ValueError(f"{path}: empty table")
-        t, p = zip(*rows)
-        return cls(t, p)
+        return cls(*read_table(path, [("t", "power")])[1].T)
 
     def _segment(self, tt):
         # index of the segment (t_i, t_{i+1}] containing each t; t = 0

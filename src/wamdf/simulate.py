@@ -68,10 +68,15 @@ class SimConfig:
             raise ValueError(f"unknown p_law {self.p_law!r}")
         if self.gamma_law not in ("uniform", "fixed"):
             raise ValueError(f"unknown gamma_law {self.gamma_law!r}")
-        if self.gamma_law == "uniform" and self.gamma_a < 1:
-            raise ValueError("gamma_a must be at least 1")
-        if self.gamma_law == "fixed" and not (self.gamma_fixed and self.gamma_fixed > 0):
-            raise ValueError("gamma_fixed must be positive for gamma_law='fixed'")
+        if not np.all((self.alpha > 0) & (self.alpha < 1)):
+            raise ValueError("alpha must lie in (0, 1)")
+        if not np.all((self.gamma_a >= 1) & (self.gamma_a < np.inf)):
+            raise ValueError("gamma_a must be finite and at least 1")
+        if not np.all((self.p_fixed >= 0) & (self.p_fixed <= 1)):
+            raise ValueError("p_fixed must lie in [0, 1]")
+        gamma_fixed = self.gamma_fixed or 0.0
+        if self.gamma_law == "fixed" and not np.all((gamma_fixed > 0) & (gamma_fixed < np.inf)):
+            raise ValueError("gamma_fixed must be positive and finite for gamma_law='fixed'")
         if self.weight_mode not in _WEIGHT_MODES:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
         if self.lambda_rule == "fixed" and not (self.lambda_fixed and 0 < self.lambda_fixed < 1):

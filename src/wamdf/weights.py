@@ -9,7 +9,6 @@ threshold (fixed-t weights) or a plug-in FDP level (pre-data weights for the
 adaptive procedure) pins k down.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .power import default_model
+from .tables import read_table
 
 __all__ = [
     "PriorSpec",
@@ -96,17 +96,7 @@ class PriorSpec:
     @classmethod
     def from_csv(cls, path):
         """Load priors from a CSV file with header ``p,gamma``."""
-        with open(path, newline="") as fh:
-            # a short row reads "" for its missing cells, which float() rejects
-            reader = csv.DictReader(fh, restval="")
-            reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
-            if reader.fieldnames != ["p", "gamma"]:
-                raise ValueError(f"{path}: expected header 'p,gamma'")
-            rows = [(float(r["p"]), float(r["gamma"])) for r in reader]
-        if not rows:
-            raise ValueError(f"{path}: no rows")
-        p, gamma = zip(*rows)
-        return cls(np.array(p), np.array(gamma))
+        return cls(*read_table(path, [("p", "gamma")])[1].T)
 
 
 @dataclass

@@ -257,6 +257,35 @@ class TestSimulateCommand:
             "simulate", "--preset", "1", "--out", str(tmp_path / "o"),
         ]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("flags, config, named", [
+        (["--a", "nan"], None, "gamma_a"),
+        (["--a", "inf"], None, "gamma_a"),
+        (["--a", "0.5"], None, "gamma_a"),
+        (["--alpha", "nan"], None, "alpha"),
+        (["--alpha", "1"], None, "alpha"),
+        (["--alpha", "0"], None, "alpha"),
+        ([], "p_fixed = nan", "p_fixed"),
+        ([], "p_fixed = -0.1", "p_fixed"),
+        ([], "p_fixed = 1.5", "p_fixed"),
+        ([], "gamma_law = fixed\ngamma_fixed = nan", "gamma_fixed"),
+        ([], "gamma_law = fixed\ngamma_fixed = inf", "gamma_fixed"),
+        ([], "gamma_law = fixed\ngamma_fixed = 0", "gamma_fixed"),
+        ([], "gamma_law = fixed", "gamma_fixed"),
+    ], ids=["a-nan", "a-inf", "a-below-1", "alpha-nan", "alpha-1", "alpha-0", "p_fixed-nan",
+            "p_fixed-negative", "p_fixed-above-1", "gamma_fixed-nan", "gamma_fixed-inf",
+            "gamma_fixed-0", "gamma_fixed-missing"])
+    def test_bad_config_value_exit_1(self, tmp_path, capsys, flags, config, named):
+        argv = ["simulate", "--M", "20", "--K", "1", "--seed", "1", "--threads", "1"]
+        if config is None:
+            argv += ["--preset", "2", *flags]
+        else:
+            cfg = tmp_path / "sim.cfg"
+            cfg.write_text(f"M = 20\nn_reps = 1\nseed = 1\n{config}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must")
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("preset = 1\nM = 30\nn_reps = 3\nseed = 6\ngamma_a = 1\n")
@@ -398,7 +427,12 @@ class TestExitMap:
     @pytest.mark.parametrize("prior, table", [
         ("p,gamma\n0.5\n", None),
         ("p,gamma\n0.5,2\n", "t,power\n0,0\n0.5\n1,1\n"),
-    ], ids=["short-prior-row", "short-table-row"])
+        ("p,gamma\n0.5,2,junk\n", None),
+        ("p,gamma\n0.5,2\n", "t,power\n0,0,9\n0.5,0.8\n1,1\n"),
+        ("p,gamma\n0.5," + "2" * 200_000 + "\n", None),
+        ("p,gamma\n0.5,2\n", "t,power\n0,0\n0.5," + "8" * 200_000 + "\n1,1\n"),
+    ], ids=["short-prior-row", "short-table-row", "long-prior-row", "long-table-row",
+            "huge-prior-field", "huge-table-field"])
     def test_short_csv_row_exit_1(self, tmp_path, capsys, prior, table):
         path = tmp_path / "prior.csv"
         path.write_text(prior)
@@ -497,7 +531,40 @@ class TestAnalyzePriorFile:
         ]) == EXIT_INPUT
 
 
+    @pytest.mark.parametrize("flag", ["--x-file", "--p-prior-file"])
+    def test_column_file_needs_one_value_per_line(self, tmp_path, capsys, flag):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("0,1,1,0,5\n3,1,2,4,1\n")
+        column = tmp_path / "column.txt"
+        column.write_text("0.7,0.3\n0.3,0.7\n")
+        argv = ["analyze", str(counts), "--out", str(tmp_path / "o"), flag, str(column)]
+        if flag == "--p-prior-file":
+            argv += ["--x", "0.86,1.34,1.81,2.37,3.00"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {column}: expected one value per line\n"
+
+
 class TestManifest:
+    def test_inputs_list_every_file_read(self, tmp_path, prior_file):
+        table = tmp_path / "table.csv"
+        table.write_text("t,power\n0,0\n0.2,0.6\n1,1\n")
+        out = tmp_path / "w"
+        assert main(["weights", str(prior_file), "--t", "0.1", "--power-table", str(table),
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["inputs"] == [
+            str(prior_file), str(table)]
+        counts = tmp_path / "counts.csv"
+        counts.write_text("0,1,1,0,5\n3,1,2,4,1\n")
+        x = tmp_path / "x.txt"
+        x.write_text("0.86\n1.34\n1.81\n2.37\n3.00\n")
+        prior = tmp_path / "priors.txt"
+        prior.write_text("0.7\n0.3\n")
+        out = tmp_path / "a"
+        assert main(["analyze", str(counts), "--x-file", str(x), "--p-prior-file", str(prior),
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["inputs"] == [
+            str(x), str(counts), str(prior)]
+
     def test_reproducibility_fields(self, tmp_path, prior_file):
         out = tmp_path / "out"
         main(["weights", str(prior_file), "--alpha", "0.05", "--out", str(out)])

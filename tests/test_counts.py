@@ -266,6 +266,19 @@ class TestCountDataset:
         with pytest.raises(ValueError, match="non-integer"):
             CountDataset.from_csv(path, X)
 
+    @pytest.mark.parametrize("text, named", [
+        ("0,1,1,0," + "5" * 200_000 + "\n", "field limit"),
+        ("0,1,1,0,100000000000000000000\n", "out of range"),
+        ("0,1,1,0,9223372036854775808\n", "out of range"),
+        ("g1,g2,g3\n0,1,1,0,5\n", "ragged"),
+    ], ids=["huge-field", "count-1e20", "count-2^63", "narrow-header"])
+    def test_csv_rejected(self, tmp_path, text, named):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=named) as info:
+            CountDataset.from_csv(path, X)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestSyntheticGenerator:
     def test_shapes_and_ranges(self):

@@ -122,6 +122,8 @@ def corrupted_csvs(draw):
 
 @given(corrupted_csvs())
 @example(("p\n0.5\n", "p\n" + "x" * 200_000 + "\n", "UA"))   # over the csv field limit
+@example(("p,weight\n0.5,1\n", "p,weight\n0.5,\n", "UA"))      # an all-empty weight column
+@example(("p,weight\n0.5,1\n", "p,weight\n0.5\n", "UA"))       # no weight column under its header
 def test_malformed_pvalue_csv_exits_1(tmp_path_factory, case):
     valid, bad, variant = case
     tmp = tmp_path_factory.getbasetemp()
