@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .counts import CountDataset, analyze, generate_synthetic_counts
+from .counts import CalibrationError, CountDataset, analyze, generate_synthetic_counts
 from .power import TabulatedPowerModel
 from .procedures import alpha_star, fdr_upper_bound, run_procedure
 from .simulate import (
@@ -311,12 +311,13 @@ def cmd_analyze(args):
     outdir = _outdir(args)
     outputs = _write_analysis(result, outdir)
     if theta is not None:
+        # the counts alone, so the file can be analysed again; the truth apart
         data_out = os.path.join(outdir, "synthetic_counts.csv")
-        with open(data_out, "w") as fh:
-            fh.write(",".join(f"g{i}" for i in range(dataset.n_groups)) + ",planted\n")
-            for i in range(dataset.n_features):
-                fh.write(",".join(str(c) for c in dataset.counts[i]) + f",{int(theta[i])}\n")
-        outputs.append(data_out)
+        truth_out = os.path.join(outdir, "synthetic_truth.csv")
+        np.savetxt(data_out, dataset.counts, fmt="%d", delimiter=",", comments="",
+                   header=",".join(f"g{i}" for i in range(dataset.n_groups)))
+        np.savetxt(truth_out, theta, fmt="%d", header="planted", comments="")
+        outputs += [data_out, truth_out]
     _manifest(args, inputs, outputs, seed=args.seed)
     print(f"WA rejected {result.n_rejected_wa}, UA rejected {result.n_rejected_ua} "
           f"of {result.valid_indices.size} tested features "
@@ -417,7 +418,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NoSolutionError, BracketExpansionError) as exc:
+    except (NoSolutionError, BracketExpansionError, CalibrationError) as exc:
         # NoSolutionError is a ValueError, so this clause comes first
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NoSolutionError):

@@ -18,7 +18,12 @@ from scipy.special import ndtr
 from .power import default_model
 from .procedures import run_procedure
 from .tables import read_table
-from .weights import PriorSpec, asymptotically_optimal_weights
+from .weights import (
+    BracketExpansionError,
+    NoSolutionError,
+    PriorSpec,
+    asymptotically_optimal_weights,
+)
 
 __all__ = [
     "CountDataset",
@@ -192,7 +197,7 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
         lo /= 2.0
         try:
             power_lo, _ = _average_power(lo, totals, p_prior, alpha, model)
-        except Exception as exc:
+        except (NoSolutionError, BracketExpansionError) as exc:
             raise CalibrationError(
                 f"target {target_avg_power} is below the attainable floor "
                 f"(weight solve failed at K = {lo:g}: {exc})"

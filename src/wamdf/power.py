@@ -36,8 +36,6 @@ class NormalLocationModel:
     map all have closed forms.
     """
 
-    kind = "normal-location"
-
     def power(self, gamma, t):
         """Power ``pi_gamma(t) = Phi(gamma - Phi^{-1}(1 - t))`` for t in [0, 1].
 
@@ -88,16 +86,26 @@ class NormalLocationModel:
     def threshold_power_split(self, gamma, slope):
         """(t, 1-t, power, 1-power) at the inverse-slope threshold.
 
-        Both complements are evaluated directly (not by subtraction) so
-        downstream ratios of survival masses stay accurate even when the
-        threshold or the power sits within a few ulp of 1.
+        With ``z = gamma/2 + log(slope)/gamma``, ``t = Phi(-z)`` and
+        ``power = Phi(gamma - z)``.  One ``ndtr`` serves each complement
+        pair: ``a = Phi(-|z|)`` and ``b = Phi(-|gamma - z|)`` are the smaller
+        masses (<= 1/2), taken as they are, and the larger masses are
+        ``1 - a`` and ``1 - b``.  A mass near 0 is never formed by
+        subtraction, so ratios of survival masses stay accurate even when
+        the threshold or the power sits within a few ulp of 1.
         """
         g = _check_gamma(gamma)
         s = np.asarray(slope, dtype=float)
         if np.any(s <= 0) or not np.all(np.isfinite(s)):
             raise ValueError("slope must be positive and finite")
         z = 0.5 * g + np.log(s) / g
-        return ndtr(-z), ndtr(z), ndtr(g - z), ndtr(z - g)
+        d = g - z
+        a = ndtr(-np.abs(z))
+        b = ndtr(-np.abs(d))
+        ca, cb = 1.0 - a, 1.0 - b
+        t_small, pi_large = z >= 0, d >= 0
+        return (np.where(t_small, a, ca), np.where(t_small, ca, a),
+                np.where(pi_large, cb, b), np.where(pi_large, b, cb))
 
 
 class TabulatedPowerModel:
@@ -110,8 +118,6 @@ class TabulatedPowerModel:
     segment's secant, so the inverse-slope query returns a knot.  The same
     curve is used for every effect size.
     """
-
-    kind = "tabulated"
 
     def __init__(self, t, power):
         t = np.asarray(t, dtype=float)
@@ -181,30 +187,6 @@ class TabulatedPowerModel:
         t = self._knot(gamma, slope)
         pi = np.interp(t, self._t, self._p)
         return t, 1.0 - t, pi, 1.0 - pi
-
-
-def _bisect_decreasing(f, target, lo=1e-15, hi=1 - 1e-15, tol=1e-12, max_iter=200):
-    """Bisect a nonincreasing f on [lo, hi] for f(t) = target.
-
-    Concavity guarantees the bracket; 200 iterations more than exhaust
-    double precision.  The closed-form and tabulated inverse-slope queries
-    are tested against this generic search.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if target > flo:
-        return lo
-    if target < fhi:
-        return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
 
 
 def default_model():

@@ -43,7 +43,13 @@ _MAX_EXPANSIONS = 6
 # The crossing scan first visits every _COARSE_STEP-th grid point, and
 # evaluates the grid in row blocks of at most _BLOCK_ELEMENTS (k, pair)
 # elements, so its temporaries stay near a dozen 512 KB arrays at any M.
+# The coarse points go in ascending blocks that stop at the first crossing:
+# _COARSE_BLOCK points each, or as many as make _COARSE_MIN_ELEMENTS elements
+# when there are few distinct pairs, since every block also pays a fixed
+# cost of about a thousand elements in numpy calls.
 _COARSE_STEP = 8
+_COARSE_BLOCK = 8
+_COARSE_MIN_ELEMENTS = 1 << 13
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -344,9 +350,10 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     for on a log-spaced grid (ascending, at least four points per decade):
     the first interval with value >= alpha on the left and < alpha on the
     right, refined by brentq inside it.  The grid is searched coarse to
-    fine: every ``_COARSE_STEP``-th point first, then every point of the
-    first coarse interval that crosses downward.  When the coarse points
-    show no downward crossing, the rest of the grid is scanned too.
+    fine: every ``_COARSE_STEP``-th point first, in ascending blocks that
+    stop at the first block showing a downward crossing, then every point
+    of the first coarse interval that crosses downward.  When the coarse
+    points show no downward crossing, the rest of the grid is scanned too.
     A bump above alpha, or a dip below it, that is narrower than one coarse
     step and lies before the first coarse crossing is not seen (the full
     grid has the same limit at its own resolution).  Returns None when no
@@ -355,8 +362,14 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     n_points = max(_SCAN_POINTS, int(4 * (np.log10(hi) - np.log10(lo))))
     grid = np.exp(np.linspace(np.log(lo), np.log(hi), n_points))
     coarse = np.r_[np.arange(0, n_points - 1, _COARSE_STEP), n_points - 1]
-    vals = _fdp_scan(pairs, grid[coarse], model) - alpha
-    j = _first_down(vals)
+    size = max(_COARSE_BLOCK, _COARSE_MIN_ELEMENTS // pairs.p.size)
+    vals = np.empty(0)
+    for start in range(0, coarse.size, size):
+        block = _fdp_scan(pairs, grid[coarse[start:start + size]], model) - alpha
+        vals = np.concatenate([vals, block])
+        j = _first_down(vals)
+        if j is not None:
+            break
     if j is not None:
         # the first downward coarse interval, its end values reused
         offset, b = coarse[j], coarse[j + 1]

@@ -31,9 +31,11 @@ from wamdf import (
     step_up_threshold,
     substream,
 )
-from wamdf.power import NormalLocationModel, _bisect_decreasing
+from wamdf.power import NormalLocationModel
 from wamdf.counts import score_statistic
 from wamdf.procedures import adaptive_fdp_estimate
+
+from oracles import bisect_decreasing
 
 MODEL = NormalLocationModel()
 X5 = np.array([0.86, 1.34, 1.81, 2.37, 3.00])
@@ -243,7 +245,7 @@ def test_criterion_9_numerical_property_suites():
     for gamma in np.arange(0.5, 5.5, 0.5):
         for s in np.logspace(-1, 2, 10):
             closed = MODEL.threshold_for_slope(gamma, s)
-            generic = _bisect_decreasing(lambda t: MODEL.power_slope(gamma, t), s)
+            generic = bisect_decreasing(lambda t: MODEL.power_slope(gamma, t), s)
             assert abs(closed - generic) <= 1e-10
 
     # brute-force dominance of the solved allocation, M <= 4

@@ -325,6 +325,24 @@ class TestAnalyzeCommand:
         assert (d["rejected_wa"], d["rejected_ua"]) == (28, 27)
         assert (out / "synthetic_counts.csv").exists()
 
+    def test_synthetic_counts_analyse_again(self, tmp_path):
+        # the counts file holds the counts alone; the planted truth has its own file
+        x = "0.86,1.34,1.81,2.37,3.00"
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["analyze", "--synthetic", "80", "--seed", "31", "--x", x,
+                     "--out", str(first)]) == EXIT_OK
+        counts = first / "synthetic_counts.csv"
+        truth = first / "synthetic_truth.csv"
+        assert counts.read_text().startswith("g0,g1,g2,g3,g4\n")
+        lines = truth.read_text().splitlines()
+        assert lines[0] == "planted" and len(lines) == 81 and set(lines[1:]) <= {"0", "1"}
+        assert json.loads((first / "manifest.json").read_text())["outputs"][-2:] == [
+            str(counts), str(truth)]
+        assert main(["analyze", str(counts), "--x", x, "--out", str(second)]) == EXIT_OK
+        keys = ("n_tested", "rejected_wa", "rejected_ua")
+        a, b = (json.loads((d / "analysis.json").read_text()) for d in (first, second))
+        assert [a[k] for k in keys] == [b[k] for k in keys] == [80, 28, 27]
+
     def test_synthetic_requires_seed(self, tmp_path):
         assert main([
             "analyze", "--synthetic", "10", "--x", "1,2,3,4,5",
@@ -392,6 +410,15 @@ class TestExitMap:
         err = capsys.readouterr().err
         assert err.startswith("error: no multiplier attains")
         assert "\nhint: the pre-data FDP equation needs alpha <= 1 - max(p)" in err
+
+    def test_analyze_calibration_failure_exit_2_without_hint(self, tmp_path, capsys):
+        # the calibration misses its target; this used to end in a traceback
+        code = main(["analyze", "--synthetic", "30", "--seed", "1", "--x", "1,2,3,4,5",
+                     "--p-prior", "0.95", "--target-power", "0.9", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NO_SOLUTION
+        err = capsys.readouterr().err
+        assert err.startswith("error: achieved power") and err.count("\n") == 1
+        assert "hint" not in err
 
     @pytest.mark.parametrize("argv", [
         ["run", "{}", "--variant", "UU"],

@@ -5,7 +5,9 @@ import bisect
 import numpy as np
 import pytest
 
-from wamdf.power import NormalLocationModel, TabulatedPowerModel, _bisect_decreasing
+from wamdf.power import NormalLocationModel, TabulatedPowerModel
+
+from oracles import bisect_decreasing, four_ndtr_split
 
 MODEL = NormalLocationModel()
 
@@ -116,7 +118,7 @@ class TestProperties:
         for gamma in GAMMAS:
             for s in slopes:
                 closed = MODEL.threshold_for_slope(gamma, s)
-                generic = _bisect_decreasing(lambda t: MODEL.power_slope(gamma, t), s)
+                generic = bisect_decreasing(lambda t: MODEL.power_slope(gamma, t), s)
                 assert abs(closed - generic) <= 1e-10
 
     def test_inverse_slope_roundtrip(self):
@@ -140,6 +142,48 @@ class TestProperties:
             assert np.all(pi >= ts - 1e-15)
             inner = np.linspace(0.001, 0.999, 101)
             assert np.all(np.diff(MODEL.power_slope(gamma, inner)) < 0)
+
+
+class TestThresholdPowerSplit:
+    # gamma over [0.05, 60] and log-slope over +-700, plus the points where
+    # z = gamma/2 + log(s)/gamma or gamma - z changes sign
+    GAMMA = np.geomspace(0.05, 60.0, 97)[:, None]
+    LOG_SLOPE = np.linspace(-700.0, 700.0, 1401)[None, :]
+
+    def grids(self):
+        g = self.GAMMA
+        near_zero = np.linspace(-1e-3, 1e-3, 41)[None, :] * g
+        # z = 0 at log(s) = -g^2/2 and gamma - z = 0 at log(s) = g^2/2
+        yield g, self.LOG_SLOPE
+        yield g, np.clip(-0.5 * g * g + near_zero, -700.0, 700.0)
+        yield g, np.clip(0.5 * g * g + near_zero, -700.0, 700.0)
+
+    def test_within_one_ulp_of_four_ndtr_split(self):
+        for g, log_s in self.grids():
+            new = MODEL.threshold_power_split(g, np.exp(log_s))
+            old = four_ndtr_split(g, np.exp(log_s))
+            for n, o in zip(new, old):
+                assert n.shape == o.shape == np.broadcast(g, log_s).shape
+                assert np.all(np.abs(n - o) <= np.spacing(o))
+                # a mass <= 1/2 is the very ndtr value the old split took
+                small = o <= 0.5
+                np.testing.assert_array_equal(n[small], o[small])
+
+    def test_complements_pair_up(self):
+        for g, log_s in self.grids():
+            t, tc, pi, pic = MODEL.threshold_power_split(g, np.exp(log_s))
+            np.testing.assert_array_equal(np.minimum(t, tc) + np.maximum(t, tc) - 1.0, 0.0)
+            np.testing.assert_array_equal(np.minimum(pi, pic) + np.maximum(pi, pic) - 1.0, 0.0)
+            small = t <= 0.5
+            np.testing.assert_array_equal(t[small], MODEL.threshold_for_slope(g, np.exp(log_s))[small])
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="gamma"):
+            MODEL.threshold_power_split(0.0, 1.0)
+        with pytest.raises(ValueError, match="slope"):
+            MODEL.threshold_power_split(2.0, np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="slope"):
+            MODEL.threshold_power_split(2.0, 0.0)
 
 
 def _concave_table(n=21):
@@ -234,7 +278,7 @@ class TestTabulatedModel:
                 10.0 ** rng.uniform(np.log10(secants[-1]), np.log10(secants[0]), 8),
             ]
             oracle = np.array(
-                [_bisect_decreasing(slope, s) for s in slopes]
+                [bisect_decreasing(slope, s) for s in slopes]
             )
             found = model.threshold_for_slope(1.0, slopes)
             np.testing.assert_allclose(found, oracle, rtol=0, atol=1e-12)

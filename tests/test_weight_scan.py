@@ -19,6 +19,8 @@ from wamdf.power import NormalLocationModel, TabulatedPowerModel
 from wamdf.simulate import generate_model1, simulation_preset, substream
 from wamdf.weights import NoSolutionError, PriorSpec, asymptotically_optimal_weights
 
+from oracles import FourNdtrModel
+
 MODEL = NormalLocationModel()
 X5 = np.array([0.86, 1.34, 1.81, 2.37, 3.00])
 
@@ -184,6 +186,106 @@ class TestScanOracle:
         coarse = vals[np.r_[np.arange(0, grid.size - 1, weights._COARSE_STEP), grid.size - 1]]
         assert np.all(coarse < 0)
         assert assert_matches_oracle(prior, alpha) == "tied"
+
+
+def acceptance_priors():
+    """(prior, alpha) of the acceptance configurations: the worked example,
+    the criterion 2 residual priors, simulation presets 1-4 and the count
+    benchmark's inner solves."""
+    yield PriorSpec(np.full(10, 0.5), np.r_[np.full(5, 2.0), np.full(5, 3.0)]), 0.05
+    rng = np.random.default_rng(2025)
+    for _ in range(100):
+        m = int(rng.integers(1, 40))
+        yield PriorSpec(rng.uniform(0.02, 0.95, m), rng.uniform(0.5, 5.0, m)), 0.05
+    for preset in (1, 2, 3, 4):
+        for a in (1.0, 3.0, 5.0):
+            config = simulation_preset(preset, a=a, M=1000, n_reps=2, seed=1)
+            for rep in range(2):
+                _, p, gamma, _ = generate_model1(config, substream(config.seed, rep))
+                yield PriorSpec(p, gamma), config.alpha
+    for seed, kwargs in ((1000, {}), (1001, {}),
+                         (9000, dict(positive_fraction=0.0, total_min=100, total_max=911))):
+        dataset, _ = generate_synthetic_counts(150, X5, substream(seed, 0), **kwargs)
+        totals = dataset.totals[dataset.totals > 0].astype(float)
+        for k_info in (0.02, 0.05, 0.1, 0.2, 0.4):
+            yield PriorSpec(np.full(totals.size, 0.5), np.sqrt(totals) * k_info), 0.05
+
+
+def test_kstar_matches_four_ndtr_split():
+    # the one-ndtr-per-pair kernel moves single masses by at most 1 ulp;
+    # k* must stay within 1e-12 relative of the solve on the frozen kernel
+    frozen = FourNdtrModel()
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for prior, alpha in acceptance_priors():
+            got = asymptotically_optimal_weights(prior, alpha, MODEL)
+            want = asymptotically_optimal_weights(prior, alpha, frozen)
+            worst = max(worst, abs(got.k_star - want.k_star) / want.k_star)
+    assert worst <= 1e-12, worst
+
+
+def scanned_blocks(prior, alpha, monkeypatch):
+    """The multipliers of every ``_fdp_scan`` call of one solve, and its profile."""
+    scanned = []
+    scan = weights._fdp_scan
+
+    def recorded(pairs, ks, model):
+        scanned.append(ks)
+        return scan(pairs, ks, model)
+
+    monkeypatch.setattr(weights, "_fdp_scan", recorded)
+    with warnings.catch_warnings():
+        # preset 2 draws p close to 1, beyond the guaranteed regime
+        warnings.simplefilter("ignore")
+        profile = asymptotically_optimal_weights(prior, alpha)
+    return scanned, profile
+
+
+def coarse_points(prior, alpha):
+    """The grid, its coarse indices and the first downward coarse interval."""
+    grid = dense_grid(*weights._k_bracket(prior, MODEL))
+    coarse = np.r_[np.arange(0, grid.size - 1, weights._COARSE_STEP), grid.size - 1]
+    vals = dense_fdp_values(prior, grid[coarse], MODEL) - alpha
+    return grid, coarse, int(np.flatnonzero((vals[:-1] >= 0) & (vals[1:] < 0))[0])
+
+
+class TestEarlyStop:
+    # (coarse_block, min_elements, block size at 1,000 distinct pairs)
+    @pytest.mark.parametrize("coarse_block, min_elements, size", [
+        (1, 0, 1), (4, 0, 4), (8, 0, 8), (11, 0, 11), (100, 0, 100),
+        (8, 1 << 13, 8), (8, 1 << 14, 16),
+    ])
+    def test_no_coarse_block_after_the_crossing(self, coarse_block, min_elements, size,
+                                                monkeypatch):
+        config = simulation_preset(2, a=5.0, M=1000, n_reps=1, seed=1)
+        _, p, gamma, _ = generate_model1(config, substream(config.seed, 0))
+        prior = PriorSpec(p, gamma)
+        grid, coarse, j = coarse_points(prior, config.alpha)
+        # blocks of 4 and 11 put the crossing's right end j + 1 = 44 first in a block
+        assert (j + 1, coarse.size, weights._collapse(prior).p.size) == (44, 65, 1000)
+
+        monkeypatch.setattr(weights, "_COARSE_BLOCK", coarse_block)
+        monkeypatch.setattr(weights, "_COARSE_MIN_ELEMENTS", min_elements)
+        scanned, profile = scanned_blocks(prior, config.alpha, monkeypatch)
+        # ascending coarse blocks up to the one holding coarse point j + 1,
+        # then the fine points strictly inside the crossing interval
+        last = (j + 1) // size * size
+        want = [grid[coarse[start:start + size]] for start in range(0, last + 1, size)]
+        want.append(grid[coarse[j] + 1:coarse[j + 1]])
+        assert len(scanned) == len(want)
+        for got_ks, want_ks in zip(scanned, want):
+            np.testing.assert_array_equal(got_ks, want_ks)
+        assert profile.k_star == oracle_k_star(prior, config.alpha)
+
+    def test_few_pairs_scan_the_coarse_points_at_once(self, monkeypatch):
+        # two distinct pairs: one call costs less than the elements a stop saves
+        prior = PriorSpec(np.full(10, 0.5), np.r_[np.full(5, 2.0), np.full(5, 3.0)])
+        grid, coarse, j = coarse_points(prior, 0.05)
+        scanned, _ = scanned_blocks(prior, 0.05, monkeypatch)
+        assert len(scanned) == 2
+        np.testing.assert_array_equal(scanned[0], grid[coarse])
+        np.testing.assert_array_equal(scanned[1], grid[coarse[j] + 1:coarse[j + 1]])
 
 
 class TestScanPieces:
