@@ -13,12 +13,10 @@ from .counts import (
     CalibrationError,
     CalibrationResult,
     CountDataset,
-    DegenerateFeatureError,
     analyze,
     calibrate_information,
     generate_synthetic_counts,
     k_from_beta,
-    score_pvalue,
     score_statistic,
 )
 from .power import NormalLocationModel, TabulatedPowerModel, default_model

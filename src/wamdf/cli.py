@@ -74,6 +74,8 @@ def _manifest(args, inputs, outputs, seed=None):
 
 def _threads(args):
     if args.threads is not None:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get("WAMDF_THREADS")
     if env:
@@ -99,6 +101,16 @@ def _write_tsv(path, header, columns):
             fh.writelines(line.format(*row) for row in zip(*block))
 
 
+def _exit_for(profile, caught):
+    """Exit 3 with one ``warning:`` line per distinct caught warning when the
+    solved profile carries a warning, else exit 0."""
+    if not profile.warning:
+        return EXIT_OK
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return EXIT_WARNING
+
+
 # ---------------------------------------------------------------- weights
 
 def cmd_weights(args):
@@ -119,11 +131,7 @@ def cmd_weights(args):
     _write_tsv(tsv, ["index", "p", "gamma", "weight", "threshold"],
                [np.arange(prior.M), prior.p, prior.gamma, profile.weights, profile.thresholds])
     _manifest(args, [f for f in (args.prior, args.power_table) if f], [out, tsv])
-    if profile.warning:
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return EXIT_WARNING
-    return EXIT_OK
+    return _exit_for(profile, caught)
 
 
 # ---------------------------------------------------------------- run
@@ -306,8 +314,10 @@ def cmd_analyze(args):
     if args.p_prior_file:
         inputs.append(args.p_prior_file)
         p_prior = _read_column(args.p_prior_file)
-    result = analyze(dataset, alpha=args.alpha, p_prior=p_prior,
-                     target_avg_power=args.target_power)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = analyze(dataset, alpha=args.alpha, p_prior=p_prior,
+                         target_avg_power=args.target_power)
     outdir = _outdir(args)
     outputs = _write_analysis(result, outdir)
     if theta is not None:
@@ -322,7 +332,7 @@ def cmd_analyze(args):
     print(f"WA rejected {result.n_rejected_wa}, UA rejected {result.n_rejected_ua} "
           f"of {result.valid_indices.size} tested features "
           f"({result.excluded_indices.size} excluded)")
-    return EXIT_OK
+    return _exit_for(result.calibration.profile, caught)
 
 
 # ---------------------------------------------------------------- bounds

@@ -29,19 +29,13 @@ __all__ = [
     "CountDataset",
     "CalibrationResult",
     "AnalysisResult",
-    "DegenerateFeatureError",
     "CalibrationError",
     "score_statistic",
-    "score_pvalue",
     "k_from_beta",
     "calibrate_information",
     "analyze",
     "generate_synthetic_counts",
 ]
-
-
-class DegenerateFeatureError(ValueError):
-    """The score statistic is undefined (zero total or zero variance)."""
 
 
 class CalibrationError(RuntimeError):
@@ -89,34 +83,29 @@ class CountDataset:
         return cls(read_table(path, dtype=np.int64)[1], x)
 
 
-def score_statistic(y, x):
+def score_statistic(counts, x):
     """Standardized score statistic for a positive covariate trend in counts.
 
     ``Z = (x'y - n*mean(x)) / sqrt(x' S x)`` with ``S = n (diag(q) - q q')``
     for cell proportions ``q = y / n``.  Large Z is evidence of positive
     association; under the null Z is approximately standard normal.
 
-    Raises DegenerateFeatureError when the total count is zero or the
-    variance term vanishes (all mass in one group).
+    Takes one feature's counts (a float Z) or a (features x groups) matrix
+    (one Z per row).  Z is NaN for a zero total or all mass in one group.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(counts, dtype=float)
     x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
-        raise ValueError("counts and covariate must be 1-d vectors of equal length")
-    n = y.sum()
-    if n < 1:
-        raise DegenerateFeatureError("zero total count")
-    q = y / n
-    ex = q @ x
-    var = n * (q @ (x * x) - ex * ex)
-    if var <= 0:
-        raise DegenerateFeatureError("zero score variance (all mass in one group)")
-    return float((x @ y - n * x.mean()) / np.sqrt(var))
-
-
-def score_pvalue(z):
-    """One-sided p-value ``1 - Phi(Z)`` of the normal approximation."""
-    return float(ndtr(-np.asarray(z, dtype=float)))
+    if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != x.size:
+        raise ValueError("counts must be a vector or matrix matching the covariate length")
+    n = y.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = y / n[..., None]
+        ex = np.vecdot(q, x)
+        var = n * (np.vecdot(q, x * x) - ex * ex)
+        z = (np.vecdot(y, x) - n * x.mean()) / np.sqrt(var)
+    # a zero total makes q and var NaN, so it fails ``var > 0`` too
+    z = np.where(var > 0, z, np.nan)
+    return z if z.ndim else float(z)
 
 
 def k_from_beta(beta, x):
@@ -171,15 +160,20 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
                           model=None, tol=1e-6):
     """Solve the information constant so posited average power hits a target.
 
-    Average power (at the solved per-feature thresholds) is continuous and
-    increasing in the constant, so the solve is an outer bracketed root
-    search wrapping the inner weight solve.  The achieved power is
-    certified to within ``tol`` of the target.  ``p_prior`` is a scalar
-    prior shared by all features or a per-feature vector.
+    The solve brackets the target by doubling and halving the constant,
+    then runs brentq on average power (at the solved per-feature
+    thresholds) minus the target, wrapping the inner weight solve.
+    Average power need not be continuous or increasing in the constant:
+    the smallest crossing ``k*`` of the inner solve can jump, and power
+    jumps with it.  The achieved power is certified to within ``tol`` of
+    the target; when brentq lands on a jump across the target, the
+    CalibrationError names the constant and the average power on each
+    side of it.  ``p_prior`` is a scalar prior shared by all features or
+    a per-feature vector.
     """
     totals = np.asarray(totals, dtype=float)
-    if np.any(totals < 1):
-        raise ValueError("every feature total must be at least 1")
+    if not np.all((totals >= 1) & (totals < np.inf)):
+        raise ValueError("every feature total must be finite and at least 1")
     if not 0 < target_avg_power < 1:
         raise ValueError("target average power must lie in (0, 1)")
     model = model or default_model()
@@ -207,14 +201,24 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
     else:
         raise CalibrationError(f"could not bracket the target below K = {hi}")
 
-    k_info = brentq(
-        lambda k: _average_power(k, totals, p_prior, alpha, model)[0] - target_avg_power,
-        lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200,
-    )
+    powers = {}  # average power at every constant brentq tried
+
+    def gap(k):
+        powers[k] = _average_power(k, totals, p_prior, alpha, model)[0]
+        return powers[k] - target_avg_power
+
+    k_info = brentq(gap, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
     achieved, profile = _average_power(k_info, totals, p_prior, alpha, model)
     if abs(achieved - target_avg_power) > tol:
+        # the tried constants nearest k_info on either side of the target
+        # hold the jump between them
+        sides = [min((k for k, v in powers.items() if (v < target_avg_power) == short),
+                     key=lambda k: abs(k - k_info)) for short in (True, False)]
+        left, right = sorted(sides)
         raise CalibrationError(
-            f"achieved power {achieved:.8f} misses target {target_avg_power} beyond {tol}"
+            f"achieved power {achieved:.8f} misses target {target_avg_power} beyond {tol}: "
+            f"average power jumps from {powers[left]:.8g} at K = {left:.12g} "
+            f"to {powers[right]:.8g} at K = {right:.12g}"
         )
     return CalibrationResult(
         k_info=float(k_info),
@@ -255,17 +259,12 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5, model=None):
     unweighted at 1.
     """
     model = model or default_model()
-    z_list, valid, excluded = [], [], []
-    for i in range(dataset.n_features):
-        try:
-            z_list.append(score_statistic(dataset.counts[i], dataset.x))
-            valid.append(i)
-        except DegenerateFeatureError:
-            excluded.append(i)
-    if not valid:
+    z = score_statistic(dataset.counts, dataset.x)
+    degenerate = np.isnan(z)
+    if degenerate.all():
         raise ValueError("no testable features (all degenerate)")
-    valid = np.array(valid, dtype=int)
-    z = np.array(z_list)
+    valid = np.flatnonzero(~degenerate)
+    z = z[valid]
     pvalues = ndtr(-z)
     totals = dataset.totals[valid]
     p_prior = _broadcast_prior(p_prior, dataset.n_features)[valid]
@@ -298,7 +297,7 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5, model=None):
         ua=ua,
         calibration=calibration,
         valid_indices=valid,
-        excluded_indices=np.array(excluded, dtype=int),
+        excluded_indices=np.flatnonzero(degenerate),
         table=table,
     )
 
@@ -328,7 +327,5 @@ def generate_synthetic_counts(n_features, x, rng, beta=0.35, positive_fraction=0
     p_alt = np.exp(logits)
     p_alt /= p_alt.sum()
     p_null = np.full(g, 1.0 / g)
-    counts = np.empty((n_features, g), dtype=np.int64)
-    for i in range(n_features):
-        counts[i] = rng.multinomial(totals[i], p_alt if theta[i] else p_null)
+    counts = rng.multinomial(totals, np.where(theta[:, None], p_alt, p_null))
     return CountDataset(counts, x), theta

@@ -100,6 +100,8 @@ def adaptive_fdp_estimate(t, q, m0_hat):
     """Estimated FDP at overall threshold t: ``m0_hat * t / max(R(t), 1)``."""
     if not 0 <= t <= 1:
         raise ValueError("threshold t must lie in [0, 1]")
+    if not np.all((m0_hat > 0) & (m0_hat < np.inf)):
+        raise ValueError("m0_hat must be positive and finite")
     q = np.asarray(q, dtype=float)
     r = int(np.sum(q <= t))
     return m0_hat * t / max(r, 1)
@@ -116,6 +118,12 @@ def step_up_threshold(q, m0_hat, alpha, u):
     rejected together.  A p-value above u never counts toward j: at
     ``t = u`` it is not rejected, so it cannot lower the estimated FDP.
     """
+    if not np.all((m0_hat > 0) & (m0_hat < np.inf)):
+        raise ValueError("m0_hat must be positive and finite")
+    if not np.all((alpha > 0) & (alpha < 1)):
+        raise ValueError("alpha must lie in (0, 1)")
+    if not np.all((u > 0) & (u < np.inf)):
+        raise ValueError("u must be positive and finite")
     q = np.asarray(q, dtype=float)
     m = q.size
     order = np.sort(q)

@@ -330,12 +330,16 @@ def run_simulation(config, threads=1):
     Replications failing the weight solve are skipped and counted;
     out-of-regime weight solves are counted as warnings.  Per-rep metrics
     are collected in replication order and reduced with numpy's pairwise
-    mean, so results do not depend on ``threads``.
+    mean, so results do not depend on ``threads``.  At most one worker
+    process per replication is started.
     """
+    if not threads >= 1:
+        raise ValueError("threads must be at least 1")
     reps = range(config.n_reps)
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, config.n_reps // (threads * 8))
+    workers = min(threads, config.n_reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, config.n_reps // (workers * 8))
             results = list(pool.map(_replicate, [config] * config.n_reps, reps, chunksize=chunk))
     else:
         results = [_replicate(config, rep) for rep in reps]

@@ -175,8 +175,8 @@ def solve_thresholds(prior, k, model=None):
     Each t_m is strictly decreasing in k; ties in (p, gamma) give
     identical thresholds.
     """
-    if k <= 0:
-        raise ValueError("multiplier k must be positive")
+    if not np.all((k > 0) & (k < np.inf)):
+        raise ValueError("multiplier k must be positive and finite")
     model = model or default_model()
     return model.threshold_for_slope(prior.gamma, k / prior.p)
 
@@ -260,8 +260,8 @@ def fdp_approximator(prior, k, model=None):
     Degenerates to 0 (with a warning) when k is so large every threshold
     underflows.
     """
-    if k <= 0:
-        raise ValueError("multiplier k must be positive")
+    if not np.all((k > 0) & (k < np.inf)):
+        raise ValueError("multiplier k must be positive and finite")
     model = model or default_model()
     return _fdp_at(_collapse(prior), k, model)
 
@@ -297,10 +297,19 @@ def _expand_bracket(f, lo, hi):
 
 
 def _profile(prior, k_star, model, warning=False):
-    """Weight profile at multiplier k*: ``w_m = t_m / t_bar``, ``u = 1/max(w)``."""
+    """Weight profile at multiplier k*: ``w_m = t_m / t_bar``, ``u = 1/max(w)``.
+
+    A weight below the smallest normal float (a threshold that underflowed)
+    is raised to it, with a warning, so every weight stays positive.
+    """
     thresholds = solve_thresholds(prior, k_star, model)
     t_bar = float(np.mean(thresholds))
     w = thresholds / t_bar
+    tiny = np.finfo(float).tiny
+    if w.min() < tiny:
+        warnings.warn(f"weights below the smallest normal float {tiny:g} (thresholds "
+                      "that underflowed) were raised to it", RuntimeWarning)
+        w, warning = np.maximum(w, tiny), True
     return WeightProfile(weights=w, k_star=float(k_star), t_bar=t_bar,
                          u=1.0 / float(w.max()), warning=warning)
 

@@ -46,3 +46,33 @@ class FourNdtrModel(NormalLocationModel):
 
     def threshold_power_split(self, gamma, slope):
         return four_ndtr_split(gamma, slope)
+
+
+def per_row_score_statistic(y, x):
+    """One feature's score statistic, or None for a degenerate feature.
+
+    Frozen from the per-feature form of ``counts.score_statistic``, which
+    ``analyze`` called once per dataset row.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = y.sum()
+    if n < 1:
+        return None
+    q = y / n
+    ex = q @ x
+    var = n * (q @ (x * x) - ex * ex)
+    if var <= 0:
+        return None
+    return float((x @ y - n * x.mean()) / np.sqrt(var))
+
+
+def per_row_multinomial(rng, totals, theta, p_alt, p_null):
+    """Synthetic counts drawn one ``rng.multinomial`` call per row.
+
+    Frozen from the first form of ``counts.generate_synthetic_counts``.
+    """
+    counts = np.empty((totals.size, p_alt.size), dtype=np.int64)
+    for i in range(totals.size):
+        counts[i] = rng.multinomial(totals[i], p_alt if theta[i] else p_null)
+    return counts

@@ -65,6 +65,21 @@ class TestWeightsCommand:
         with open(out / "weights.json") as fh:
             assert json.load(fh)["warning"] is True
 
+    def test_underflowed_weight_exit_3_and_run_accepts_it(self, tmp_path, capsys):
+        # the third threshold underflows; its weight was written as 0.0,
+        # which run --weights then refused
+        prior = tmp_path / "prior.csv"
+        prior.write_text("p,gamma\n0.5,2\n0.5,3\n0.000001,90\n0.4,1\n")
+        out = tmp_path / "out"
+        assert main(["weights", str(prior), "--alpha", "0.05", "--out", str(out)]) == EXIT_WARNING
+        assert capsys.readouterr().err.startswith("warning: weights below the smallest normal")
+        d = json.loads((out / "weights.json").read_text())
+        assert d["warning"] is True and d["weights"][2] == np.finfo(float).tiny
+        pvalues = tmp_path / "p.csv"
+        pvalues.write_text("p\n0.001\n0.2\n0.5\n0.01\n")
+        assert main(["run", str(pvalues), "--weights", str(out / "weights.json"),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+
     def test_requires_exactly_one_target(self, tmp_path, prior_file):
         out = tmp_path / "out"
         assert main(["weights", str(prior_file), "--out", str(out)]) == EXIT_INPUT
@@ -343,6 +358,34 @@ class TestAnalyzeCommand:
         a, b = (json.loads((d / "analysis.json").read_text()) for d in (first, second))
         assert [a[k] for k in keys] == [b[k] for k in keys] == [80, 28, 27]
 
+    def test_underflowed_weight_exit_3(self, tmp_path, capsys):
+        # the calibrated profile clamps underflowed weights; this used to
+        # exit 1 from run_procedure with "weights must be positive and finite"
+        out = tmp_path / "out"
+        code = main(["analyze", "--synthetic", "30", "--seed", "1", "--x", "1,2,3,4,5",
+                     "--target-power", "1e-9", "--out", str(out)])
+        assert code == EXIT_WARNING
+        captured = capsys.readouterr()
+        assert captured.out.startswith("WA rejected ")
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert len(set(lines)) == len(lines)
+        assert any("smallest normal float" in line for line in lines)
+        assert (out / "features.tsv").exists() and (out / "analysis.json").exists()
+
+    def test_high_target_power_solves(self, tmp_path, capsys):
+        # average power crosses the target near K = 2.07; beyond it,
+        # underflowed weights (now raised, not 0) no longer drop the power
+        # to 0, so the doubling search stops there instead of running on to a
+        # K whose weight solve has no solution (this used to exit 2)
+        out = tmp_path / "out"
+        code = main(["analyze", "--synthetic", "30", "--seed", "1", "--x", "1,2,3,4,5",
+                     "--target-power", "0.99999999", "--out", str(out)])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        d = json.loads((out / "analysis.json").read_text())
+        assert abs(d["achieved_avg_power"] - 0.99999999) <= 1e-6
+        assert 2.0 < d["k_info"] < 2.1
+
     def test_synthetic_requires_seed(self, tmp_path):
         assert main([
             "analyze", "--synthetic", "10", "--x", "1,2,3,4,5",
@@ -532,6 +575,15 @@ class TestThreadsResolution:
             _threads(args)
         args.threads = 5
         assert _threads(args) == 5
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_1(self, tmp_path, capsys, threads):
+        # these used to run serially without a word
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "1", "--a", "3", "--M", "20", "--K", "2",
+                     "--seed", "1", "--threads", threads, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+        assert not out.exists()
 
 
 class TestAnalyzePriorFile:

@@ -1,22 +1,23 @@
 """Count-data pipeline: score statistic oracles, calibration, full analysis."""
 
+import re
+
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from wamdf.counts import (
     CalibrationError,
     CountDataset,
-    DegenerateFeatureError,
     analyze,
     calibrate_information,
     generate_synthetic_counts,
     k_from_beta,
-    score_pvalue,
     score_statistic,
 )
 from wamdf.power import NormalLocationModel
 from wamdf.simulate import substream
+
+from oracles import per_row_multinomial, per_row_score_statistic
 
 X = np.array([0.86, 1.34, 1.81, 2.37, 3.00])
 MODEL = NormalLocationModel()
@@ -53,12 +54,45 @@ class TestScoreStatistic:
         assert score_statistic([2, 2, 2, 2, 2], X) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_single_cell(self):
-        with pytest.raises(DegenerateFeatureError, match="variance"):
-            score_statistic([0, 0, 7, 0, 0], X)
+        assert np.isnan(score_statistic([0, 0, 7, 0, 0], X))
 
     def test_zero_total(self):
-        with pytest.raises(DegenerateFeatureError, match="total"):
-            score_statistic([0, 0, 0, 0, 0], X)
+        assert np.isnan(score_statistic([0, 0, 0, 0, 0], X))
+
+    def test_matrix_matches_per_row_oracle(self):
+        # bitwise, with NaN exactly on the zero-total and single-cell rows
+        rng = np.random.default_rng(4)
+        for g in (2, 5, 8):
+            x = rng.normal(size=g)
+            totals = rng.integers(0, 5001, 300)
+            counts = np.array([rng.multinomial(n, rng.dirichlet(np.ones(g))) for n in totals])
+            counts[::17] = 0
+            counts[5::23] = 0
+            counts[5::23, g - 1] = 40
+            z = score_statistic(counts, x)
+            assert z.shape == (300,)
+            for row, value in zip(counts, z):
+                expected = per_row_score_statistic(row, x)
+                if expected is None:
+                    assert np.isnan(value)
+                else:
+                    assert value == expected
+            assert np.isnan(z[::17]).all() and np.isnan(z[5::23]).all()
+
+    def test_vector_gives_float(self):
+        z = score_statistic(np.array([0, 1, 1, 0, 5]), X)
+        assert type(z) is float
+        assert z == per_row_score_statistic([0, 1, 1, 0, 5], X)
+
+    @pytest.mark.parametrize("counts, x", [
+        ([1, 2, 3], X),
+        (np.ones((2, 4)), X),
+        (np.ones((2, 2, 5)), X),
+        ([1, 2, 3, 4, 5], np.ones((5, 1))),
+    ])
+    def test_shape_mismatch_rejected(self, counts, x):
+        with pytest.raises(ValueError, match="covariate length"):
+            score_statistic(counts, x)
 
     def test_affine_invariance(self):
         # replacing x by a + b*x with b > 0 leaves the standardized score
@@ -71,10 +105,6 @@ class TestScoreStatistic:
             z = score_statistic(y, X)
             z_affine = score_statistic(y, 2.5 + 1.7 * X)
             assert z_affine == pytest.approx(z, abs=1e-9)
-
-    def test_pvalue(self):
-        z = 2.0
-        assert score_pvalue(z) == pytest.approx(float(ndtr(-2.0)), rel=1e-15)
 
 
 class TestKFromBeta:
@@ -146,6 +176,25 @@ class TestCalibration:
         result = calibrate_information(n, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
         assert abs(result.achieved_power - 0.5) <= 1e-6
 
+    def test_jump_across_target_named(self):
+        # average power jumps from about 0.16 to 1 near K = 0.0975, where
+        # the smallest crossing k* of the inner solve jumps
+        ds, _ = generate_synthetic_counts(30, np.arange(1.0, 6.0), substream(1, 0))
+        with pytest.raises(CalibrationError) as info:
+            calibrate_information(ds.totals, p_prior=0.95, target_avg_power=0.9)
+        message = str(info.value)
+        assert message.startswith("achieved power 0.99999997 misses target 0.9 beyond 1e-06: ")
+        below, above = (float(v) for v in
+                        re.findall(r"jumps from (\S+) at K = \S+ to (\S+) at K = ", message)[0])
+        k_left, k_right = (float(k) for k in re.findall(r"at K = ([0-9.e+-]+)", message))
+        assert below < 0.9 <= above
+        assert 0.0975 < k_left < k_right < 0.0976
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_totals_not_finite_named(self, bad):
+        with pytest.raises(ValueError, match="^every feature total must be finite"):
+            calibrate_information(np.array([20.0, bad]))
+
     def test_unreachable_target(self):
         with pytest.raises((CalibrationError, ValueError)):
             calibrate_information(np.array([10.0]), target_avg_power=1.5)
@@ -180,6 +229,23 @@ class TestAnalyze:
         result = analyze(CountDataset(counts, X))
         np.testing.assert_array_equal(result.excluded_indices, [1, 2])
         np.testing.assert_array_equal(result.valid_indices, [0, 3])
+
+    def test_exclusions_match_per_row_oracle(self):
+        # the features analysed, their z and the exclusions are those of
+        # the per-feature scorer
+        rng = substream(63, 0)
+        ds, _ = generate_synthetic_counts(400, X, rng)
+        counts = ds.counts.copy()
+        counts[3::41] = 0
+        counts[7::53] = 0
+        counts[7::53, 2] = 12
+        result = analyze(CountDataset(counts, X))
+        oracle = [per_row_score_statistic(row, X) for row in counts]
+        excluded = [i for i, z in enumerate(oracle) if z is None]
+        assert excluded == sorted(set(range(3, 400, 41)) | set(range(7, 400, 53)))
+        assert result.excluded_indices.tolist() == excluded
+        assert result.valid_indices.tolist() == [i for i, z in enumerate(oracle) if z is not None]
+        np.testing.assert_array_equal(result.table["z"], [z for z in oracle if z is not None])
 
     def test_per_feature_priors_align_with_rows(self):
         # the prior vector is indexed by dataset row; excluded rows drop out
@@ -291,6 +357,21 @@ class TestSyntheticGenerator:
         rng = substream(61, 0)
         _, theta = generate_synthetic_counts(400, X, rng, positive_fraction=0.5)
         assert abs(theta.mean() - 0.5) <= 3 * np.sqrt(0.25 / 400)
+
+    @pytest.mark.parametrize("n_features", [0, 1, 3, 150, 2000])
+    def test_matches_per_row_loop(self, n_features):
+        p_alt = np.exp(0.35 * X - (0.35 * X).max())
+        p_alt /= p_alt.sum()
+        for seed in range(4):
+            for make in (np.random.default_rng, lambda s: substream(s, 0)):
+                ds, theta = generate_synthetic_counts(n_features, X, make(seed))
+                # replay the totals and planted-flag draws, then the rows
+                rng = make(seed)
+                rng.uniform(size=n_features)
+                rng.random(n_features)
+                expected = per_row_multinomial(rng, ds.totals, theta, p_alt, np.full(5, 0.2))
+                assert ds.counts.dtype == expected.dtype
+                np.testing.assert_array_equal(ds.counts, expected)
 
     def test_positives_trend_upward(self):
         rng = substream(62, 0)

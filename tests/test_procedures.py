@@ -105,8 +105,29 @@ class TestAdaptiveFdpEstimate:
     def test_denominator_clamp(self):
         assert adaptive_fdp_estimate(0.1, np.full(3, 0.9), 11.0) == pytest.approx(1.1)
 
+    @pytest.mark.parametrize("m0_hat", [np.nan, 0.0, -2.0, np.inf])
+    def test_rejects_m0_hat_not_positive_finite(self, m0_hat):
+        with pytest.raises(ValueError, match="^m0_hat must"):
+            adaptive_fdp_estimate(0.1, WORKED_Q, m0_hat)
+
 
 class TestStepUpThreshold:
+    @pytest.mark.parametrize("m0_hat, alpha, u, named", [
+        (0.0, 0.05, 1.0, "m0_hat"),
+        (np.nan, 0.05, 1.0, "m0_hat"),
+        (-3.0, 0.05, 1.0, "m0_hat"),
+        (np.inf, 0.05, 1.0, "m0_hat"),
+        (5.0, np.nan, 1.0, "alpha"),
+        (5.0, 0.0, 1.0, "alpha"),
+        (5.0, 1.0, 1.0, "alpha"),
+        (5.0, 0.05, np.nan, "u"),
+        (5.0, 0.05, 0.0, "u"),
+        (5.0, 0.05, np.inf, "u"),
+    ])
+    def test_rejects_out_of_domain_arguments(self, m0_hat, alpha, u, named):
+        with pytest.raises(ValueError, match=f"^{named} must"):
+            step_up_threshold(WORKED_Q, m0_hat, alpha, u)
+
     def test_nothing_passes(self):
         q = np.ones(5)
         t_hat = step_up_threshold(q, 5.0, 0.05, 0.5)

@@ -1,5 +1,7 @@
 """Monte Carlo harness: generation laws, evaluation, reproducibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -156,6 +158,40 @@ class TestRunSimulation:
         for v in config.variants:
             np.testing.assert_array_equal(serial.fdp[v], parallel.fdp[v])
             np.testing.assert_array_equal(serial.cdp[v], parallel.cdp[v])
+
+    def test_pool_bounded_by_replications(self, monkeypatch):
+        # records the pool size and maps serially: no worker process starts
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("wamdf.simulate.ProcessPoolExecutor", RecordingPool)
+        config = simulation_preset(1, a=3, M=30, n_reps=2, seed=24)
+        serial = run_simulation(config, threads=1)
+        assert started == []
+        pooled = run_simulation(config, threads=64)
+        assert started == [2]
+        run_simulation(replace(config, n_reps=1), threads=8)
+        assert started == [2]
+        for v in config.variants:
+            np.testing.assert_array_equal(serial.fdp[v], pooled.fdp[v])
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        config = simulation_preset(1, a=3, M=30, n_reps=2, seed=24)
+        with pytest.raises(ValueError, match="^threads must be at least 1"):
+            run_simulation(config, threads=threads)
 
     def test_homogeneous_weights_make_wa_equal_ua(self):
         config = simulation_preset(1, a=1, M=150, n_reps=12, seed=23)

@@ -77,6 +77,12 @@ class TestSolveThresholds:
         with pytest.raises(ValueError):
             solve_thresholds(worked_prior(), 0.0)
 
+    @pytest.mark.parametrize("solve", [solve_thresholds, mean_threshold, fdp_approximator])
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -1.0])
+    def test_k_not_positive_finite_names_k(self, solve, k):
+        with pytest.raises(ValueError, match="^multiplier k must be positive and finite"):
+            solve(worked_prior(), k)
+
 
 class TestOptimalFixedT:
     def test_homogeneous_gives_unit_weights(self):
@@ -240,6 +246,29 @@ class TestAsymptoticallyOptimal:
             assert fdp_approximator(prior, profile.k_star) == pytest.approx(0.05, abs=5e-4)
             assert abs(profile.weights.mean() - 1.0) <= 1e-10
             assert profile.u * profile.weights.max() <= 1.0 + 1e-12
+
+
+class TestWeightUnderflow:
+    # the third threshold underflows to 0 in ndtr; its weight was written as 0.0
+    PRIOR = PriorSpec([0.5, 0.5, 1e-6, 0.4], [2.0, 3.0, 90.0, 1.0])
+
+    def test_underflowed_weight_clamped_with_warning(self):
+        with pytest.warns(RuntimeWarning, match="smallest normal float"):
+            profile = asymptotically_optimal_weights(self.PRIOR, 0.05)
+        tiny = np.finfo(float).tiny
+        assert profile.warning
+        assert profile.weights[2] == tiny
+        assert np.all(profile.weights >= tiny)
+        # the other weights are those of the unclamped profile
+        thresholds = solve_thresholds(self.PRIOR, profile.k_star)
+        untouched = [0, 1, 3]
+        np.testing.assert_array_equal(profile.weights[untouched],
+                                      (thresholds / np.mean(thresholds))[untouched])
+        assert WeightProfile.from_dict(profile.to_dict()).weights[2] == tiny
+
+    def test_no_clamp_no_warning(self, recwarn):
+        profile = asymptotically_optimal_weights(worked_prior(), 0.05)
+        assert not profile.warning and not recwarn.list
 
 
 class TestTabulatedModelSolves:
