@@ -42,7 +42,6 @@ from .simulate import (
     substream,
 )
 from .weights import (
-    BracketExpansionError,
     NoSolutionError,
     PriorSpec,
     WeightProfile,

@@ -31,7 +31,6 @@ from .simulate import (
 )
 from .tables import read_table
 from .weights import (
-    BracketExpansionError,
     NoSolutionError,
     PriorSpec,
     WeightProfile,
@@ -80,9 +79,12 @@ def _threads(args):
     env = os.environ.get("WAMDF_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"WAMDF_THREADS={env!r} is not an integer")
+        if threads < 1:
+            raise ValueError(f"WAMDF_THREADS must be at least 1, got {threads}")
+        return threads
     return os.cpu_count() or 1
 
 
@@ -296,7 +298,7 @@ def cmd_analyze(args):
         inputs.append(args.x_file)
     else:
         raise ValueError("a covariate is required: --x or --x-file")
-    if args.synthetic:
+    if args.synthetic is not None:
         if args.seed is None:
             raise ValueError("--seed is required with --synthetic")
         rng = substream(args.seed, 0)
@@ -428,10 +430,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NoSolutionError, BracketExpansionError, CalibrationError) as exc:
+    except (NoSolutionError, CalibrationError) as exc:
         # NoSolutionError is a ValueError, so this clause comes first
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, NoSolutionError):
+        if isinstance(exc, NoSolutionError) and exc.out_of_regime:
             print(
                 "hint: the pre-data FDP equation needs alpha <= 1 - max(p); "
                 "a prior placing that much mass on false nulls cannot be "

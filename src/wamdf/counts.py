@@ -19,7 +19,6 @@ from .power import default_model
 from .procedures import run_procedure
 from .tables import read_table
 from .weights import (
-    BracketExpansionError,
     NoSolutionError,
     PriorSpec,
     asymptotically_optimal_weights,
@@ -191,7 +190,7 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
         lo /= 2.0
         try:
             power_lo, _ = _average_power(lo, totals, p_prior, alpha, model)
-        except (NoSolutionError, BracketExpansionError) as exc:
+        except NoSolutionError as exc:
             raise CalibrationError(
                 f"target {target_avg_power} is below the attainable floor "
                 f"(weight solve failed at K = {lo:g}: {exc})"
@@ -317,6 +316,12 @@ def generate_synthetic_counts(n_features, x, rng, beta=0.35, positive_fraction=0
     exploit.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(n_features >= 1):
+        raise ValueError(f"n_features must be at least 1, got {n_features}")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if not np.all((positive_fraction >= 0) & (positive_fraction <= 1)):
+        raise ValueError(f"positive_fraction must lie in [0, 1], got {positive_fraction}")
     if total_min < 1 or total_max < total_min:
         raise ValueError("need 1 <= total_min <= total_max")
     g = x.size

@@ -240,8 +240,8 @@ def fdr_upper_bound(alpha, lam, w0_bar, m0):
     """
     if not np.all((alpha > 0) & (alpha < 1)):
         raise ValueError("alpha must lie in (0, 1)")
-    if m0 < 1:
-        raise ValueError("m0 must be at least 1")
+    if not np.all(np.isfinite(m0) & (m0 >= 1) & (np.floor(m0) == m0)):
+        raise ValueError("m0 must be an integer of at least 1")
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
     if not np.all((w0_bar > 0) & (w0_bar < np.inf)):

@@ -22,7 +22,6 @@ __all__ = [
     "PriorSpec",
     "WeightProfile",
     "NoSolutionError",
-    "BracketExpansionError",
     "solve_thresholds",
     "mean_threshold",
     "optimal_fixed_t_weights",
@@ -32,14 +31,14 @@ __all__ = [
 ]
 
 # k spans orders of magnitude as the mean threshold varies, so searches run
-# on a log-spaced bracket, expanded geometrically on failure.  The default
-# bracket is widened up front by the attainable slope range of the battery:
-# strong effects (gamma around 30, e.g. sqrt(n) scaling with n in the
-# hundreds) put the solution far below 1e-8.
+# on a log-spaced bracket.  _k_bracket widens the default [_K_LO, _K_HI] by the
+# slope range of the battery: strong effects (gamma around 30, e.g. sqrt(n)
+# scaling with n in the hundreds) put the solution far below 1e-8.  k stays a
+# float, so every bracket end is clamped to [_K_FLOOR, _K_CEIL].
 _K_LO, _K_HI = 1e-8, 1e8
 _K_FLOOR, _K_CEIL = 1e-300, 1e300
+_T_EPS = 1e-15
 _SCAN_POINTS = 512
-_MAX_EXPANSIONS = 6
 # The crossing scan first visits every _COARSE_STEP-th grid point, and
 # evaluates the grid in row blocks of at most _BLOCK_ELEMENTS (k, pair)
 # elements, so its temporaries stay near a dozen 512 KB arrays at any M.
@@ -54,24 +53,18 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 class NoSolutionError(ValueError):
-    """The pre-data FDP equation has no solution at the requested level.
+    """No multiplier in the solver's bracket attains the requested level.
 
-    Typically raised when alpha exceeds 1 - max(p): the posited prior
-    model claims more signal than the level tolerates, so the model
-    itself is suspect.
+    The pre-data solve raises it when the plug-in FDP never falls through
+    alpha, typically because alpha exceeds 1 - max(p) (``out_of_regime``
+    is then set): the posited prior model claims more signal than the level
+    tolerates.  The fixed-t solve raises it when the mean threshold cannot
+    reach t, as with a power table that cannot, or a k* below 1e-300.
     """
 
-
-class BracketExpansionError(RuntimeError):
-    """Root bracketing in k failed even after geometric expansion.
-
-    Carries the last bracket tried; this signals a power model violating
-    the concavity regularity rather than bad luck.
-    """
-
-    def __init__(self, message, bracket):
-        super().__init__(f"{message} (last bracket: [{bracket[0]:g}, {bracket[1]:g}])")
-        self.bracket = bracket
+    def __init__(self, message, out_of_regime=False):
+        super().__init__(message)
+        self.out_of_regime = out_of_regime
 
 
 @dataclass
@@ -266,34 +259,29 @@ def fdp_approximator(prior, k, model=None):
     return _fdp_at(_collapse(prior), k, model)
 
 
-def _k_bracket(prior, model):
-    """Initial search bracket: the default range widened by the slope range
-    the battery can realize over thresholds in [1e-15, 1 - 1e-15]."""
-    eps = 1e-15
-    with np.errstate(under="ignore"):
-        lo = float(np.min(model.power_slope(prior.gamma, 1.0 - eps) * prior.p))
-        hi = float(np.max(model.power_slope(prior.gamma, eps) * prior.p))
-    lo = max(min(lo, _K_LO), _K_FLOOR)
-    hi = min(max(hi, _K_HI), _K_CEIL)
+def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, k_hi=_K_HI):
+    """The one search bracket [lo, hi] in k, from the prior (or its
+    collapsed pairs) and the model.
+
+    Thresholds fall as k grows, and threshold m equals t at
+    ``k = p_m * slope_m(t)``: at ``lo`` every threshold is at least
+    ``t_hi``, at ``hi`` at most ``t_lo``, and the bracket covers at least
+    [1e-8, k_hi].  An end moved beyond [1e-15, 1 - 1e-15] goes a factor
+    of 2 further, which rounding cannot undo.  A tabulated model clamps
+    thresholds at 1e-15 but maps a slope equal to its first secant to the
+    next knot; when a threshold at ``hi`` is still above the clamp, ``hi``
+    doubles, so every threshold is clamped and the FDP approximator has
+    reached its constant limit there.  Both ends are clamped to
+    [1e-300, 1e300].
+    """
+    with np.errstate(under="ignore", over="ignore"):
+        lo = float(np.min(model.power_slope(prior.gamma, t_hi) * prior.p))
+        hi = float(np.max(model.power_slope(prior.gamma, t_lo) * prior.p))
+    lo = max(min(lo / 2 if t_hi > 1.0 - _T_EPS else lo, _K_LO), _K_FLOOR)
+    hi = min(max(hi * 2 if t_lo < _T_EPS else hi, k_hi), _K_CEIL)
+    if np.max(model.threshold_for_slope(prior.gamma, hi / prior.p)) > 2 * _T_EPS:
+        hi = min(2 * hi, _K_CEIL)
     return lo, hi
-
-
-def _widen(lo, hi):
-    """One geometric expansion step of a k bracket, clamped to the float range."""
-    return max(lo * 1e-4, _K_FLOOR), min(hi * 1e4, _K_CEIL)
-
-
-def _expand_bracket(f, lo, hi):
-    """Grow [lo, hi] geometrically in k until f changes sign at the ends."""
-    flo, fhi = f(lo), f(hi)
-    for _ in range(_MAX_EXPANSIONS):
-        if flo * fhi <= 0:
-            return lo, hi
-        lo, hi = _widen(lo, hi)
-        flo, fhi = f(lo), f(hi)
-    if flo * fhi <= 0:
-        return lo, hi
-    raise BracketExpansionError("could not bracket the multiplier k", (lo, hi))
 
 
 def _profile(prior, k_star, model, warning=False):
@@ -340,7 +328,10 @@ def optimal_fixed_t_weights(prior, t, model=None):
     def resid(k):
         return mean_threshold(prior, k, model) - t
 
-    lo, hi = _expand_bracket(resid, *_k_bracket(prior, model))
+    lo, hi = _k_bracket(prior, model, min(t, _T_EPS), max(t, 1.0 - _T_EPS))
+    if resid(lo) < 0 or resid(hi) > 0:
+        raise NoSolutionError(f"no multiplier attains mean threshold t={float(t)!r} "
+                              f"(searched k in [{lo:g}, {hi:g}])")
     log_k = brentq(lambda lk: resid(np.exp(lk)), np.log(lo), np.log(hi),
                    xtol=1e-13, rtol=8.9e-16, maxiter=200)
     return _profile(prior, float(np.exp(log_k)), model)
@@ -424,21 +415,18 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     out_of_regime = alpha > 1.0 - prior.p_max
 
     pairs = _collapse(prior)
-    lo, hi = _k_bracket(prior, model)
+    # FDP(k) <= 1/k for a concave power curve, so it is below alpha at 2/alpha
+    lo, hi = _k_bracket(pairs, model, k_hi=max(_K_HI, 2.0 / alpha))
     k_star = _smallest_downward_crossing(pairs, alpha, lo, hi, model)
-    for _ in range(_MAX_EXPANSIONS):
-        if k_star is not None or (lo == _K_FLOOR and hi == _K_CEIL):
-            break
-        lo, hi = _widen(lo, hi)
-        k_star = _smallest_downward_crossing(pairs, alpha, lo, hi, model)
     if k_star is None:
         detail = (
-            f" (alpha={alpha:g} > 1 - max(p) = {1.0 - prior.p_max:g}; "
-            "the posited prior model claims more signal than the level tolerates)"
+            f"alpha={alpha:g} > 1 - max(p) = {1.0 - prior.p_max:g}; "
+            "the posited prior model claims more signal than the level tolerates"
             if out_of_regime
-            else ""
+            else f"searched k in [{lo:g}, {hi:g}]"
         )
-        raise NoSolutionError(f"no multiplier attains FDP level alpha={alpha:g}{detail}")
+        raise NoSolutionError(f"no multiplier attains FDP level alpha={alpha:g} ({detail})",
+                              out_of_regime)
     if out_of_regime:
         warnings.warn(
             f"alpha={alpha:g} exceeds 1 - max(p) = {1.0 - prior.p_max:g}; "

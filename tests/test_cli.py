@@ -113,6 +113,53 @@ class TestWeightsCommand:
         assert len(d["weights"]) == 3
 
 
+class TestMultiplierBracket:
+    # k* of the first prior lies below 1e-300; the old solver widened its
+    # bracket six times and then gave up, on the pre-data path with the
+    # 1 - max(p) hint although alpha <= 1 - max(p)
+    STRONG = "p,gamma\n0.5,60\n0.3,45\n0.2,50\n"
+
+    @pytest.mark.parametrize("level, named", [
+        (["--t", "0.05"], "mean threshold t=0.05"),
+        (["--alpha", "0.05"], "FDP level alpha=0.05"),
+    ])
+    def test_unreachable_level_names_the_range(self, tmp_path, capsys, level, named):
+        prior = tmp_path / "prior.csv"
+        prior.write_text(self.STRONG)
+        code = main(["weights", str(prior), *level, "--out", str(tmp_path / "o")])
+        assert code == EXIT_NO_SOLUTION
+        assert capsys.readouterr().err == (
+            f"error: no multiplier attains {named} (searched k in [1e-300, 1e+08])\n")
+
+    def test_out_of_regime_keeps_the_hint(self, tmp_path, capsys):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("p,gamma\n0.96,2\n")
+        code = main(["weights", str(prior), "--alpha", "0.05", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NO_SOLUTION
+        err = capsys.readouterr().err
+        assert err.startswith("error: no multiplier attains FDP level alpha=0.05 (alpha=0.05 > "
+                              "1 - max(p) = 0.04;")
+        assert "\nhint: the pre-data FDP equation needs alpha <= 1 - max(p)" in err
+
+    def test_tiny_alpha_past_the_default_range(self, tmp_path):
+        # k* = 6.9e9 lies above the default end 1e8; the bracket reaches 2/alpha
+        prior = tmp_path / "prior.csv"
+        prior.write_text("p,gamma\n0.5,2\n0.3,3\n0.2,1\n")
+        out = tmp_path / "o"
+        assert main(["weights", str(prior), "--alpha", "1e-10", "--out", str(out)]) == EXIT_OK
+        k_star = json.loads((out / "weights.json").read_text())["k_star"]
+        assert k_star == pytest.approx(6907701483.288857, rel=1e-12)
+
+    def test_mean_threshold_below_the_clamp(self, tmp_path):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("p,gamma\n0.5,2\n0.5,2\n0.5,2\n")
+        out = tmp_path / "o"
+        assert main(["weights", str(prior), "--t", "1e-17", "--out", str(out)]) == EXIT_OK
+        d = json.loads((out / "weights.json").read_text())
+        assert d["t_bar"] == pytest.approx(1e-17, rel=1e-10)
+        np.testing.assert_allclose(d["weights"], 1.0, atol=1e-10)
+
+
 class TestRunCommand:
     def test_worked_battery(self, tmp_path):
         pvals = tmp_path / "pvals.csv"
@@ -339,6 +386,25 @@ class TestAnalyzeCommand:
             d = json.load(fh)
         assert (d["rejected_wa"], d["rejected_ua"]) == (28, 27)
         assert (out / "synthetic_counts.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--synthetic", "0"], "n_features must be at least 1, got 0"),
+        (["--synthetic", "-5"], "n_features must be at least 1, got -5"),
+        (["--synthetic", "20", "--beta", "nan"], "beta must be finite, got nan"),
+        (["--synthetic", "20", "--beta", "inf"], "beta must be finite, got inf"),
+        (["--synthetic", "20", "--positive-fraction", "nan"],
+         "positive_fraction must lie in [0, 1], got nan"),
+        (["--synthetic", "20", "--positive-fraction", "2"],
+         "positive_fraction must lie in [0, 1], got 2.0"),
+    ])
+    def test_bad_synthetic_arguments_exit_1(self, tmp_path, capsys, flags, message):
+        # these used to be misreported, leak numpy's message and a warning,
+        # or run on a silently clipped fraction
+        out = tmp_path / "o"
+        assert main(["analyze", *flags, "--seed", "1", "--x", "1,2,3,4,5",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_synthetic_counts_analyse_again(self, tmp_path):
         # the counts file holds the counts alone; the planted truth has its own file
@@ -575,6 +641,16 @@ class TestThreadsResolution:
             _threads(args)
         args.threads = 5
         assert _threads(args) == 5
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_env_threads_below_one_exit_1(self, tmp_path, capsys, monkeypatch, threads):
+        # these used to be mapped to 1 without a word
+        monkeypatch.setenv("WAMDF_THREADS", threads)
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "1", "--a", "3", "--M", "20", "--K", "2",
+                     "--seed", "1", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: WAMDF_THREADS must be at least 1, got {threads}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_1(self, tmp_path, capsys, threads):

@@ -358,7 +358,19 @@ class TestSyntheticGenerator:
         _, theta = generate_synthetic_counts(400, X, rng, positive_fraction=0.5)
         assert abs(theta.mean() - 0.5) <= 3 * np.sqrt(0.25 / 400)
 
-    @pytest.mark.parametrize("n_features", [0, 1, 3, 150, 2000])
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(n_features=0), "n_features"), (dict(n_features=-5), "n_features"),
+        (dict(beta=np.nan), "beta"), (dict(beta=np.inf), "beta"), (dict(beta=-np.inf), "beta"),
+        (dict(positive_fraction=np.nan), "positive_fraction"),
+        (dict(positive_fraction=2.0), "positive_fraction"),
+        (dict(positive_fraction=-0.1), "positive_fraction"),
+    ])
+    def test_rejects_bad_arguments(self, kwargs, named):
+        kwargs = {"n_features": 10, **kwargs}
+        with pytest.raises(ValueError, match=f"^{named} must"):
+            generate_synthetic_counts(x=X, rng=substream(1, 0), **kwargs)
+
+    @pytest.mark.parametrize("n_features", [1, 3, 150, 2000])
     def test_matches_per_row_loop(self, n_features):
         p_alt = np.exp(0.35 * X - (0.35 * X).max())
         p_alt /= p_alt.sum()

@@ -362,6 +362,15 @@ class TestFdrUpperBound:
         with pytest.raises(ValueError, match="alpha|w0_bar"):
             fdr_upper_bound(alpha, 0.2, w0_bar, 5)
 
+    @pytest.mark.parametrize("m0", [float("nan"), float("inf"), 2.5, 0, -3, np.float64(np.inf)])
+    def test_rejects_m0_not_an_integer_of_at_least_1(self, m0):
+        # nan used to return nan, and 2.5 was accepted
+        with pytest.raises(ValueError, match="^m0 must be an integer of at least 1$"):
+            fdr_upper_bound(0.05, 0.5, 1.0, m0)
+
+    def test_integral_float_m0(self):
+        assert fdr_upper_bound(0.05, 0.3, 1.0, 7.0) == fdr_upper_bound(0.05, 0.3, 1.0, 7)
+
 
 class TestReportSerialization:
     def test_json(self, tmp_path):

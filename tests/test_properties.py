@@ -1,4 +1,5 @@
-"""Property tests: invariants of the step-up procedures, and the CSV boundary."""
+"""Property tests: invariants of the step-up procedures, the weight solver's
+multiplier bracket, and the CSV boundary."""
 
 import contextlib
 import io
@@ -12,13 +13,23 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wamdf import weights
 from wamdf.cli import EXIT_INPUT, EXIT_OK, main
+from wamdf.power import NormalLocationModel, TabulatedPowerModel
 from wamdf.procedures import (
     VARIANTS,
     adaptive_fdp_estimate,
     estimate_m0,
     run_procedure,
     step_up_threshold,
+)
+from wamdf.weights import (
+    NoSolutionError,
+    PriorSpec,
+    asymptotically_optimal_weights,
+    fdp_approximator,
+    mean_threshold,
+    optimal_fixed_t_weights,
 )
 
 
@@ -72,6 +83,70 @@ def test_unit_weights_reduce_to_unweighted(battery, pair):
     plain = run_procedure(pair[1], p, alpha=alpha, lam=lam)
     assert (weighted.t_hat, weighted.m0_hat, weighted.u) == (plain.t_hat, plain.m0_hat, plain.u)
     np.testing.assert_array_equal(weighted.rejected, plain.rejected)
+
+
+# ---------------------------------------------------------------- multiplier bracket
+
+@st.composite
+def bracket_cases(draw):
+    """(p, gamma, table, t, alpha); ``table`` is None for the normal model or
+    (first knot, exponent, knot count) of a table ``t**a`` on log-spaced knots."""
+    m = draw(st.integers(1, 8))
+    p = draw(arrays(float, m, elements=st.floats(0.001, 0.999)))
+    gamma = draw(arrays(float, m, elements=st.floats(0.05, 40.0)))
+    table = draw(st.none() | st.tuples(st.floats(-14.5, -1.0), st.floats(0.05, 0.9),
+                                       st.integers(2, 12)))
+    t = draw(st.one_of(st.floats(-40.0, -0.05).map(lambda e: 10 ** e),
+                       st.floats(-15.9, -1.0).map(lambda e: 1 - 10 ** e)))
+    alpha = draw(st.floats(-10.0, np.log10(0.5)).map(lambda e: 10 ** e))
+    return p, gamma, table, t, alpha
+
+
+def _table_model(table):
+    if table is None:
+        return NormalLocationModel()
+    first, a, n = table
+    knots = np.r_[0.0, (10 ** first) ** np.linspace(1.0, 0.0, n)]
+    return TabulatedPowerModel(knots, knots ** a)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # out of regime, clamped weights
+@given(bracket_cases())
+# a table whose p * secant_0 = 0.9 * 10^(0.7 * 13) exceeds 1e8: at that k the
+# first pair still sits on the knot 1e-13, so the mean threshold reaches
+# t = 2e-14 only where that pair drops to the 1e-15 clamp
+@example(([0.9, 0.2], [1.0, 3.0], (-13.0, 0.3, 6), 2e-14, 0.05))
+@example(([0.5, 0.3, 0.2], [60.0, 45.0, 50.0], None, 0.05, 0.05))   # k* below 1e-300
+def test_one_bracket_holds_the_solution(case):
+    p, gamma, table, t, alpha = case
+    prior, model = PriorSpec(p, gamma), _table_model(table)
+    eps = 1e-15
+    # fixed t: the bracket straddles t, or the solve says it cannot reach t
+    lo, hi = weights._k_bracket(prior, model, min(t, eps), max(t, 1 - eps))
+    straddles = mean_threshold(prior, lo, model) >= t >= mean_threshold(prior, hi, model)
+    try:
+        profile = optimal_fixed_t_weights(prior, t, model)
+    except NoSolutionError as exc:
+        assert not straddles and f"searched k in [{lo:g}, {hi:g}]" in str(exc)
+        # only a table's clamps, or k beyond the float range, stop it
+        assert table is not None or lo == 1e-300 or hi == 1e300
+    else:
+        assert straddles and lo <= profile.k_star <= hi
+    # pre-data: past hi, no crossing can follow
+    pairs = weights._collapse(prior)
+    lo, hi = weights._k_bracket(pairs, model, k_hi=max(1e8, 2.0 / alpha))
+    fdp_hi = fdp_approximator(prior, hi, model)
+    if table is None:
+        assert fdp_hi < alpha
+    else:
+        # every threshold sits at the 1e-15 clamp: the FDP is constant from here on
+        assert np.all(model.threshold_for_slope(gamma, hi / prior.p) == eps)
+        assert fdp_approximator(prior, 1e4 * hi, model) == fdp_hi
+    try:
+        asymptotically_optimal_weights(prior, alpha, model)
+    except NoSolutionError as exc:
+        assert exc.out_of_regime == (alpha > 1 - prior.p_max)
+        assert table is not None or alpha >= 1 - prior.p_max or lo == 1e-300
 
 
 # ---------------------------------------------------------------- CSV boundary

@@ -3,7 +3,9 @@
 The oracle is the dense scan the solver used before tie collapsing, row
 blocks and the coarse pass: the FDP approximator on every grid point in
 one broadcast over all M hypotheses, the first downward crossing of
-alpha, and brentq on the uncollapsed prior inside it.
+alpha, and brentq on the uncollapsed prior inside it, on the expanding
+multiplier bracket the solver used before it derived one bracket from the
+model.  A sweep holds both solvers against that expanding bracket.
 """
 
 import tracemalloc
@@ -17,9 +19,20 @@ from wamdf import weights
 from wamdf.counts import generate_synthetic_counts
 from wamdf.power import NormalLocationModel, TabulatedPowerModel
 from wamdf.simulate import generate_model1, simulation_preset, substream
-from wamdf.weights import NoSolutionError, PriorSpec, asymptotically_optimal_weights
+from wamdf.weights import (
+    NoSolutionError,
+    PriorSpec,
+    asymptotically_optimal_weights,
+    mean_threshold,
+    optimal_fixed_t_weights,
+)
 
-from oracles import FourNdtrModel
+from oracles import (
+    FourNdtrModel,
+    expanding_crossing,
+    expanding_fixed_t_k_star,
+    first_k_bracket,
+)
 
 MODEL = NormalLocationModel()
 X5 = np.array([0.86, 1.34, 1.81, 2.37, 3.00])
@@ -64,15 +77,9 @@ def dense_crossing(prior, alpha, lo, hi, model):
 
 
 def oracle_k_star(prior, alpha, model=MODEL):
-    """k* of the dense scan with the solver's bracket expansion, or None."""
-    lo, hi = weights._k_bracket(prior, model)
-    k_star = dense_crossing(prior, alpha, lo, hi, model)
-    for _ in range(weights._MAX_EXPANSIONS):
-        if k_star is not None or (lo == weights._K_FLOOR and hi == weights._K_CEIL):
-            break
-        lo, hi = weights._widen(lo, hi)
-        k_star = dense_crossing(prior, alpha, lo, hi, model)
-    return k_star
+    """k* of the dense scan on the frozen expanding bracket, or None."""
+    return expanding_crossing(lambda lo, hi: dense_crossing(prior, alpha, lo, hi, model),
+                              prior, model)
 
 
 def assert_matches_oracle(prior, alpha, model=MODEL):
@@ -337,3 +344,142 @@ def test_memory_stays_bounded_at_large_m():
     assert profile.M == m
     # the dense one-pass scan needed about 650 MB here
     assert peak < 64e6, peak
+
+
+@pytest.mark.parametrize("prior", [
+    PriorSpec([0.96], [2.0]),                        # alpha > 1 - max(p)
+    PriorSpec([0.5, 0.3, 0.2], [60.0, 45.0, 50.0]),  # k* below 1e-300
+])
+def test_no_solution_scans_its_grid_once(prior, monkeypatch):
+    # the expanding bracket scanned up to seven grids before giving up
+    scanned = []
+    scan = weights._fdp_scan
+
+    def recorded(pairs, ks, model):
+        scanned.append(ks)
+        return scan(pairs, ks, model)
+
+    monkeypatch.setattr(weights, "_fdp_scan", recorded)
+    with pytest.raises(NoSolutionError):
+        asymptotically_optimal_weights(prior, 0.05)
+    grid = dense_grid(*weights._k_bracket(prior, MODEL))
+    np.testing.assert_array_equal(np.sort(np.concatenate(scanned)), grid)
+
+
+def random_table(rng):
+    """A strictly concave table ``t**a`` on log-spaced knots from ``first``;
+    its first secant ``first**(a - 1)`` reaches 10^13."""
+    a = rng.uniform(0.05, 0.9)
+    first = 10 ** rng.uniform(-14.5, -1)
+    knots = np.r_[0.0, first ** np.linspace(1.0, 0.0, int(rng.integers(2, 30)))]
+    return TabulatedPowerModel(knots, knots ** a)
+
+
+def sweep_cases(n, seed=8):
+    """(prior, model, alpha, t): the scan families with a wider gamma range,
+    a third on tables, alpha down to 1e-10 and at 1 - max(p), and t below
+    1e-15, at the two clamps and above 1 - 1e-15."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        m = int(rng.integers(1, 40))
+        family = i % 5
+        if family == 0:
+            p, gamma = rng.uniform(0.01, 0.99, m), rng.uniform(0.2, 8.0, m)
+        elif family == 1:
+            p = np.where(rng.random(m) < 0.3, rng.uniform(0.85, 0.99, m),
+                         rng.uniform(0.001, 0.05, m))
+            gamma = np.where(rng.random(m) < 0.5, rng.uniform(0.05, 0.8, m),
+                             rng.uniform(4.0, 40.0, m))
+        elif family == 2:
+            p = np.full(m, rng.choice([0.1, 0.5, 0.8]))
+            gamma = np.sqrt(rng.integers(1, 1000, m)) * rng.uniform(0.02, 1.5)
+        elif family == 3:
+            p = np.where(rng.random(m) < 0.2, 1.0 - 10 ** rng.uniform(-6, -3, m),
+                         10 ** rng.uniform(-6, -3, m))
+            gamma = rng.uniform(0.5, 6.0, m)
+        else:
+            p, gamma = rng.uniform(0.02, 0.95, m), rng.uniform(0.5, 5.0, m)
+        prior = PriorSpec(p, gamma)
+        model = random_table(rng) if rng.random() < 1 / 3 else MODEL
+        u = rng.random()
+        alpha = (1.0 - prior.p_max if u < 0.1 else
+                 10 ** rng.uniform(-10, -7) if u < 0.3 else 10 ** rng.uniform(-3, np.log10(0.5)))
+        v = rng.random()
+        t = (10 ** rng.uniform(-40, -15) if v < 0.25 else
+             rng.choice([1e-15, 1 - 1e-15]) if v < 0.3 else
+             1 - 10 ** rng.uniform(-15.9, -15) if v < 0.35 else 10 ** rng.uniform(-14.9, -0.05))
+        yield prior, model, float(alpha), float(t)
+
+
+def sweep_pre_data(prior, model, alpha):
+    """How the one-bracket pre-data solve compares with the expanding one."""
+    pairs = weights._collapse(prior)
+
+    def crossing(lo, hi):
+        return weights._smallest_downward_crossing(pairs, alpha, lo, hi, model)
+
+    first = first_k_bracket(prior, model)
+    old = crossing(*first)
+    same_first = old is not None
+    if old is None:
+        old = expanding_crossing(crossing, prior, model)
+    try:
+        new = asymptotically_optimal_weights(prior, alpha, model).k_star
+    except NoSolutionError:
+        new = None
+    if old is None:
+        assert new is None, (prior, alpha, new)
+        return "none"
+    if new is None:
+        # only a crossing outside the guaranteed regime, or at its edge
+        assert alpha >= 1.0 - prior.p_max, (prior, alpha, old)
+        return "lost"
+    bracket = weights._k_bracket(pairs, model, k_hi=max(weights._K_HI, 2.0 / alpha))
+    if same_first and bracket == first:
+        assert new == old, (prior, alpha, new, old)
+        return "bitwise"
+    assert abs(new - old) <= 1e-12 * old, (prior, alpha, new, old)
+    return "close"
+
+
+def sweep_fixed_t(prior, model, t):
+    """How the one-bracket fixed-t solve compares with the expanding one."""
+    old = expanding_fixed_t_k_star(prior, t, model)
+    try:
+        new = optimal_fixed_t_weights(prior, t, model).k_star
+    except NoSolutionError:
+        new = None
+    if old is None:
+        if new is not None:
+            # beyond the six expansions
+            assert mean_threshold(prior, new, model) == pytest.approx(t, rel=1e-9)
+            return "gained"
+        return "none"
+    assert new is not None, (prior, t, old)
+    first = first_k_bracket(prior, model)
+    bracket = weights._k_bracket(prior, model, min(t, 1e-15), max(t, 1 - 1e-15))
+    if bracket == first and np.prod([mean_threshold(prior, k, model) - t for k in first]) <= 0:
+        assert new == old, (prior, t, new, old)
+        return "bitwise"
+    if abs(new - old) <= 1e-12 * old:
+        return "close"
+    # a t within a few ulp of 1, or at a table's 1e-15 clamp, leaves a
+    # stretch of k where the mean threshold rounds to t: any k there is a root
+    assert t > 1 - 1e-15 or (model is not MODEL and t == 1e-15), (prior, t, new, old)
+    resid = [abs(mean_threshold(prior, k, model) - t) for k in (old, new)]
+    assert resid[1] <= max(resid[0], 2.0 ** -53), (prior, t, old, new)
+    return "flat"
+
+
+def test_sweep_against_the_expanding_bracket():
+    pre, fixed = {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for prior, model, alpha, t in sweep_cases(3000):
+            key = "table" if model is not MODEL else "normal"
+            for seen, outcome in ((pre, sweep_pre_data(prior, model, alpha)),
+                                  (fixed, sweep_fixed_t(prior, model, t))):
+                seen[key, outcome] = seen.get((key, outcome), 0) + 1
+    assert pre.get(("normal", "lost"), 0) + pre.get(("table", "lost"), 0) <= 10, pre
+    assert min(pre["normal", "bitwise"], pre["table", "bitwise"], fixed["normal", "bitwise"],
+               fixed["table", "bitwise"], fixed["normal", "close"]) > 100, (pre, fixed)
