@@ -92,10 +92,12 @@ def _write_tsv(path, header, columns):
     """Write equal-length columns as a tab-separated table.
 
     Float columns are written as ``.10g``, integer and boolean columns as
-    integers.  Rows are formatted in blocks, so memory stays bounded.
+    integers, and string columns as they are.  Rows are formatted in
+    blocks, so memory stays bounded.
     """
     columns = [np.asarray(c) for c in columns]
-    line = "\t".join("{:d}" if c.dtype.kind in "biu" else "{:.10g}" for c in columns) + "\n"
+    formats = {"b": "{:d}", "i": "{:d}", "u": "{:d}", "U": "{}"}
+    line = "\t".join(formats.get(c.dtype.kind, "{:.10g}") for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
         for start in range(0, columns[0].size, _TSV_BLOCK):
@@ -175,35 +177,28 @@ def cmd_run(args):
 
 # ---------------------------------------------------------------- simulate
 
-def _write_table_tsv(summaries, path):
-    """Grid layout: one row per variant, CDP (FDP) columns per a value."""
-    a_values = [s.config.gamma_a for s in summaries]
+def _write_summary_tables(summaries, outdir):
+    """``table.tsv`` (one row per variant; CDP, FDP and their SEs per a
+    value, to 4 places) and ``long.tsv`` (one row per a value, variant and
+    metric, to 6 places).  A missing SE is an empty cell."""
+    def cell(x, places):
+        return "" if x is None else f"{x:.{places}f}"
+
     variants = summaries[0].config.variants
-    with open(path, "w") as fh:
-        header = ["variant"]
-        for a in a_values:
-            header += [f"cdp_a{a:g}", f"fdp_a{a:g}", f"cdp_se_a{a:g}", f"fdp_se_a{a:g}"]
-        fh.write("\t".join(header) + "\n")
-        for v in variants:
-            row = [v]
-            for s in summaries:
-                se_c, se_f = s.se(v, "cdp"), s.se(v, "fdp")
-                row += [f"{s.mean(v, 'cdp'):.4f}", f"{s.mean(v, 'fdp'):.4f}",
-                        "" if se_c is None else f"{se_c:.4f}",
-                        "" if se_f is None else f"{se_f:.4f}"]
-            fh.write("\t".join(row) + "\n")
-
-
-def _write_long_tsv(summaries, path):
-    with open(path, "w") as fh:
-        fh.write("variant\ta\tmetric\tvalue\tse\n")
-        for s in summaries:
-            for v in s.config.variants:
-                for metric in ("cdp", "fdp"):
-                    se = s.se(v, metric)
-                    fh.write(f"{v}\t{s.config.gamma_a:g}\t{metric}"
-                             f"\t{s.mean(v, metric):.6f}"
-                             f"\t{'' if se is None else f'{se:.6f}'}\n")
+    metrics = ("cdp", "fdp")
+    header, columns, rows = ["variant"], [variants], []
+    for s in summaries:
+        a = f"{s.config.gamma_a:g}"
+        header += [f"{m}_a{a}" for m in metrics] + [f"{m}_se_a{a}" for m in metrics]
+        columns += [[cell(s.mean(v, m), 4) for v in variants] for m in metrics]
+        columns += [[cell(s.se(v, m), 4) for v in variants] for m in metrics]
+        rows += [(v, a, m, cell(s.mean(v, m), 6), cell(s.se(v, m), 6))
+                 for v in variants for m in metrics]
+    table = os.path.join(outdir, "table.tsv")
+    long_form = os.path.join(outdir, "long.tsv")
+    _write_tsv(table, header, columns)
+    _write_tsv(long_form, ["variant", "a", "metric", "value", "se"], list(zip(*rows)))
+    return [table, long_form]
 
 
 def cmd_simulate(args):
@@ -217,8 +212,6 @@ def cmd_simulate(args):
     else:
         if args.preset is None:
             raise ValueError("either --config or --preset is required")
-        if args.preset not in (1, 2, 3, 4):
-            raise ValueError(f"invalid preset {args.preset}; expected 1-4")
         if args.seed is None:
             raise ValueError("--seed is required (no silent nondeterminism)")
         a_values = args.a if args.a else [1.0, 3.0, 5.0]
@@ -235,11 +228,7 @@ def cmd_simulate(args):
         out = os.path.join(outdir, f"summary_a{s.config.gamma_a:g}.json")
         _write_json(out, s.to_dict())
         outputs.append(out)
-    table = os.path.join(outdir, "table.tsv")
-    long_form = os.path.join(outdir, "long.tsv")
-    _write_table_tsv(summaries, table)
-    _write_long_tsv(summaries, long_form)
-    outputs += [table, long_form]
+    outputs += _write_summary_tables(summaries, outdir)
     _manifest(args, inputs, outputs, seed=configs[0].seed)
     for s in summaries:
         skipped = f", skipped {s.n_skipped}" if s.n_skipped else ""

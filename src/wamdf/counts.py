@@ -177,10 +177,16 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
         raise ValueError("target average power must lie in (0, 1)")
     model = model or default_model()
 
+    solved = {}  # constant -> (average power, profile), each solved once
+
+    def power_at(k):
+        if k not in solved:
+            solved[k] = _average_power(k, totals, p_prior, alpha, model)
+        return solved[k][0]
+
     hi = 1.0
     for _ in range(40):
-        power_hi, _ = _average_power(hi, totals, p_prior, alpha, model)
-        if power_hi >= target_avg_power:
+        if power_at(hi) >= target_avg_power:
             break
         hi *= 2.0
     else:
@@ -189,41 +195,35 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
     for _ in range(60):
         lo /= 2.0
         try:
-            power_lo, _ = _average_power(lo, totals, p_prior, alpha, model)
+            if power_at(lo) < target_avg_power:
+                break
         except NoSolutionError as exc:
             raise CalibrationError(
                 f"target {target_avg_power} is below the attainable floor "
                 f"(weight solve failed at K = {lo:g}: {exc})"
             ) from exc
-        if power_lo < target_avg_power:
-            break
     else:
         raise CalibrationError(f"could not bracket the target below K = {hi}")
 
-    powers = {}  # average power at every constant brentq tried
-
-    def gap(k):
-        powers[k] = _average_power(k, totals, p_prior, alpha, model)[0]
-        return powers[k] - target_avg_power
-
-    k_info = brentq(gap, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    achieved, profile = _average_power(k_info, totals, p_prior, alpha, model)
+    k_info = brentq(lambda k: power_at(k) - target_avg_power, lo, hi,
+                    xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    achieved = power_at(k_info)
     if abs(achieved - target_avg_power) > tol:
         # the tried constants nearest k_info on either side of the target
         # hold the jump between them
-        sides = [min((k for k, v in powers.items() if (v < target_avg_power) == short),
+        sides = [min((k for k, (v, _) in solved.items() if (v < target_avg_power) == short),
                      key=lambda k: abs(k - k_info)) for short in (True, False)]
         left, right = sorted(sides)
         raise CalibrationError(
             f"achieved power {achieved:.8f} misses target {target_avg_power} beyond {tol}: "
-            f"average power jumps from {powers[left]:.8g} at K = {left:.12g} "
-            f"to {powers[right]:.8g} at K = {right:.12g}"
+            f"average power jumps from {solved[left][0]:.8g} at K = {left:.12g} "
+            f"to {solved[right][0]:.8g} at K = {right:.12g}"
         )
     return CalibrationResult(
         k_info=float(k_info),
         gamma=np.sqrt(totals) * float(k_info),
         achieved_power=achieved,
-        profile=profile,
+        profile=solved[k_info][1],
     )
 
 

@@ -74,12 +74,13 @@ class NormalLocationModel:
         """Unique t in (0, 1) with ``power_slope(gamma, t) == slope``.
 
         Closed form ``t = 1 - Phi(gamma/2 + log(slope)/gamma)``, computed
-        as ``Phi(-(...))`` to keep small thresholds at full precision.
+        as ``Phi(-(...))`` to keep small thresholds at full precision.  An
+        infinite slope gives its limit, t = 0.
         """
         g = _check_gamma(gamma)
         s = np.asarray(slope, dtype=float)
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ValueError("slope must be positive and finite")
+        if not np.all(s > 0):
+            raise ValueError("slope must be positive")
         out = ndtr(-(0.5 * g + np.log(s) / g))
         return out if out.ndim else float(out)
 
@@ -96,8 +97,8 @@ class NormalLocationModel:
         """
         g = _check_gamma(gamma)
         s = np.asarray(slope, dtype=float)
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ValueError("slope must be positive and finite")
+        if not np.all(s > 0):
+            raise ValueError("slope must be positive")
         z = 0.5 * g + np.log(s) / g
         d = g - z
         a = ndtr(-np.abs(z))
@@ -153,11 +154,12 @@ class TabulatedPowerModel:
     def _knot(self, gamma, slope):
         # the largest t with slope(t) >= slope is knot j, where j counts the
         # secants >= slope (a slope equal to secant j maps to knot j + 1);
-        # the clamp keeps t inside (0, 1) like the bisection bracket
+        # the clamp keeps t inside (0, 1) like the bisection bracket, and an
+        # infinite slope lands on the 1e-15 clamp
         _check_gamma(gamma)
         s = np.asarray(slope, dtype=float)
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ValueError("slope must be positive and finite")
+        if not np.all(s > 0):
+            raise ValueError("slope must be positive")
         j = np.searchsorted(-self._secants, -s, side="right")
         return np.clip(self._t[j], 1e-15, 1 - 1e-15)
 

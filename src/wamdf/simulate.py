@@ -36,12 +36,12 @@ _MASK64 = (1 << 64) - 1
 class SimConfig:
     """One Monte Carlo experiment: data law, weight scheme, and bookkeeping.
 
-    ``p_law`` is ``"fixed"`` (all priors equal ``p_fixed``) or ``"uniform"``
-    (drawn from Uniform(0, 1) each replication).  ``gamma_law`` is
-    ``"uniform"`` for Uniform(1, gamma_a) draws (``gamma_a == 1`` gives the
-    homogeneous case) or ``"fixed"`` for a constant ``gamma_fixed``.
-    ``lambda_rule`` is ``"solved"`` to use the mean threshold at the solved
-    multiplier as the census level, or ``"fixed"`` to use ``lambda_fixed``.
+    Each law is fixed at its value, or drawn when the value is ``None``:
+    priors equal ``p_fixed`` or are drawn from Uniform(0, 1) each
+    replication; effect sizes equal ``gamma_fixed`` or are drawn from
+    Uniform(1, gamma_a) (``gamma_a == 1`` gives the homogeneous case); the
+    census level is ``lambda_fixed`` or the mean threshold at the solved
+    multiplier.
     """
 
     M: int
@@ -49,13 +49,10 @@ class SimConfig:
     seed: int
     alpha: float = 0.05
     variants: tuple = VARIANTS
-    p_law: str = "fixed"
-    p_fixed: float = 0.5
-    gamma_law: str = "uniform"
+    p_fixed: float | None = 0.5
     gamma_a: float = 5.0
     gamma_fixed: float | None = None
     weight_mode: str = "optimal"
-    lambda_rule: str = "solved"
     lambda_fixed: float | None = None
     preset: int | None = None
 
@@ -64,25 +61,19 @@ class SimConfig:
             raise ValueError("M and n_reps must be at least 1")
         if self.seed is None:
             raise ValueError("a seed is required; silent nondeterminism is not allowed")
-        if self.p_law not in ("fixed", "uniform"):
-            raise ValueError(f"unknown p_law {self.p_law!r}")
-        if self.gamma_law not in ("uniform", "fixed"):
-            raise ValueError(f"unknown gamma_law {self.gamma_law!r}")
         if not np.all((self.alpha > 0) & (self.alpha < 1)):
             raise ValueError("alpha must lie in (0, 1)")
         if not np.all((self.gamma_a >= 1) & (self.gamma_a < np.inf)):
             raise ValueError("gamma_a must be finite and at least 1")
-        if not np.all((self.p_fixed >= 0) & (self.p_fixed <= 1)):
+        p, gamma, lam = self.p_fixed, self.gamma_fixed, self.lambda_fixed
+        if p is not None and not np.all((p >= 0) & (p <= 1)):
             raise ValueError("p_fixed must lie in [0, 1]")
-        gamma_fixed = self.gamma_fixed or 0.0
-        if self.gamma_law == "fixed" and not np.all((gamma_fixed > 0) & (gamma_fixed < np.inf)):
-            raise ValueError("gamma_fixed must be positive and finite for gamma_law='fixed'")
+        if gamma is not None and not np.all((gamma > 0) & (gamma < np.inf)):
+            raise ValueError("gamma_fixed must be positive and finite")
+        if lam is not None and not np.all((lam > 0) & (lam < 1)):
+            raise ValueError("lambda_fixed must lie in (0, 1)")
         if self.weight_mode not in _WEIGHT_MODES:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
-        if self.lambda_rule == "fixed" and not (self.lambda_fixed and 0 < self.lambda_fixed < 1):
-            raise ValueError("lambda_fixed must lie in (0, 1) for lambda_rule='fixed'")
-        if self.lambda_rule not in ("solved", "fixed"):
-            raise ValueError(f"unknown lambda_rule {self.lambda_rule!r}")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
@@ -105,14 +96,14 @@ class SimConfig:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (s.strip() for s in line.split("=", 1))
                 raw[key] = value
-        known = {f.name: f.type for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         kwargs = {}
         for key, value in raw.items():
             if key == "variants":
                 kwargs[key] = tuple(v.strip() for v in value.split(","))
             elif key in ("M", "n_reps", "seed", "preset"):
                 kwargs[key] = int(value)
-            elif key in ("p_law", "gamma_law", "weight_mode", "lambda_rule"):
+            elif key == "weight_mode":
                 kwargs[key] = value
             elif key in known:
                 kwargs[key] = float(value)
@@ -143,16 +134,12 @@ def simulation_preset(preset, a=5.0, M=1000, n_reps=1000, seed=0, alpha=0.05):
     3. Uniform(0, 1) priors, solved weights perturbed by Uniform(0, 2) noise
     4. Uniform(0, 1) priors, weights drawn Uniform(0, 2) independent of the data
     """
-    common = dict(M=M, n_reps=n_reps, seed=seed, alpha=alpha, gamma_a=float(a), preset=preset)
-    if preset == 1:
-        return SimConfig(p_law="fixed", p_fixed=0.5, weight_mode="optimal", **common)
-    if preset == 2:
-        return SimConfig(p_law="uniform", weight_mode="optimal", **common)
-    if preset == 3:
-        return SimConfig(p_law="uniform", weight_mode="perturbed", **common)
-    if preset == 4:
-        return SimConfig(p_law="uniform", weight_mode="independent", **common)
-    raise ValueError(f"unknown preset {preset!r}; expected 1-4")
+    modes = {1: "optimal", 2: "optimal", 3: "perturbed", 4: "independent"}
+    if preset not in modes:
+        raise ValueError(f"unknown preset {preset!r}; expected 1-4")
+    return SimConfig(M=M, n_reps=n_reps, seed=seed, alpha=alpha, gamma_a=float(a),
+                     p_fixed=0.5 if preset == 1 else None, weight_mode=modes[preset],
+                     preset=preset)
 
 
 def substream(seed, rep):
@@ -169,14 +156,14 @@ def generate_model1(config, rng):
     ``Z ~ N(theta * gamma, 1)``.
     """
     m = config.M
-    if config.p_law == "fixed":
-        p = np.full(m, float(config.p_fixed))
-    else:
+    if config.p_fixed is None:
         p = rng.uniform(0.0, 1.0, m)
-    if config.gamma_law == "fixed":
-        gamma = np.full(m, float(config.gamma_fixed))
     else:
+        p = np.full(m, float(config.p_fixed))
+    if config.gamma_fixed is None:
         gamma = rng.uniform(1.0, float(config.gamma_a), m)
+    else:
+        gamma = np.full(m, float(config.gamma_fixed))
     theta = rng.random(m) < p
     z = rng.standard_normal(m) + np.where(theta, gamma, 0.0)
     pvalues = ndtr(-z)
@@ -219,7 +206,7 @@ def _draw_positive_uniform02(rng, size, limit=None, max_tries=100):
 
 
 def _replicate(config, rep):
-    """One replication; returns (ok, warned, {variant: (fdp, cdp, R)}).
+    """One replication; returns (ok, warned, {variant: (fdp, cdp)}).
 
     A replication whose weight solve has no solution is skipped (ok is
     False).  Any other failure is re-raised with its type kept and
@@ -244,7 +231,7 @@ def _replicate_once(config, rep):
             return False, True, {}
     warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
 
-    lam = profile.t_bar if config.lambda_rule == "solved" else float(config.lambda_fixed)
+    lam = profile.t_bar if config.lambda_fixed is None else float(config.lambda_fixed)
     if config.weight_mode == "optimal":
         weights, u = profile.weights, profile.u
     elif config.weight_mode == "perturbed":
@@ -269,8 +256,7 @@ def _replicate_once(config, rep):
             lam=lam,
             u=u if weighted else 1.0,
         )
-        fdp, cdp = evaluate(theta, report)
-        out[variant] = (fdp, cdp, report.n_rejected)
+        out[variant] = evaluate(theta, report)
     return True, warned, out
 
 

@@ -171,7 +171,9 @@ def solve_thresholds(prior, k, model=None):
     if not np.all((k > 0) & (k < np.inf)):
         raise ValueError("multiplier k must be positive and finite")
     model = model or default_model()
-    return model.threshold_for_slope(prior.gamma, k / prior.p)
+    with np.errstate(over="ignore"):  # an infinite slope has a limiting threshold
+        slopes = k / prior.p
+    return model.threshold_for_slope(prior.gamma, slopes)
 
 
 def mean_threshold(prior, k, model=None):
@@ -214,7 +216,8 @@ def _fdp_values(pairs, ks, model):
     1 - G directly: near k = 0 every threshold sits within float rounding
     of 1 and the leading ratio would otherwise be pure cancellation noise.
     """
-    slopes = ks[:, None] / pairs.p[None, :]
+    with np.errstate(over="ignore"):
+        slopes = ks[:, None] / pairs.p[None, :]
     t, tc, pi, pic = model.threshold_power_split(pairs.gamma[None, :], slopes)
     g = (1.0 - pairs.p) * t + pairs.p * pi
     gc = (1.0 - pairs.p) * tc + pairs.p * pic
@@ -277,10 +280,10 @@ def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, k_hi=_K_HI):
     with np.errstate(under="ignore", over="ignore"):
         lo = float(np.min(model.power_slope(prior.gamma, t_hi) * prior.p))
         hi = float(np.max(model.power_slope(prior.gamma, t_lo) * prior.p))
-    lo = max(min(lo / 2 if t_hi > 1.0 - _T_EPS else lo, _K_LO), _K_FLOOR)
-    hi = min(max(hi * 2 if t_lo < _T_EPS else hi, k_hi), _K_CEIL)
-    if np.max(model.threshold_for_slope(prior.gamma, hi / prior.p)) > 2 * _T_EPS:
-        hi = min(2 * hi, _K_CEIL)
+        lo = max(min(lo / 2 if t_hi > 1.0 - _T_EPS else lo, _K_LO), _K_FLOOR)
+        hi = min(max(hi * 2 if t_lo < _T_EPS else hi, k_hi), _K_CEIL)
+        if np.max(model.threshold_for_slope(prior.gamma, hi / prior.p)) > 2 * _T_EPS:
+            hi = min(2 * hi, _K_CEIL)
     return lo, hi
 
 
@@ -436,13 +439,13 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     return _profile(prior, k_star, model, out_of_regime)
 
 
-def perturb_weights(profile, multipliers, renormalize=False):
+def perturb_weights(profile, multipliers):
     """Multiply a profile's weights by positive noise factors.
 
     Mirrors the perturbation used to study robustness: the factors are
     meant to average 1 in expectation, so the product is deliberately left
-    unnormalized unless ``renormalize`` is set.  Each perturbed per-test
-    threshold ``U_m * t_bar * w_m`` must stay within [0, 1].
+    unnormalized.  Each perturbed per-test threshold ``U_m * t_bar * w_m``
+    must stay within [0, 1].
     """
     u_m = np.asarray(multipliers, dtype=float)
     if u_m.shape != profile.weights.shape:
@@ -453,8 +456,6 @@ def perturb_weights(profile, multipliers, renormalize=False):
     if np.any(new_t > 1.0):
         raise ValueError("perturbation pushes a per-test threshold above 1")
     w = u_m * profile.weights
-    if renormalize:
-        w = w / w.mean()
     return WeightProfile(
         weights=w,
         k_star=profile.k_star,

@@ -80,6 +80,21 @@ class TestWeightsCommand:
         assert main(["run", str(pvalues), "--weights", str(out / "weights.json"),
                      "--out", str(tmp_path / "r")]) == EXIT_OK
 
+    @pytest.mark.parametrize("level", [["--alpha", "0.05"], ["--t", "0.05"]])
+    def test_tiny_prior_exit_3_and_run_accepts_it(self, tmp_path, capsys, level):
+        # k / p overflows to an infinite slope, whose threshold is its limit 0
+        prior = tmp_path / "prior.csv"
+        prior.write_text("p,gamma\n0.5,2\n1e-301,2\n")
+        out = tmp_path / "out"
+        assert main(["weights", str(prior), *level, "--out", str(out)]) == EXIT_WARNING
+        err = capsys.readouterr().err
+        assert err.startswith("warning: weights below the smallest normal")
+        assert err.count("\n") == 1
+        pvalues = tmp_path / "p.csv"
+        pvalues.write_text("p\n0.001\n0.4\n")
+        assert main(["run", str(pvalues), "--weights", str(out / "weights.json"),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+
     def test_requires_exactly_one_target(self, tmp_path, prior_file):
         out = tmp_path / "out"
         assert main(["weights", str(prior_file), "--out", str(out)]) == EXIT_INPUT
@@ -314,6 +329,21 @@ class TestSimulateCommand:
             "simulate", "--preset", "9", "--seed", "1", "--out", str(tmp_path / "o"),
         ]) == EXIT_INPUT
 
+    def test_invalid_preset_message(self, tmp_path, capsys):
+        assert main(["simulate", "--preset", "9", "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown preset 9; expected 1-4\n"
+
+    @pytest.mark.parametrize("key", ["p_law = uniform", "gamma_law = fixed",
+                                     "lambda_rule = fixed"])
+    def test_removed_law_switch_is_unknown_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"preset = 2\nM = 20\nn_reps = 1\nseed = 1\n{key}\n")
+        assert main(["simulate", "--config", str(cfg), "--threads", "1",
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        name = key.split(" ")[0]
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key {name!r}\n"
+
     def test_missing_seed_exit_1(self, tmp_path):
         assert main([
             "simulate", "--preset", "1", "--out", str(tmp_path / "o"),
@@ -329,13 +359,12 @@ class TestSimulateCommand:
         ([], "p_fixed = nan", "p_fixed"),
         ([], "p_fixed = -0.1", "p_fixed"),
         ([], "p_fixed = 1.5", "p_fixed"),
-        ([], "gamma_law = fixed\ngamma_fixed = nan", "gamma_fixed"),
-        ([], "gamma_law = fixed\ngamma_fixed = inf", "gamma_fixed"),
-        ([], "gamma_law = fixed\ngamma_fixed = 0", "gamma_fixed"),
-        ([], "gamma_law = fixed", "gamma_fixed"),
+        ([], "gamma_fixed = nan", "gamma_fixed"),
+        ([], "gamma_fixed = inf", "gamma_fixed"),
+        ([], "gamma_fixed = 0", "gamma_fixed"),
     ], ids=["a-nan", "a-inf", "a-below-1", "alpha-nan", "alpha-1", "alpha-0", "p_fixed-nan",
             "p_fixed-negative", "p_fixed-above-1", "gamma_fixed-nan", "gamma_fixed-inf",
-            "gamma_fixed-0", "gamma_fixed-missing"])
+            "gamma_fixed-0"])
     def test_bad_config_value_exit_1(self, tmp_path, capsys, flags, config, named):
         argv = ["simulate", "--M", "20", "--K", "1", "--seed", "1", "--threads", "1"]
         if config is None:
@@ -625,6 +654,68 @@ class TestJsonPins:
         assert list(json.loads(text)) == [
             "subcommand", "flags", "inputs", "outputs", "seed", "version", "timestamp",
         ]
+
+
+class TestSimulateTablePins:
+    # literal bytes of table.tsv and long.tsv; these hold at the parent commit too
+
+    def _run(self, tmp_path, *flags):
+        out = tmp_path / "out"
+        assert main(["simulate", *flags, "--M", "30", "--seed", "4", "--threads", "1",
+                     "--out", str(out)]) == EXIT_OK
+        return (out / "table.tsv").read_text(), (out / "long.tsv").read_text()
+
+    def test_two_a_values(self, tmp_path):
+        table, long_form = self._run(tmp_path, "--preset", "2", "--a", "2", "--a", "5",
+                                     "--K", "3")
+        assert table == (
+            "variant\tcdp_a2\tfdp_a2\tcdp_se_a2\tfdp_se_a2"
+            "\tcdp_a5\tfdp_a5\tcdp_se_a5\tfdp_se_a5\n"
+            "UU\t0.1296\t0.0000\t0.0668\t0.0000\t0.6444\t0.0370\t0.0222\t0.0370\n"
+            "WU\t0.1204\t0.0000\t0.0723\t0.0000\t0.7296\t0.0000\t0.0387\t0.0000\n"
+            "UA\t0.1481\t0.0000\t0.0807\t0.0000\t0.6944\t0.0590\t0.0278\t0.0302\n"
+            "WA\t0.1574\t0.0000\t0.0791\t0.0000\t0.8907\t0.0000\t0.0145\t0.0000\n"
+        )
+        assert long_form == (
+            "variant\ta\tmetric\tvalue\tse\n"
+            "UU\t2\tcdp\t0.129630\t0.066769\n"
+            "UU\t2\tfdp\t0.000000\t0.000000\n"
+            "WU\t2\tcdp\t0.120370\t0.072317\n"
+            "WU\t2\tfdp\t0.000000\t0.000000\n"
+            "UA\t2\tcdp\t0.148148\t0.080720\n"
+            "UA\t2\tfdp\t0.000000\t0.000000\n"
+            "WA\t2\tcdp\t0.157407\t0.079111\n"
+            "WA\t2\tfdp\t0.000000\t0.000000\n"
+            "UU\t5\tcdp\t0.644444\t0.022222\n"
+            "UU\t5\tfdp\t0.037037\t0.037037\n"
+            "WU\t5\tcdp\t0.729630\t0.038668\n"
+            "WU\t5\tfdp\t0.000000\t0.000000\n"
+            "UA\t5\tcdp\t0.694444\t0.027778\n"
+            "UA\t5\tfdp\t0.058974\t0.030230\n"
+            "WA\t5\tcdp\t0.890741\t0.014463\n"
+            "WA\t5\tfdp\t0.000000\t0.000000\n"
+        )
+
+    def test_single_replication_has_empty_se_cells(self, tmp_path):
+        table, long_form = self._run(tmp_path, "--preset", "1", "--a", "2", "--K", "1")
+        assert table == (
+            "variant\tcdp_a2\tfdp_a2\tcdp_se_a2\tfdp_se_a2\n"
+            "UU\t0.2941\t0.0000\t\t\n"
+            "WU\t0.0000\t0.0000\t\t\n"
+            "UA\t0.2941\t0.0000\t\t\n"
+            "WA\t0.0000\t0.0000\t\t\n"
+        )
+        assert long_form == (
+            "variant\ta\tmetric\tvalue\tse\n"
+            "UU\t2\tcdp\t0.294118\t\n"
+            "UU\t2\tfdp\t0.000000\t\n"
+            "WU\t2\tcdp\t0.000000\t\n"
+            "WU\t2\tfdp\t0.000000\t\n"
+            "UA\t2\tcdp\t0.294118\t\n"
+            "UA\t2\tfdp\t0.000000\t\n"
+            "WA\t2\tcdp\t0.000000\t\n"
+            "WA\t2\tfdp\t0.000000\t\n"
+        )
 
 
 class TestThreadsResolution:

@@ -190,6 +190,27 @@ class TestCalibration:
         assert below < 0.9 <= above
         assert 0.0975 < k_left < k_right < 0.0976
 
+    @pytest.mark.parametrize("p_prior", [0.5, 0.95])
+    def test_each_constant_solved_once(self, monkeypatch, p_prior):
+        # the bracketing loops, brentq's ends and its root share one table;
+        # with prior 0.95 this input ends at a jump, whose message reads it too
+        import wamdf.counts as counts
+
+        solve = counts._average_power
+        seen = []
+
+        def recording_power(k_info, *args):
+            seen.append(k_info)
+            return solve(k_info, *args)
+
+        monkeypatch.setattr(counts, "_average_power", recording_power)
+        ds, _ = generate_synthetic_counts(30, np.arange(1.0, 6.0), substream(1, 0))
+        try:
+            calibrate_information(ds.totals, p_prior=p_prior, target_avg_power=0.9)
+        except CalibrationError:
+            assert p_prior == 0.95
+        assert seen and len(seen) == len(set(seen))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
     def test_totals_not_finite_named(self, bad):
         with pytest.raises(ValueError, match="^every feature total must be finite"):

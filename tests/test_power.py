@@ -87,6 +87,26 @@ class TestDomainErrors:
             model.power_slope(2.0, np.array([0.5, np.nan]))
 
 
+@pytest.mark.parametrize("model, limit", [
+    (MODEL, 0.0), (TabulatedPowerModel([0.0, 0.2, 1.0], [0.0, 0.6, 1.0]), 1e-15),
+], ids=["normal", "tabulated"])
+class TestInfiniteSlope:
+    # k / p overflows for a tiny prior p; an infinite slope gets its limit
+    def test_limit(self, model, limit):
+        slopes = np.array([1.0, np.inf])
+        assert model.threshold_for_slope(2.0, np.inf) == limit
+        t, tc, pi, pic = model.threshold_power_split(2.0, slopes)
+        assert (t[1], tc[1], pi[1]) == (limit, 1.0 - limit, model.power(2.0, limit))
+        assert pic[1] == 1.0 - pi[1]
+        assert t[0] == model.threshold_for_slope(2.0, 1.0)
+
+    @pytest.mark.parametrize("slope", [np.nan, 0.0, -1.0, -np.inf])
+    def test_non_positive_rejected(self, model, limit, slope):
+        for query in (model.threshold_for_slope, model.threshold_power_split):
+            with pytest.raises(ValueError, match="^slope must be positive"):
+                query(2.0, np.array([1.0, slope]))
+
+
 class TestAgainstHighPrecisionOracle:
     def test_power_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")

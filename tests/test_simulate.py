@@ -20,15 +20,14 @@ from wamdf.simulate import (
 
 class TestGenerateModel1:
     def test_all_null_uniform_pvalues(self):
-        config = SimConfig(M=10_000, n_reps=1, seed=1, p_law="fixed", p_fixed=0.0)
+        config = SimConfig(M=10_000, n_reps=1, seed=1, p_fixed=0.0)
         theta, p, gamma, pvalues = generate_model1(config, substream(1, 0))
         assert not theta.any()
         assert stats.kstest(pvalues, "uniform").pvalue > 0.01
 
     def test_vanishing_effect_is_null(self):
         config = SimConfig(
-            M=10_000, n_reps=1, seed=2, p_law="fixed", p_fixed=1.0,
-            gamma_law="fixed", gamma_fixed=1e-12,
+            M=10_000, n_reps=1, seed=2, p_fixed=1.0, gamma_fixed=1e-12,
         )
         theta, _, _, pvalues = generate_model1(config, substream(2, 0))
         assert theta.all()
@@ -108,13 +107,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(M=1, n_reps=1, seed=1, weight_mode="nope")
         with pytest.raises(ValueError):
-            SimConfig(M=1, n_reps=1, seed=1, lambda_rule="fixed")
+            SimConfig(M=1, n_reps=1, seed=1, lambda_fixed=1.5)
         with pytest.raises(ValueError):
             SimConfig(M=1, n_reps=1, seed=1, variants=("UU", "ZZ"))
 
     def test_presets(self):
-        assert simulation_preset(1).p_law == "fixed"
-        assert simulation_preset(2).p_law == "uniform"
+        assert simulation_preset(1).p_fixed == 0.5
+        assert simulation_preset(2).p_fixed is None
         assert simulation_preset(3).weight_mode == "perturbed"
         assert simulation_preset(4).weight_mode == "independent"
         with pytest.raises(ValueError):
@@ -134,6 +133,35 @@ class TestConfig:
         assert config.weight_mode == "perturbed"
         assert (config.M, config.n_reps, config.seed) == (50, 4, 9)
         assert config.gamma_a == 3.0
+
+    def test_given_values_fix_a_drawn_preset(self, tmp_path, monkeypatch):
+        # preset 2 draws priors and effect sizes and solves the census
+        # level; each value given in the file fixes its law
+        import wamdf.simulate as simulate
+
+        path = tmp_path / "sim.cfg"
+        path.write_text("preset = 2\nM = 20\nn_reps = 2\nseed = 3\n"
+                        "p_fixed = 0.3\ngamma_fixed = 2\nlambda_fixed = 0.2\n")
+        config = SimConfig.from_file(path)
+        _, p, gamma, _ = generate_model1(config, substream(3, 0))
+        assert np.all(p == 0.3) and np.all(gamma == 2.0)
+        lams = []
+
+        def recording_run(variant, pvalues, **kwargs):
+            lams.append(kwargs["lam"])
+            return run_procedure(variant, pvalues, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_procedure", recording_run)
+        run_simulation(config)
+        assert lams == [0.2] * (config.n_reps * len(config.variants))
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_fixed", np.nan), ("p_fixed", 1.5), ("gamma_fixed", 0.0),
+        ("gamma_fixed", np.inf), ("lambda_fixed", 0.0), ("lambda_fixed", np.nan),
+    ])
+    def test_law_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SimConfig(M=1, n_reps=1, seed=1, **{field: value})
 
     def test_from_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -262,8 +290,7 @@ class TestRunSimulation:
         # a single strong test with prior drawn above 1 - alpha admits no
         # solution; those replications must be skipped and counted
         config = SimConfig(
-            M=1, n_reps=40, seed=30, p_law="uniform",
-            gamma_law="fixed", gamma_fixed=2.5,
+            M=1, n_reps=40, seed=30, p_fixed=None, gamma_fixed=2.5,
         )
         import warnings
 

@@ -336,12 +336,6 @@ class TestPerturbWeights:
         tilted = perturb_weights(profile, rng.uniform(1e-9, 2.0, m))
         assert abs(tilted.weights.mean() - 1.0) <= 3.0 / np.sqrt(m)
 
-    def test_renormalize_flag(self):
-        profile = WeightProfile(np.ones(4), k_star=1.0, t_bar=0.01, u=1.0)
-        rng = np.random.default_rng(6)
-        tilted = perturb_weights(profile, rng.uniform(0.5, 1.5, 4), renormalize=True)
-        assert tilted.weights.mean() == pytest.approx(1.0, abs=1e-12)
-
 
 class TestWeightProfileSerialization:
     def test_json_roundtrip(self, tmp_path):
