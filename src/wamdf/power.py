@@ -1,11 +1,12 @@
-"""Concave per-test power curves and their slope/inverse-slope queries.
+"""Concave per-test power curves and their log-slope/inverse-log-slope queries.
 
 A power curve ``pi_gamma(t)`` gives the probability that a single test of
 size ``t`` rejects when the alternative holds with effect size ``gamma``.
 Every model here satisfies the concavity regularity needed by the weight
 solver: ``pi_gamma(0) = 0``, ``pi_gamma(1) = 1``, ``pi_gamma`` nondecreasing,
 and ``pi_gamma'`` continuous and strictly decreasing on (0, 1) with infinite
-limit at 0 and zero limit at 1.
+limit at 0 and zero limit at 1.  Slopes are queried in log: +inf and -inf are
+the limits at t = 0 and t = 1.
 """
 
 import numpy as np
@@ -25,6 +26,13 @@ def _check_gamma(gamma):
     if not np.all(np.isfinite(g)) or np.any(g <= 0):
         raise ValueError("effect size gamma must be positive and finite")
     return g
+
+
+def _check_log_slope(log_slope):
+    s = np.asarray(log_slope, dtype=float)
+    if np.any(np.isnan(s)):
+        raise ValueError("log slope must not be NaN")
+    return s
 
 
 class NormalLocationModel:
@@ -55,39 +63,36 @@ class NormalLocationModel:
         out = np.where(tt == 1.0, 1.0, out)
         return out if out.ndim else float(out)
 
-    def power_slope(self, gamma, t):
-        """Derivative of power in t: ``exp(gamma*z - gamma^2/2)``, z the upper-t quantile.
+    def log_power_slope(self, gamma, t):
+        """Log of the derivative of power in t: ``gamma*z - gamma^2/2``, z the upper-t quantile.
 
         Only defined on the open interval (the slope diverges at 0 and
-        vanishes at 1).  Evaluated in log space so extreme t cannot
-        overflow the density ratio.
+        vanishes at 1).
         """
         g = _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
         if not np.all((tt > 0) & (tt < 1)):
             raise ValueError("slope is defined only for t in (0, 1)")
         z = -ndtri(tt)
-        out = np.exp(g * z - 0.5 * g * g)
+        out = g * z - 0.5 * g * g
         return out if out.ndim else float(out)
 
-    def threshold_for_slope(self, gamma, slope):
-        """Unique t in (0, 1) with ``power_slope(gamma, t) == slope``.
+    def threshold_for_log_slope(self, gamma, log_slope):
+        """Unique t in [0, 1] with ``log_power_slope(gamma, t) == log_slope``.
 
-        Closed form ``t = 1 - Phi(gamma/2 + log(slope)/gamma)``, computed
-        as ``Phi(-(...))`` to keep small thresholds at full precision.  An
-        infinite slope gives its limit, t = 0.
+        Closed form ``t = 1 - Phi(gamma/2 + log_slope/gamma)``, computed
+        as ``Phi(-(...))`` to keep small thresholds at full precision.  A
+        log slope of +inf gives t = 0 and -inf gives t = 1.
         """
         g = _check_gamma(gamma)
-        s = np.asarray(slope, dtype=float)
-        if not np.all(s > 0):
-            raise ValueError("slope must be positive")
-        out = ndtr(-(0.5 * g + np.log(s) / g))
+        s = _check_log_slope(log_slope)
+        out = ndtr(-(0.5 * g + s / g))
         return out if out.ndim else float(out)
 
-    def threshold_power_split(self, gamma, slope):
-        """(t, 1-t, power, 1-power) at the inverse-slope threshold.
+    def threshold_power_split(self, gamma, log_slope):
+        """(t, 1-t, power, 1-power) at the inverse-log-slope threshold.
 
-        With ``z = gamma/2 + log(slope)/gamma``, ``t = Phi(-z)`` and
+        With ``z = gamma/2 + log_slope/gamma``, ``t = Phi(-z)`` and
         ``power = Phi(gamma - z)``.  One ``ndtr`` serves each complement
         pair: ``a = Phi(-|z|)`` and ``b = Phi(-|gamma - z|)`` are the smaller
         masses (<= 1/2), taken as they are, and the larger masses are
@@ -96,10 +101,8 @@ class NormalLocationModel:
         the threshold or the power sits within a few ulp of 1.
         """
         g = _check_gamma(gamma)
-        s = np.asarray(slope, dtype=float)
-        if not np.all(s > 0):
-            raise ValueError("slope must be positive")
-        z = 0.5 * g + np.log(s) / g
+        s = _check_log_slope(log_slope)
+        z = 0.5 * g + s / g
         d = g - z
         a = ndtr(-np.abs(z))
         b = ndtr(-np.abs(d))
@@ -138,7 +141,7 @@ class TabulatedPowerModel:
             raise ValueError("table is not strictly concave")
         self._t = t
         self._p = p
-        self._secants = secants
+        self._log_secants = np.log(secants)
 
     @classmethod
     def from_csv(cls, path):
@@ -151,16 +154,14 @@ class TabulatedPowerModel:
         idx = np.searchsorted(self._t, tt, side="left") - 1
         return np.clip(idx, 0, self._t.size - 2)
 
-    def _knot(self, gamma, slope):
+    def _knot(self, gamma, log_slope):
         # the largest t with slope(t) >= slope is knot j, where j counts the
         # secants >= slope (a slope equal to secant j maps to knot j + 1);
-        # the clamp keeps t inside (0, 1) like the bisection bracket, and an
-        # infinite slope lands on the 1e-15 clamp
+        # the clamp keeps t inside (0, 1) like the bisection bracket, so a
+        # log slope of +inf lands on 1e-15 and -inf on 1 - 1e-15
         _check_gamma(gamma)
-        s = np.asarray(slope, dtype=float)
-        if not np.all(s > 0):
-            raise ValueError("slope must be positive")
-        j = np.searchsorted(-self._secants, -s, side="right")
+        s = _check_log_slope(log_slope)
+        j = np.searchsorted(-self._log_secants, -s, side="right")
         return np.clip(self._t[j], 1e-15, 1 - 1e-15)
 
     def power(self, gamma, t):
@@ -171,22 +172,22 @@ class TabulatedPowerModel:
         out = np.interp(tt, self._t, self._p)
         return out if out.ndim else float(out)
 
-    def power_slope(self, gamma, t):
+    def log_power_slope(self, gamma, t):
         _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
         if not np.all((tt > 0) & (tt < 1)):
             raise ValueError("slope is defined only for t in (0, 1)")
-        out = self._secants[self._segment(tt)]
+        out = self._log_secants[self._segment(tt)]
         return out if out.ndim else float(out)
 
-    def threshold_for_slope(self, gamma, slope):
-        """Largest knot t with ``power_slope(gamma, t) >= slope``, clamped to [1e-15, 1 - 1e-15]."""
-        t = self._knot(gamma, slope)
+    def threshold_for_log_slope(self, gamma, log_slope):
+        """Largest knot t with ``log_power_slope(gamma, t) >= log_slope``, in [1e-15, 1 - 1e-15]."""
+        t = self._knot(gamma, log_slope)
         return t if t.ndim else float(t)
 
-    def threshold_power_split(self, gamma, slope):
-        """(t, 1-t, power, 1-power) at the inverse-slope knot."""
-        t = self._knot(gamma, slope)
+    def threshold_power_split(self, gamma, log_slope):
+        """(t, 1-t, power, 1-power) at the inverse-log-slope knot."""
+        t = self._knot(gamma, log_slope)
         pi = np.interp(t, self._t, self._p)
         return t, 1.0 - t, pi, 1.0 - pi
 

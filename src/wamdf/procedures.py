@@ -179,6 +179,8 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
     adaptive = variant in ("UA", "WA")
     if adaptive and lam is None:
         raise ValueError(f"variant {variant} requires lambda")
+    if lam is not None and not np.all((lam > 0) & (lam < 1)):
+        raise ValueError("lambda must lie in (0, 1)")
 
     level = alpha
     w_max = float(w.max())

@@ -85,6 +85,8 @@ class SimConfig:
 
         Lines starting with ``#`` are comments.  A ``preset`` key (1-4)
         seeds the remaining fields, which individual keys then override.
+        ``None`` as the value of ``p_fixed``, ``gamma_fixed`` or
+        ``lambda_fixed`` draws that law.
         """
         raw = {}
         with open(path) as fh:
@@ -99,14 +101,22 @@ class SimConfig:
         known = {f.name for f in fields(cls)}
         kwargs = {}
         for key, value in raw.items():
+            nullable = key in ("p_fixed", "gamma_fixed", "lambda_fixed")
             if key == "variants":
                 kwargs[key] = tuple(v.strip() for v in value.split(","))
-            elif key in ("M", "n_reps", "seed", "preset"):
-                kwargs[key] = int(value)
             elif key == "weight_mode":
                 kwargs[key] = value
+            elif nullable and value == "None":
+                kwargs[key] = None
             elif key in known:
-                kwargs[key] = float(value)
+                integral = key in ("M", "n_reps", "seed", "preset")
+                try:
+                    kwargs[key] = int(value) if integral else float(value)
+                except ValueError:
+                    expected = ("an integer" if integral else
+                                "a number or None" if nullable else "a number")
+                    raise ValueError(f"{path}: {key}: expected {expected}, "
+                                     f"got {value!r}") from None
             else:
                 raise ValueError(f"{path}: unknown config key {key!r}")
         preset = kwargs.pop("preset", None)

@@ -3,10 +3,10 @@
 Given per-hypothesis prior probabilities ``p_m`` that the null is false and
 effect sizes ``gamma_m``, the expected number of correct rejections under a
 mean-threshold budget is maximized by equalizing ``p_m * pi'(t_m)`` across
-hypotheses.  The solver works in the Lagrange multiplier k: each threshold
-is the inverse-slope query ``t_m(k/p_m, gamma_m)``, and either the mean
-threshold (fixed-t weights) or a plug-in FDP level (pre-data weights for the
-adaptive procedure) pins k down.
+hypotheses.  The solver works in the log of the Lagrange multiplier k: each
+threshold is the inverse-log-slope query at ``log k - log p_m``, and either
+the mean threshold (fixed-t weights) or a plug-in FDP level (pre-data weights
+for the adaptive procedure) pins k down.
 """
 
 import warnings
@@ -31,12 +31,11 @@ __all__ = [
 ]
 
 # k spans orders of magnitude as the mean threshold varies, so searches run
-# on a log-spaced bracket.  _k_bracket widens the default [_K_LO, _K_HI] by the
-# slope range of the battery: strong effects (gamma around 30, e.g. sqrt(n)
-# scaling with n in the hundreds) put the solution far below 1e-8.  k stays a
-# float, so every bracket end is clamped to [_K_FLOOR, _K_CEIL].
-_K_LO, _K_HI = 1e-8, 1e8
-_K_FLOOR, _K_CEIL = 1e-300, 1e300
+# in log k.  _k_bracket widens the default [log 1e-8, log 1e8] by the log-slope
+# range of the battery: strong effects (gamma around 30, e.g. sqrt(n) scaling
+# with n in the hundreds) put the solution hundreds of decades below 1, out
+# of the float range of k itself.
+_LOG_K_LO, _LOG_K_HI = np.log(1e-8), np.log(1e8)
 _T_EPS = 1e-15
 _SCAN_POINTS = 512
 # The crossing scan first visits every _COARSE_STEP-th grid point, and
@@ -59,7 +58,8 @@ class NoSolutionError(ValueError):
     alpha, typically because alpha exceeds 1 - max(p) (``out_of_regime``
     is then set): the posited prior model claims more signal than the level
     tolerates.  The fixed-t solve raises it when the mean threshold cannot
-    reach t, as with a power table that cannot, or a k* below 1e-300.
+    reach t, as with a power table that cannot.  Both raise it when every
+    threshold at the solution underflows to 0, so no weights can be formed.
     """
 
     def __init__(self, message, out_of_regime=False):
@@ -105,7 +105,8 @@ class WeightProfile:
     ``weights`` average to 1 unless the profile was perturbed; ``t_bar`` is
     the mean per-test threshold at ``k_star`` (the recommended census
     parameter lambda for the adaptive procedure) and ``u = 1/max(weights)``
-    is the largest admissible overall threshold.
+    is the largest admissible overall threshold.  ``k_star`` is
+    ``exp(log k*)``, which reads 0.0 once k* lies below the float range.
     """
 
     weights: np.ndarray
@@ -162,6 +163,11 @@ class WeightProfile:
         )
 
 
+def _thresholds(prior, log_k, model):
+    """Per-hypothesis thresholds at multiplier ``exp(log_k)``."""
+    return model.threshold_for_log_slope(prior.gamma, log_k - np.log(prior.p))
+
+
 def solve_thresholds(prior, k, model=None):
     """Per-hypothesis thresholds ``t_m`` solving ``pi'(t_m) = k / p_m``.
 
@@ -170,10 +176,7 @@ def solve_thresholds(prior, k, model=None):
     """
     if not np.all((k > 0) & (k < np.inf)):
         raise ValueError("multiplier k must be positive and finite")
-    model = model or default_model()
-    with np.errstate(over="ignore"):  # an infinite slope has a limiting threshold
-        slopes = k / prior.p
-    return model.threshold_for_slope(prior.gamma, slopes)
+    return _thresholds(prior, np.log(k), model or default_model())
 
 
 def mean_threshold(prior, k, model=None):
@@ -184,9 +187,10 @@ def mean_threshold(prior, k, model=None):
 @dataclass
 class _Pairs:
     """A prior's distinct (p, gamma) pairs in first-occurrence order, with
-    their multiplicities, the battery size and max(p)."""
+    log p, their multiplicities, the battery size and max(p)."""
 
     p: np.ndarray
+    log_p: np.ndarray
     gamma: np.ndarray
     count: np.ndarray
     M: int
@@ -201,12 +205,12 @@ def _collapse(prior):
                                 return_counts=True)
     order = np.argsort(first)
     keep = first[order]
-    return _Pairs(prior.p[keep], prior.gamma[keep], count[order].astype(float),
-                  prior.M, prior.p_max)
+    return _Pairs(prior.p[keep], np.log(prior.p[keep]), prior.gamma[keep],
+                  count[order].astype(float), prior.M, prior.p_max)
 
 
-def _fdp_values(pairs, ks, model):
-    """FDP approximator at each multiplier in ``ks``, in one broadcast pass.
+def _fdp_values(pairs, log_ks, model):
+    """FDP approximator at each log multiplier in ``log_ks``, in one broadcast pass.
 
     Means over the battery weight each distinct pair by its multiplicity
     (``sum(x * count) / M``), so unit counts give the bits of a plain mean.
@@ -216,9 +220,8 @@ def _fdp_values(pairs, ks, model):
     1 - G directly: near k = 0 every threshold sits within float rounding
     of 1 and the leading ratio would otherwise be pure cancellation noise.
     """
-    with np.errstate(over="ignore"):
-        slopes = ks[:, None] / pairs.p[None, :]
-    t, tc, pi, pic = model.threshold_power_split(pairs.gamma[None, :], slopes)
+    t, tc, pi, pic = model.threshold_power_split(pairs.gamma[None, :],
+                                                 log_ks[:, None] - pairs.log_p[None, :])
     g = (1.0 - pairs.p) * t + pairs.p * pi
     gc = (1.0 - pairs.p) * tc + pairs.p * pic
     t_bar, g_bar, tc_bar, gc_bar = ((x * pairs.count).sum(axis=1) / pairs.M
@@ -232,17 +235,17 @@ def _fdp_values(pairs, ks, model):
     return vals
 
 
-def _fdp_scan(pairs, ks, model):
-    """``_fdp_values`` over all of ``ks``, evaluated in ascending row blocks of
-    at most ``_BLOCK_ELEMENTS`` elements, so memory is O(block), not O(len(ks) * M)."""
+def _fdp_scan(pairs, log_ks, model):
+    """``_fdp_values`` over all of ``log_ks``, in ascending row blocks of at most
+    ``_BLOCK_ELEMENTS`` elements, so memory is O(block), not O(len(log_ks) * M)."""
     rows = max(1, _BLOCK_ELEMENTS // pairs.p.size)
-    return np.concatenate([np.empty(0)] + [_fdp_values(pairs, ks[start:start + rows], model)
-                                           for start in range(0, ks.size, rows)])
+    return np.concatenate([np.empty(0)] + [_fdp_values(pairs, log_ks[start:start + rows], model)
+                                           for start in range(0, log_ks.size, rows)])
 
 
-def _fdp_at(pairs, k, model):
-    """FDP approximator at one multiplier; warns when it degenerates to 0."""
-    value = float(_fdp_values(pairs, np.array([float(k)]), model)[0])
+def _fdp_at(pairs, log_k, model):
+    """FDP approximator at one log multiplier; warns when it degenerates to 0."""
+    value = float(_fdp_values(pairs, np.array([float(log_k)]), model)[0])
     if value == 0.0:
         warnings.warn("all thresholds underflowed to 0; FDP approximator degenerate", RuntimeWarning)
     return value
@@ -258,50 +261,53 @@ def fdp_approximator(prior, k, model=None):
     """
     if not np.all((k > 0) & (k < np.inf)):
         raise ValueError("multiplier k must be positive and finite")
-    model = model or default_model()
-    return _fdp_at(_collapse(prior), k, model)
+    return _fdp_at(_collapse(prior), np.log(k), model or default_model())
 
 
-def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, k_hi=_K_HI):
-    """The one search bracket [lo, hi] in k, from the prior (or its
+def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI):
+    """The one search bracket [lo, hi] in log k, from the prior (or its
     collapsed pairs) and the model.
 
     Thresholds fall as k grows, and threshold m equals t at
-    ``k = p_m * slope_m(t)``: at ``lo`` every threshold is at least
-    ``t_hi``, at ``hi`` at most ``t_lo``, and the bracket covers at least
-    [1e-8, k_hi].  An end moved beyond [1e-15, 1 - 1e-15] goes a factor
-    of 2 further, which rounding cannot undo.  A tabulated model clamps
+    ``log k = log p_m + log_slope_m(t)``: at ``lo`` every threshold is at
+    least ``t_hi``, at ``hi`` at most ``t_lo``, and the bracket covers at
+    least [log 1e-8, log_k_hi].  An end moved beyond [1e-15, 1 - 1e-15] goes
+    log 2 further, which rounding cannot undo.  A tabulated model clamps
     thresholds at 1e-15 but maps a slope equal to its first secant to the
     next knot; when a threshold at ``hi`` is still above the clamp, ``hi``
-    doubles, so every threshold is clamped and the FDP approximator has
-    reached its constant limit there.  Both ends are clamped to
-    [1e-300, 1e300].
+    grows by log 2, so every threshold is clamped and the FDP approximator
+    has reached its constant limit there.
     """
-    with np.errstate(under="ignore", over="ignore"):
-        lo = float(np.min(model.power_slope(prior.gamma, t_hi) * prior.p))
-        hi = float(np.max(model.power_slope(prior.gamma, t_lo) * prior.p))
-        lo = max(min(lo / 2 if t_hi > 1.0 - _T_EPS else lo, _K_LO), _K_FLOOR)
-        hi = min(max(hi * 2 if t_lo < _T_EPS else hi, k_hi), _K_CEIL)
-        if np.max(model.threshold_for_slope(prior.gamma, hi / prior.p)) > 2 * _T_EPS:
-            hi = min(2 * hi, _K_CEIL)
+    log_p = np.log(prior.p)
+    lo = float(np.min(model.log_power_slope(prior.gamma, t_hi) + log_p))
+    hi = float(np.max(model.log_power_slope(prior.gamma, t_lo) + log_p))
+    lo = min(lo - np.log(2.0) if t_hi > 1.0 - _T_EPS else lo, _LOG_K_LO)
+    hi = max(hi + np.log(2.0) if t_lo < _T_EPS else hi, log_k_hi)
+    if np.max(model.threshold_for_log_slope(prior.gamma, hi - log_p)) > 2 * _T_EPS:
+        hi += np.log(2.0)
     return lo, hi
 
 
-def _profile(prior, k_star, model, warning=False):
-    """Weight profile at multiplier k*: ``w_m = t_m / t_bar``, ``u = 1/max(w)``.
+def _profile(prior, log_k, model, warning=False):
+    """Weight profile at multiplier exp(log_k): ``w_m = t_m / t_bar``, ``u = 1/max(w)``.
 
     A weight below the smallest normal float (a threshold that underflowed)
-    is raised to it, with a warning, so every weight stays positive.
+    is raised to it, with a warning, so every weight stays positive.  When
+    every threshold underflowed there is no weight to form, and
+    NoSolutionError is raised.
     """
-    thresholds = solve_thresholds(prior, k_star, model)
+    thresholds = _thresholds(prior, log_k, model)
     t_bar = float(np.mean(thresholds))
+    if not t_bar > 0:
+        raise NoSolutionError(f"every threshold underflowed to 0 at log k* = {log_k:g}, "
+                              "so no weights can be formed")
     w = thresholds / t_bar
     tiny = np.finfo(float).tiny
     if w.min() < tiny:
         warnings.warn(f"weights below the smallest normal float {tiny:g} (thresholds "
                       "that underflowed) were raised to it", RuntimeWarning)
         w, warning = np.maximum(w, tiny), True
-    return WeightProfile(weights=w, k_star=float(k_star), t_bar=t_bar,
+    return WeightProfile(weights=w, k_star=float(np.exp(log_k)), t_bar=t_bar,
                          u=1.0 / float(w.max()), warning=warning)
 
 
@@ -328,16 +334,15 @@ def optimal_fixed_t_weights(prior, t, model=None):
         raise ValueError("target mean threshold t must lie in (0, 1)")
     model = model or default_model()
 
-    def resid(k):
-        return mean_threshold(prior, k, model) - t
+    def resid(log_k):
+        return float(np.mean(_thresholds(prior, log_k, model))) - t
 
     lo, hi = _k_bracket(prior, model, min(t, _T_EPS), max(t, 1.0 - _T_EPS))
     if resid(lo) < 0 or resid(hi) > 0:
         raise NoSolutionError(f"no multiplier attains mean threshold t={float(t)!r} "
-                              f"(searched k in [{lo:g}, {hi:g}])")
-    log_k = brentq(lambda lk: resid(np.exp(lk)), np.log(lo), np.log(hi),
-                   xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    return _profile(prior, float(np.exp(log_k)), model)
+                              f"(searched log k in [{lo:g}, {hi:g}])")
+    log_k = brentq(resid, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    return _profile(prior, log_k, model)
 
 
 def _first_down(vals):
@@ -347,10 +352,10 @@ def _first_down(vals):
 
 
 def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
-    """Smallest k where the FDP approximator crosses alpha from above.
+    """Smallest log k in [lo, hi] where the FDP approximator crosses alpha from above.
 
     The approximator need not be monotone in k, so the crossing is looked
-    for on a log-spaced grid (ascending, at least four points per decade):
+    for on a grid even in log k (ascending, at least four points per decade):
     the first interval with value >= alpha on the left and < alpha on the
     right, refined by brentq inside it.  The grid is searched coarse to
     fine: every ``_COARSE_STEP``-th point first, in ascending blocks that
@@ -362,8 +367,8 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     grid has the same limit at its own resolution).  Returns None when no
     crossing is found.
     """
-    n_points = max(_SCAN_POINTS, int(4 * (np.log10(hi) - np.log10(lo))))
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), n_points))
+    n_points = max(_SCAN_POINTS, int(4 * (hi - lo) / np.log(10)))
+    grid = np.linspace(lo, hi, n_points)
     coarse = np.r_[np.arange(0, n_points - 1, _COARSE_STEP), n_points - 1]
     size = max(_COARSE_BLOCK, _COARSE_MIN_ELEMENTS // pairs.p.size)
     vals = np.empty(0)
@@ -390,13 +395,8 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     i = offset + d
     if vals[d] == 0.0:
         return float(grid[i])
-    # refine in log space: k can sit hundreds of decades below 1, where an
-    # absolute tolerance on k itself would stop the solver immediately
-    log_k = brentq(
-        lambda lk: _fdp_at(pairs, np.exp(lk), model) - alpha,
-        np.log(grid[i]), np.log(grid[i + 1]), xtol=1e-13, rtol=8.9e-16, maxiter=200,
-    )
-    return float(np.exp(log_k))
+    return brentq(lambda lk: _fdp_at(pairs, lk, model) - alpha, grid[i], grid[i + 1],
+                  xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
 
 def asymptotically_optimal_weights(prior, alpha, model=None):
@@ -419,14 +419,14 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
 
     pairs = _collapse(prior)
     # FDP(k) <= 1/k for a concave power curve, so it is below alpha at 2/alpha
-    lo, hi = _k_bracket(pairs, model, k_hi=max(_K_HI, 2.0 / alpha))
-    k_star = _smallest_downward_crossing(pairs, alpha, lo, hi, model)
-    if k_star is None:
+    lo, hi = _k_bracket(pairs, model, log_k_hi=max(_LOG_K_HI, np.log(2.0 / alpha)))
+    log_k = _smallest_downward_crossing(pairs, alpha, lo, hi, model)
+    if log_k is None:
         detail = (
             f"alpha={alpha:g} > 1 - max(p) = {1.0 - prior.p_max:g}; "
             "the posited prior model claims more signal than the level tolerates"
             if out_of_regime
-            else f"searched k in [{lo:g}, {hi:g}]"
+            else f"searched log k in [{lo:g}, {hi:g}]"
         )
         raise NoSolutionError(f"no multiplier attains FDP level alpha={alpha:g} ({detail})",
                               out_of_regime)
@@ -436,7 +436,7 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
             "a crossing was found but existence is not guaranteed in this regime",
             RuntimeWarning,
         )
-    return _profile(prior, k_star, model, out_of_regime)
+    return _profile(prior, log_k, model, out_of_regime)
 
 
 def perturb_weights(profile, multipliers):

@@ -239,13 +239,13 @@ def test_criterion_9_numerical_property_suites():
     ts = np.linspace(0.001, 0.999, 25)
     for gamma in np.linspace(0.5, 5.0, 10):
         fd = (MODEL.power(gamma, ts + h) - MODEL.power(gamma, ts - h)) / (2 * h)
-        assert np.allclose(MODEL.power_slope(gamma, ts), fd, rtol=1e-6)
+        assert np.allclose(np.exp(MODEL.log_power_slope(gamma, ts)), fd, rtol=1e-6)
 
     # closed-form inversion vs generic bisection, 1e-10 absolute
     for gamma in np.arange(0.5, 5.5, 0.5):
         for s in np.logspace(-1, 2, 10):
-            closed = MODEL.threshold_for_slope(gamma, s)
-            generic = bisect_decreasing(lambda t: MODEL.power_slope(gamma, t), s)
+            closed = MODEL.threshold_for_log_slope(gamma, np.log(s))
+            generic = bisect_decreasing(lambda t: np.exp(MODEL.log_power_slope(gamma, t)), s)
             assert abs(closed - generic) <= 1e-10
 
     # brute-force dominance of the solved allocation, M <= 4

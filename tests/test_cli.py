@@ -82,7 +82,7 @@ class TestWeightsCommand:
 
     @pytest.mark.parametrize("level", [["--alpha", "0.05"], ["--t", "0.05"]])
     def test_tiny_prior_exit_3_and_run_accepts_it(self, tmp_path, capsys, level):
-        # k / p overflows to an infinite slope, whose threshold is its limit 0
+        # the threshold of p = 1e-301 underflows to 0
         prior = tmp_path / "prior.csv"
         prior.write_text("p,gamma\n0.5,2\n1e-301,2\n")
         out = tmp_path / "out"
@@ -94,6 +94,18 @@ class TestWeightsCommand:
         pvalues.write_text("p\n0.001\n0.4\n")
         assert main(["run", str(pvalues), "--weights", str(out / "weights.json"),
                      "--out", str(tmp_path / "r")]) == EXIT_OK
+
+    @pytest.mark.parametrize("alpha", ["0.05", "0.01"])
+    def test_every_threshold_underflowed_exit_2(self, tmp_path, capsys, alpha):
+        # the scan's crossing is the FDP approximator's drop to 0 where every
+        # threshold underflows; NaN weights were written with exit 0
+        prior = tmp_path / "prior.csv"
+        prior.write_text("p,gamma\n0.4,0.04\n0.3,0.05\n")
+        out = tmp_path / "out"
+        assert main(["weights", str(prior), "--alpha", alpha, "--out", str(out)]) == \
+            EXIT_NO_SOLUTION
+        assert capsys.readouterr().err.startswith("error: every threshold underflowed to 0")
+        assert not (out / "weights.json").exists()
 
     def test_requires_exactly_one_target(self, tmp_path, prior_file):
         out = tmp_path / "out"
@@ -129,22 +141,25 @@ class TestWeightsCommand:
 
 
 class TestMultiplierBracket:
-    # k* of the first prior lies below 1e-300; the old solver widened its
-    # bracket six times and then gave up, on the pre-data path with the
-    # 1 - max(p) hint although alpha <= 1 - max(p)
+    # k* of these priors lies below 1e-300, out of the float range; the
+    # linear-k solver stopped at that floor and exited 2 (searched k in
+    # [1e-300, 1e+08]) although alpha <= 1 - max(p)
     STRONG = "p,gamma\n0.5,60\n0.3,45\n0.2,50\n"
 
-    @pytest.mark.parametrize("level, named", [
-        (["--t", "0.05"], "mean threshold t=0.05"),
-        (["--alpha", "0.05"], "FDP level alpha=0.05"),
-    ])
-    def test_unreachable_level_names_the_range(self, tmp_path, capsys, level, named):
-        prior = tmp_path / "prior.csv"
-        prior.write_text(self.STRONG)
-        code = main(["weights", str(prior), *level, "--out", str(tmp_path / "o")])
-        assert code == EXIT_NO_SOLUTION
-        assert capsys.readouterr().err == (
-            f"error: no multiplier attains {named} (searched k in [1e-300, 1e+08])\n")
+    @pytest.mark.parametrize("prior", [STRONG, "p,gamma\n0.5,45\n0.5,46\n0.5,47\n"],
+                             ids=["strong", "45-47"])
+    @pytest.mark.parametrize("level", [["--t", "0.05"], ["--alpha", "0.05"]], ids=["t", "alpha"])
+    def test_k_star_below_the_float_range_solves(self, tmp_path, prior, level):
+        path = tmp_path / "prior.csv"
+        path.write_text(prior)
+        out = tmp_path / "o"
+        assert main(["weights", str(path), *level, "--out", str(out)]) == EXIT_OK
+        d = json.loads((out / "weights.json").read_text())
+        assert d["k_star"] == 0.0 and all(0 < w < np.inf for w in d["weights"])
+        pvalues = tmp_path / "p.csv"
+        pvalues.write_text("p\n0.001\n0.2\n0.5\n")
+        assert main(["run", str(pvalues), "--weights", str(out / "weights.json"),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
 
     def test_out_of_regime_keeps_the_hint(self, tmp_path, capsys):
         prior = tmp_path / "prior.csv"
@@ -233,6 +248,19 @@ class TestRunCommand:
             main(["run", str(pvals), "--variant", "UA", "--out", str(tmp_path / "o")])
             == EXIT_INPUT
         )
+
+    @pytest.mark.parametrize("variant, lam", [
+        ("UU", "nan"), ("UU", "-1"), ("WU", "-1"), ("WU", "1"), ("UA", "0"), ("WA", "nan"),
+    ])
+    def test_bad_lambda_exit_1(self, tmp_path, capsys, variant, lam):
+        # an unadaptive variant ignores lambda, but wrote a NaN one to report.json
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text(WORKED_PVALUES)
+        out = tmp_path / "o"
+        assert main(["run", str(pvals), "--variant", variant, "--lambda", lam,
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: lambda must lie in (0, 1)\n"
+        assert not (out / "report.json").exists()
 
     def test_finite_fdr_flag(self, tmp_path):
         pvals = tmp_path / "pvals.csv"
@@ -376,6 +404,21 @@ class TestSimulateCommand:
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} must")
+
+    @pytest.mark.parametrize("line, expected", [
+        ("p_fixed = abc", "a number or None"),
+        ("alpha = None", "a number"),
+        ("n_reps = 1.5", "an integer"),
+        ("seed = x", "an integer"),
+    ])
+    def test_malformed_config_value_names_file_and_key(self, tmp_path, capsys, line, expected):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"M = 20\nn_reps = 1\nseed = 1\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--threads", "1",
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        key, value = (part.strip() for part in line.split("="))
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: {key}: expected {expected}, got {value!r}\n")
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

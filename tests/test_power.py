@@ -25,7 +25,8 @@ class TestFrozenValues:
         assert MODEL.power(2.0, 0.05) == pytest.approx(0.63876003131233506, rel=1e-13)
 
     def test_slope_value(self):
-        assert MODEL.power_slope(2.0, 0.05) == pytest.approx(3.6317232273173988, rel=1e-13)
+        assert np.exp(MODEL.log_power_slope(2.0, 0.05)) == pytest.approx(3.6317232273173988,
+                                                                     rel=1e-13)
 
     def test_slope_unit_point(self):
         # at t = 1 - Phi(gamma/2) the quantile is gamma/2, so the density
@@ -33,23 +34,24 @@ class TestFrozenValues:
         from scipy.special import ndtr
         for gamma in (0.7, 2.0, 3.5):
             t = ndtr(-gamma / 2.0)
-            assert MODEL.power_slope(gamma, t) == pytest.approx(1.0, abs=1e-12)
+            assert np.exp(MODEL.log_power_slope(gamma, t)) == pytest.approx(1.0, abs=1e-12)
 
     def test_slope_at_published_m2_solution(self):
         # the two-test example equalizes slopes at k/p = 1.7/0.5 = 3.4;
         # the gamma = 2.5 threshold rounds to 0.041
-        assert MODEL.power_slope(2.5, 0.0410) == pytest.approx(3.3973447247858295, rel=1e-12)
-        assert MODEL.threshold_for_slope(2.5, 3.4) == pytest.approx(0.041, abs=5e-5)
+        assert np.exp(MODEL.log_power_slope(2.5, 0.0410)) == pytest.approx(3.3973447247858295,
+                                                                       rel=1e-12)
+        assert MODEL.threshold_for_log_slope(2.5, np.log(3.4)) == pytest.approx(0.041, abs=5e-5)
 
     def test_threshold_value(self):
-        assert MODEL.threshold_for_slope(2.0, 5.04) == pytest.approx(
+        assert MODEL.threshold_for_log_slope(2.0, np.log(5.04)) == pytest.approx(
             0.035248575147992487, rel=1e-13
         )
 
     def test_threshold_unit_slope(self):
         from scipy.special import ndtr
         for gamma in (0.5, 1.0, 2.0, 4.0):
-            assert MODEL.threshold_for_slope(gamma, 1.0) == pytest.approx(
+            assert MODEL.threshold_for_log_slope(gamma, 0.0) == pytest.approx(
                 ndtr(-gamma / 2.0), rel=1e-14
             )
 
@@ -65,17 +67,13 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             MODEL.power(0.0, 0.5)
         with pytest.raises(ValueError):
-            MODEL.power_slope(-1.0, 0.5)
+            MODEL.log_power_slope(-1.0, 0.5)
 
     def test_slope_at_endpoints(self):
         with pytest.raises(ValueError):
-            MODEL.power_slope(2.0, 0.0)
+            MODEL.log_power_slope(2.0, 0.0)
         with pytest.raises(ValueError):
-            MODEL.power_slope(2.0, 1.0)
-
-    def test_nonpositive_slope(self):
-        with pytest.raises(ValueError):
-            MODEL.threshold_for_slope(2.0, 0.0)
+            MODEL.log_power_slope(2.0, 1.0)
 
     @pytest.mark.parametrize("model", [MODEL, TabulatedPowerModel([0.0, 0.2, 1.0], [0.0, 0.6, 1.0])],
                              ids=["normal", "tabulated"])
@@ -84,27 +82,29 @@ class TestDomainErrors:
         with pytest.raises(ValueError, match="t must lie"):
             model.power(2.0, np.nan)
         with pytest.raises(ValueError, match="t in"):
-            model.power_slope(2.0, np.array([0.5, np.nan]))
+            model.log_power_slope(2.0, np.array([0.5, np.nan]))
 
 
 @pytest.mark.parametrize("model, limit", [
     (MODEL, 0.0), (TabulatedPowerModel([0.0, 0.2, 1.0], [0.0, 0.6, 1.0]), 1e-15),
 ], ids=["normal", "tabulated"])
 class TestInfiniteSlope:
-    # k / p overflows for a tiny prior p; an infinite slope gets its limit
+    # a log slope of +inf gets the smallest threshold, -inf the largest
     def test_limit(self, model, limit):
-        slopes = np.array([1.0, np.inf])
-        assert model.threshold_for_slope(2.0, np.inf) == limit
-        t, tc, pi, pic = model.threshold_power_split(2.0, slopes)
-        assert (t[1], tc[1], pi[1]) == (limit, 1.0 - limit, model.power(2.0, limit))
-        assert pic[1] == 1.0 - pi[1]
-        assert t[0] == model.threshold_for_slope(2.0, 1.0)
+        log_slopes = np.array([0.0, np.inf, -np.inf])
+        assert model.threshold_for_log_slope(2.0, np.inf) == limit
+        assert model.threshold_for_log_slope(2.0, -np.inf) == 1.0 - limit
+        t, tc, pi, pic = model.threshold_power_split(2.0, log_slopes)
+        np.testing.assert_array_equal(t[1:], [limit, 1.0 - limit])
+        np.testing.assert_array_equal(tc[1:], 1.0 - t[1:])
+        np.testing.assert_array_equal(pi[1:], model.power(2.0, t[1:]))
+        np.testing.assert_array_equal(pic[1:], 1.0 - pi[1:])
+        assert t[0] == model.threshold_for_log_slope(2.0, 0.0)
 
-    @pytest.mark.parametrize("slope", [np.nan, 0.0, -1.0, -np.inf])
-    def test_non_positive_rejected(self, model, limit, slope):
-        for query in (model.threshold_for_slope, model.threshold_power_split):
-            with pytest.raises(ValueError, match="^slope must be positive"):
-                query(2.0, np.array([1.0, slope]))
+    def test_nan_rejected(self, model, limit):
+        for query in (model.threshold_for_log_slope, model.threshold_power_split):
+            with pytest.raises(ValueError, match="^log slope must not be NaN"):
+                query(2.0, np.array([0.0, np.nan]))
 
 
 class TestAgainstHighPrecisionOracle:
@@ -129,7 +129,7 @@ class TestProperties:
         h = 1e-6
         ts = np.linspace(0.001, 0.999, 25)
         for gamma in GAMMAS:
-            slopes = MODEL.power_slope(gamma, ts)
+            slopes = np.exp(MODEL.log_power_slope(gamma, ts))
             fd = (MODEL.power(gamma, ts + h) - MODEL.power(gamma, ts - h)) / (2 * h)
             assert np.allclose(slopes, fd, rtol=1e-6)
 
@@ -137,20 +137,20 @@ class TestProperties:
         slopes = np.logspace(-1, 2, 16)
         for gamma in GAMMAS:
             for s in slopes:
-                closed = MODEL.threshold_for_slope(gamma, s)
-                generic = bisect_decreasing(lambda t: MODEL.power_slope(gamma, t), s)
+                closed = MODEL.threshold_for_log_slope(gamma, np.log(s))
+                generic = bisect_decreasing(lambda t: np.exp(MODEL.log_power_slope(gamma, t)), s)
                 assert abs(closed - generic) <= 1e-10
 
     def test_inverse_slope_roundtrip(self):
         ts = np.linspace(0.005, 0.995, 40)
         for gamma in GAMMAS:
-            back = MODEL.threshold_for_slope(gamma, MODEL.power_slope(gamma, ts))
+            back = MODEL.threshold_for_log_slope(gamma, MODEL.log_power_slope(gamma, ts))
             assert np.max(np.abs(back - ts)) <= 1e-10
 
     def test_threshold_strictly_decreasing_in_slope(self):
         slopes = np.logspace(-1, 2, 50)
         for gamma in GAMMAS:
-            ts = MODEL.threshold_for_slope(gamma, slopes)
+            ts = MODEL.threshold_for_log_slope(gamma, np.log(slopes))
             assert np.all(np.diff(ts) < 0)
 
     def test_power_curve_shape(self):
@@ -161,7 +161,7 @@ class TestProperties:
             assert np.all(np.diff(pi) >= 0)
             assert np.all(pi >= ts - 1e-15)
             inner = np.linspace(0.001, 0.999, 101)
-            assert np.all(np.diff(MODEL.power_slope(gamma, inner)) < 0)
+            assert np.all(np.diff(MODEL.log_power_slope(gamma, inner)) < 0)
 
 
 class TestThresholdPowerSplit:
@@ -180,8 +180,8 @@ class TestThresholdPowerSplit:
 
     def test_within_one_ulp_of_four_ndtr_split(self):
         for g, log_s in self.grids():
-            new = MODEL.threshold_power_split(g, np.exp(log_s))
-            old = four_ndtr_split(g, np.exp(log_s))
+            new = MODEL.threshold_power_split(g, log_s)
+            old = four_ndtr_split(g, log_s)
             for n, o in zip(new, old):
                 assert n.shape == o.shape == np.broadcast(g, log_s).shape
                 assert np.all(np.abs(n - o) <= np.spacing(o))
@@ -191,19 +191,17 @@ class TestThresholdPowerSplit:
 
     def test_complements_pair_up(self):
         for g, log_s in self.grids():
-            t, tc, pi, pic = MODEL.threshold_power_split(g, np.exp(log_s))
+            t, tc, pi, pic = MODEL.threshold_power_split(g, log_s)
             np.testing.assert_array_equal(np.minimum(t, tc) + np.maximum(t, tc) - 1.0, 0.0)
             np.testing.assert_array_equal(np.minimum(pi, pic) + np.maximum(pi, pic) - 1.0, 0.0)
             small = t <= 0.5
-            np.testing.assert_array_equal(t[small], MODEL.threshold_for_slope(g, np.exp(log_s))[small])
+            np.testing.assert_array_equal(t[small], MODEL.threshold_for_log_slope(g, log_s)[small])
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="gamma"):
-            MODEL.threshold_power_split(0.0, 1.0)
+            MODEL.threshold_power_split(0.0, 0.0)
         with pytest.raises(ValueError, match="slope"):
-            MODEL.threshold_power_split(2.0, np.array([1.0, np.nan]))
-        with pytest.raises(ValueError, match="slope"):
-            MODEL.threshold_power_split(2.0, 0.0)
+            MODEL.threshold_power_split(2.0, np.array([0.0, np.nan]))
 
 
 def _concave_table(n=21):
@@ -226,14 +224,14 @@ class TestTabulatedModel:
         model = TabulatedPowerModel(t, p)
         mid = 0.5 * (t[2] + t[3])
         expected = (p[3] - p[2]) / (t[3] - t[2])
-        assert model.power_slope(1.0, mid) == pytest.approx(expected, rel=1e-14)
+        assert np.exp(model.log_power_slope(1.0, mid)) == pytest.approx(expected, rel=1e-14)
 
     def test_threshold_for_slope_consistent(self):
         t, p = _concave_table(11)
         model = TabulatedPowerModel(t, p)
-        target = model.power_slope(1.0, 0.45)
-        found = model.threshold_for_slope(1.0, target)
-        assert model.power_slope(1.0, max(found, 1e-12)) >= target - 1e-9
+        target = model.log_power_slope(1.0, 0.45)
+        found = model.threshold_for_log_slope(1.0, target)
+        assert model.log_power_slope(1.0, max(found, 1e-12)) >= target - 1e-9
 
     def test_rejects_convex_table(self):
         t = np.linspace(0.0, 1.0, 11)
@@ -285,7 +283,8 @@ class TestTabulatedModel:
             model = TabulatedPowerModel(t, p)
             secants = np.diff(p) / np.diff(t)
             # the slope on (t_i, t_{i+1}] is secant i, also at the knots
-            np.testing.assert_array_equal(model.power_slope(1.0, t[1:-1]), secants[:-1])
+            np.testing.assert_array_equal(model.log_power_slope(1.0, t[1:-1]),
+                                          np.log(secants[:-1]))
             knots, sec = t.tolist(), secants.tolist()
 
             def slope(x):
@@ -300,9 +299,9 @@ class TestTabulatedModel:
             oracle = np.array(
                 [bisect_decreasing(slope, s) for s in slopes]
             )
-            found = model.threshold_for_slope(1.0, slopes)
+            found = model.threshold_for_log_slope(1.0, np.log(slopes))
             np.testing.assert_allclose(found, oracle, rtol=0, atol=1e-12)
-            t_split, tc, pi, pic = model.threshold_power_split(1.0, slopes)
+            t_split, tc, pi, pic = model.threshold_power_split(1.0, np.log(slopes))
             np.testing.assert_allclose(t_split, oracle, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(t_split, found)
             np.testing.assert_array_equal(tc, 1.0 - found)
@@ -316,8 +315,8 @@ class TestTabulatedModel:
         model = TabulatedPowerModel(t, p)
         secants = np.diff(p) / np.diff(t)
         np.testing.assert_array_equal(
-            model.threshold_for_slope(1.0, secants[:-1]), t[1:-1]
+            model.threshold_for_log_slope(1.0, np.log(secants[:-1])), t[1:-1]
         )
-        assert model.threshold_for_slope(1.0, secants[-1]) == 1 - 1e-15
-        assert model.threshold_for_slope(1.0, 2 * secants[0]) == 1e-15
-        assert model.threshold_for_slope(1.0, 0.5 * secants[-1]) == 1 - 1e-15
+        assert model.threshold_for_log_slope(1.0, np.log(secants[-1])) == 1 - 1e-15
+        assert model.threshold_for_log_slope(1.0, np.log(2 * secants[0])) == 1e-15
+        assert model.threshold_for_log_slope(1.0, np.log(0.5 * secants[-1])) == 1 - 1e-15

@@ -3,6 +3,7 @@ multiplier bracket, and the CSV boundary."""
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -26,9 +27,8 @@ from wamdf.procedures import (
 from wamdf.weights import (
     NoSolutionError,
     PriorSpec,
+    WeightProfile,
     asymptotically_optimal_weights,
-    fdp_approximator,
-    mean_threshold,
     optimal_fixed_t_weights,
 )
 
@@ -121,32 +121,71 @@ def test_one_bracket_holds_the_solution(case):
     p, gamma, table, t, alpha = case
     prior, model = PriorSpec(p, gamma), _table_model(table)
     eps = 1e-15
+
+    def mean_threshold_at(log_k):
+        return float(np.mean(weights._thresholds(prior, log_k, model)))
+
     # fixed t: the bracket straddles t, or the solve says it cannot reach t
     lo, hi = weights._k_bracket(prior, model, min(t, eps), max(t, 1 - eps))
-    straddles = mean_threshold(prior, lo, model) >= t >= mean_threshold(prior, hi, model)
+    straddles = mean_threshold_at(lo) >= t >= mean_threshold_at(hi)
     try:
         profile = optimal_fixed_t_weights(prior, t, model)
     except NoSolutionError as exc:
-        assert not straddles and f"searched k in [{lo:g}, {hi:g}]" in str(exc)
-        # only a table's clamps, or k beyond the float range, stop it
-        assert table is not None or lo == 1e-300 or hi == 1e300
+        assert not straddles and f"searched log k in [{lo:g}, {hi:g}]" in str(exc)
+        # only a table's clamps stop it
+        assert table is not None
     else:
-        assert straddles and lo <= profile.k_star <= hi
+        assert straddles and np.exp(lo) <= profile.k_star <= np.exp(hi)
     # pre-data: past hi, no crossing can follow
     pairs = weights._collapse(prior)
-    lo, hi = weights._k_bracket(pairs, model, k_hi=max(1e8, 2.0 / alpha))
-    fdp_hi = fdp_approximator(prior, hi, model)
+    lo, hi = weights._k_bracket(pairs, model, log_k_hi=max(np.log(1e8), np.log(2.0 / alpha)))
+    fdp_hi = weights._fdp_at(pairs, hi, model)
     if table is None:
         assert fdp_hi < alpha
     else:
         # every threshold sits at the 1e-15 clamp: the FDP is constant from here on
-        assert np.all(model.threshold_for_slope(gamma, hi / prior.p) == eps)
-        assert fdp_approximator(prior, 1e4 * hi, model) == fdp_hi
+        assert np.all(model.threshold_for_log_slope(gamma, hi - np.log(prior.p)) == eps)
+        assert weights._fdp_at(pairs, hi + np.log(1e4), model) == fdp_hi
     try:
         asymptotically_optimal_weights(prior, alpha, model)
     except NoSolutionError as exc:
         assert exc.out_of_regime == (alpha > 1 - prior.p_max)
-        assert table is not None or alpha >= 1 - prior.p_max or lo == 1e-300
+        # in the regime, only a table or a crossing where every threshold underflowed
+        assert table is not None or alpha >= 1 - prior.p_max or "underflowed" in str(exc)
+
+
+@st.composite
+def in_regime_priors(draw):
+    """(p, gamma, alpha) with ``alpha = u * (1 - max(p))``, u in (1e-6, 1)."""
+    m = draw(st.integers(1, 6))
+    p = draw(arrays(float, m, elements=st.floats(1e-8, 0.999)))
+    gamma = draw(arrays(float, m, elements=st.floats(0.5, 80.0)))
+    u = draw(st.floats(1e-6, 1.0, exclude_max=True))
+    return p, gamma, float(u * (1.0 - p.max()))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # clamped weights
+@given(in_regime_priors())
+@example(([0.5, 0.5, 0.5], [45.0, 46.0, 47.0], 0.05))   # k* below the float range
+@example(([0.5, 0.3, 0.2], [60.0, 45.0, 50.0], 0.05))
+def test_pre_data_profile_round_trip(case):
+    # inside the guaranteed regime the pre-data solve succeeds, and its
+    # profile survives JSON into the weighted adaptive procedure
+    p, gamma, alpha = case
+    try:
+        profile = asymptotically_optimal_weights(PriorSpec(p, gamma), alpha)
+    except NoSolutionError as exc:
+        # a tiny max(p) with a weak effect puts the crossing below the
+        # smallest float threshold (p = 1e-8, gamma = 0.5, alpha = 0.125)
+        assert "every threshold underflowed" in str(exc) and max(p) < 1e-4
+        return
+    assert np.all((profile.weights > 0) & (profile.weights < np.inf))
+    back = WeightProfile.from_dict(json.loads(json.dumps(profile.to_dict())))
+    np.testing.assert_array_equal(back.weights, profile.weights)
+    pvalues = np.linspace(0.0, 1.0, profile.M)
+    report = run_procedure("WA", pvalues, weights=back.weights, alpha=alpha,
+                           lam=back.t_bar, u=back.u)
+    assert report.lam == profile.t_bar
 
 
 # ---------------------------------------------------------------- CSV boundary

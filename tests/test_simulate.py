@@ -163,6 +163,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             SimConfig(M=1, n_reps=1, seed=1, **{field: value})
 
+    def test_none_draws_the_law(self, tmp_path):
+        # preset 1 fixes p at 0.5; None in the file draws it again
+        path = tmp_path / "sim.cfg"
+        path.write_text("preset = 1\nM = 20\nn_reps = 2\nseed = 3\np_fixed = None\n"
+                        "gamma_fixed = None\nlambda_fixed = None\n")
+        config = SimConfig.from_file(path)
+        assert (config.p_fixed, config.gamma_fixed, config.lambda_fixed) == (None, None, None)
+        _, p, _, _ = generate_model1(config, substream(3, 0))
+        assert np.unique(p).size == 20
+
     def test_from_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("M = 10\nn_reps = 2\nseed = 1\nbogus = 3\n")

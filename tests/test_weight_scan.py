@@ -5,11 +5,14 @@ blocks and the coarse pass: the FDP approximator on every grid point in
 one broadcast over all M hypotheses, the first downward crossing of
 alpha, and brentq on the uncollapsed prior inside it, on the expanding
 multiplier bracket the solver used before it derived one bracket from the
-model.  A sweep holds both solvers against that expanding bracket.
+model.  Both run in log k, like the solver.  A sweep holds both solvers
+against that expanding bracket, and every family against the frozen
+linear-k solver wherever that one solves inside the guaranteed regime.
 """
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,25 +26,26 @@ from wamdf.weights import (
     NoSolutionError,
     PriorSpec,
     asymptotically_optimal_weights,
-    mean_threshold,
     optimal_fixed_t_weights,
 )
 
 from oracles import (
     FourNdtrModel,
     expanding_crossing,
-    expanding_fixed_t_k_star,
+    expanding_fixed_t_log_k,
     first_k_bracket,
+    linear_fixed_t_k_star,
+    linear_pre_data_k_star,
 )
 
 MODEL = NormalLocationModel()
 X5 = np.array([0.86, 1.34, 1.81, 2.37, 3.00])
 
 
-def dense_fdp_values(prior, ks, model):
-    ks = np.asarray(ks, dtype=float)
-    slopes = ks[:, None] / prior.p[None, :]
-    t, tc, pi, pic = model.threshold_power_split(prior.gamma[None, :], slopes)
+def dense_fdp_values(prior, log_ks, model):
+    log_ks = np.asarray(log_ks, dtype=float)
+    log_slopes = log_ks[:, None] - np.log(prior.p)[None, :]
+    t, tc, pi, pic = model.threshold_power_split(prior.gamma[None, :], log_slopes)
     g = (1.0 - prior.p) * t + prior.p * pi
     gc = (1.0 - prior.p) * tc + prior.p * pic
     t_bar = t.mean(axis=1)
@@ -56,8 +60,8 @@ def dense_fdp_values(prior, ks, model):
 
 
 def dense_grid(lo, hi):
-    n_points = max(weights._SCAN_POINTS, int(4 * (np.log10(hi) - np.log10(lo))))
-    return np.exp(np.linspace(np.log(lo), np.log(hi), n_points))
+    n_points = max(weights._SCAN_POINTS, int(4 * (hi - lo) / np.log(10)))
+    return np.linspace(lo, hi, n_points)
 
 
 def dense_crossing(prior, alpha, lo, hi, model):
@@ -69,35 +73,57 @@ def dense_crossing(prior, alpha, lo, hi, model):
     i = down[0]
     if vals[i] == 0.0:
         return float(grid[i])
-    log_k = brentq(
-        lambda lk: float(dense_fdp_values(prior, [np.exp(lk)], model)[0]) - alpha,
-        np.log(grid[i]), np.log(grid[i + 1]), xtol=1e-13, rtol=8.9e-16, maxiter=200,
-    )
-    return float(np.exp(log_k))
+    return brentq(lambda lk: float(dense_fdp_values(prior, [lk], model)[0]) - alpha,
+                  grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
 
-def oracle_k_star(prior, alpha, model=MODEL):
-    """k* of the dense scan on the frozen expanding bracket, or None."""
+def oracle_log_k(prior, alpha, model=MODEL):
+    """log k* of the dense scan on the frozen expanding bracket, or None."""
     return expanding_crossing(lambda lo, hi: dense_crossing(prior, alpha, lo, hi, model),
                               prior, model)
 
 
+def solved_log_k(solve, prior, level, model=MODEL):
+    """(log k*, profile) of one solve, log k* as the solve hands it to
+    ``weights._profile``; (None, None) when it raises NoSolutionError."""
+    with mock.patch.object(weights, "_profile", wraps=weights._profile) as profile:
+        try:
+            result = solve(prior, level, model)
+        except NoSolutionError:
+            return None, None
+    return profile.call_args.args[1], result
+
+
+def linear_pre_data(prior, alpha, model):
+    """k* of the frozen linear-k pre-data solve inside the guaranteed regime,
+    else None.  Beyond it the unclamped bracket can find an earlier crossing
+    below 1e-300, which the linear solver's floor hid, and at its edge the
+    FDP approximator levels off at alpha, so rounding moves the root."""
+    return linear_pre_data_k_star(prior, alpha, model) if alpha < 1 - prior.p_max else None
+
+
+def assert_matches_linear(want_k, got_log_k):
+    """Where the frozen linear-k solver solves, the log-k solve does too, with
+    k* within 1e-12 relative."""
+    if want_k is not None:
+        assert got_log_k is not None, want_k
+        assert abs(np.exp(got_log_k) - want_k) <= 1e-12 * want_k, (np.exp(got_log_k), want_k)
+
+
 def assert_matches_oracle(prior, alpha, model=MODEL):
-    """Same solvability and k* within 1e-12 relative; bitwise on untied priors."""
+    """Same solvability and log k* within 1e-12; bitwise on untied priors."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        want = oracle_k_star(prior, alpha, model)
-        try:
-            got = asymptotically_optimal_weights(prior, alpha, model)
-        except NoSolutionError:
-            got = None
+        want = oracle_log_k(prior, alpha, model)
+        got, profile = solved_log_k(asymptotically_optimal_weights, prior, alpha, model)
+        assert_matches_linear(linear_pre_data(prior, alpha, model), got)
     assert (got is None) == (want is None), (prior, alpha, want)
     if want is None:
         return "none"
-    assert abs(got.k_star - want) <= 1e-12 * want, (got.k_star, want)
+    assert abs(got - want) <= 1e-12, (got, want)
     if np.unique(prior.p + 1j * prior.gamma).size == prior.M:
-        assert got.k_star == want
-        assert np.array_equal(got.weights, weights._profile(prior, want, model).weights)
+        assert got == want
+        assert np.array_equal(profile.weights, weights._profile(prior, want, model).weights)
         return "untied"
     return "tied"
 
@@ -233,13 +259,13 @@ def test_kstar_matches_four_ndtr_split():
 
 
 def scanned_blocks(prior, alpha, monkeypatch):
-    """The multipliers of every ``_fdp_scan`` call of one solve, and its profile."""
+    """The log multipliers of every ``_fdp_scan`` call of one solve, and its profile."""
     scanned = []
     scan = weights._fdp_scan
 
-    def recorded(pairs, ks, model):
-        scanned.append(ks)
-        return scan(pairs, ks, model)
+    def recorded(pairs, log_ks, model):
+        scanned.append(log_ks)
+        return scan(pairs, log_ks, model)
 
     monkeypatch.setattr(weights, "_fdp_scan", recorded)
     with warnings.catch_warnings():
@@ -283,7 +309,7 @@ class TestEarlyStop:
         assert len(scanned) == len(want)
         for got_ks, want_ks in zip(scanned, want):
             np.testing.assert_array_equal(got_ks, want_ks)
-        assert profile.k_star == oracle_k_star(prior, config.alpha)
+        assert profile.k_star == np.exp(oracle_log_k(prior, config.alpha))
 
     def test_few_pairs_scan_the_coarse_points_at_once(self, monkeypatch):
         # two distinct pairs: one call costs less than the elements a stop saves
@@ -308,25 +334,25 @@ class TestScanPieces:
         rng = np.random.default_rng(5)
         prior = PriorSpec(rng.uniform(0.05, 0.9, 300), rng.uniform(0.5, 5.0, 300))
         pairs = weights._collapse(prior)
-        ks = np.exp(np.linspace(-30, 30, 97))
-        one_pass = weights._fdp_values(pairs, ks, MODEL)
-        np.testing.assert_array_equal(one_pass, dense_fdp_values(prior, ks, MODEL))
+        log_ks = np.linspace(-30, 30, 97)
+        one_pass = weights._fdp_values(pairs, log_ks, MODEL)
+        np.testing.assert_array_equal(one_pass, dense_fdp_values(prior, log_ks, MODEL))
         rows = []
         values = weights._fdp_values
 
-        def counted(pairs, ks, model):
-            rows.append(ks.size)
-            return values(pairs, ks, model)
+        def counted(pairs, log_ks, model):
+            rows.append(log_ks.size)
+            return values(pairs, log_ks, model)
 
         monkeypatch.setattr(weights, "_fdp_values", counted)
         monkeypatch.setattr(weights, "_BLOCK_ELEMENTS", 7 * 300 + 5)
-        np.testing.assert_array_equal(weights._fdp_scan(pairs, ks, MODEL), one_pass)
+        np.testing.assert_array_equal(weights._fdp_scan(pairs, log_ks, MODEL), one_pass)
         assert rows == [7] * 13 + [6]
 
     def test_fdp_approximator_matches_dense_on_ties(self):
         prior = PriorSpec(np.full(30, 0.4), np.repeat([1.0, 2.5, 4.0], 10))
         for k in (1e-6, 0.3, 2.0, 40.0):
-            dense = float(dense_fdp_values(prior, [k], MODEL)[0])
+            dense = float(dense_fdp_values(prior, [np.log(k)], MODEL)[0])
             assert weights.fdp_approximator(prior, k) == pytest.approx(dense, rel=1e-14)
 
 
@@ -348,16 +374,16 @@ def test_memory_stays_bounded_at_large_m():
 
 @pytest.mark.parametrize("prior", [
     PriorSpec([0.96], [2.0]),                        # alpha > 1 - max(p)
-    PriorSpec([0.5, 0.3, 0.2], [60.0, 45.0, 50.0]),  # k* below 1e-300
+    PriorSpec([0.97, 0.97], [2.0, 3.0]),             # alpha > 1 - max(p), two pairs
 ])
 def test_no_solution_scans_its_grid_once(prior, monkeypatch):
     # the expanding bracket scanned up to seven grids before giving up
     scanned = []
     scan = weights._fdp_scan
 
-    def recorded(pairs, ks, model):
-        scanned.append(ks)
-        return scan(pairs, ks, model)
+    def recorded(pairs, log_ks, model):
+        scanned.append(log_ks)
+        return scan(pairs, log_ks, model)
 
     monkeypatch.setattr(weights, "_fdp_scan", recorded)
     with pytest.raises(NoSolutionError):
@@ -423,50 +449,57 @@ def sweep_pre_data(prior, model, alpha):
     same_first = old is not None
     if old is None:
         old = expanding_crossing(crossing, prior, model)
-    try:
-        new = asymptotically_optimal_weights(prior, alpha, model).k_star
-    except NoSolutionError:
-        new = None
+    new, _ = solved_log_k(asymptotically_optimal_weights, prior, alpha, model)
+    assert_matches_linear(linear_pre_data(prior, alpha, model), new)
     if old is None:
         assert new is None, (prior, alpha, new)
         return "none"
     if new is None:
-        # only a crossing outside the guaranteed regime, or at its edge
-        assert alpha >= 1.0 - prior.p_max, (prior, alpha, old)
+        # only a crossing outside the guaranteed regime, or at its edge, or
+        # the approximator's drop to 0 where every threshold underflowed
+        assert alpha >= 1.0 - prior.p_max or mean_threshold_at(prior, old, model) == 0.0, (
+            prior, alpha, old)
         return "lost"
-    bracket = weights._k_bracket(pairs, model, k_hi=max(weights._K_HI, 2.0 / alpha))
+    bracket = weights._k_bracket(pairs, model,
+                                 log_k_hi=max(weights._LOG_K_HI, np.log(2.0 / alpha)))
     if same_first and bracket == first:
         assert new == old, (prior, alpha, new, old)
         return "bitwise"
-    assert abs(new - old) <= 1e-12 * old, (prior, alpha, new, old)
+    assert abs(new - old) <= 1e-12, (prior, alpha, new, old)
     return "close"
+
+
+def mean_threshold_at(prior, log_k, model):
+    return float(np.mean(weights._thresholds(prior, log_k, model)))
 
 
 def sweep_fixed_t(prior, model, t):
     """How the one-bracket fixed-t solve compares with the expanding one."""
-    old = expanding_fixed_t_k_star(prior, t, model)
-    try:
-        new = optimal_fixed_t_weights(prior, t, model).k_star
-    except NoSolutionError:
-        new = None
+    old = expanding_fixed_t_log_k(prior, t, model)
+    new, _ = solved_log_k(optimal_fixed_t_weights, prior, t, model)
+    # a t within a few ulp of 1, or at a table's 1e-15 clamp, leaves a
+    # stretch of k where the mean threshold rounds to t: any k there is a root
+    flat = t > 1 - 1e-15 or (model is not MODEL and t == 1e-15)
+    want = linear_fixed_t_k_star(prior, t, model)
+    assert_matches_linear(None if flat else want, new)
+    assert want is None or new is not None, (prior, t, want)
     if old is None:
         if new is not None:
             # beyond the six expansions
-            assert mean_threshold(prior, new, model) == pytest.approx(t, rel=1e-9)
+            assert mean_threshold_at(prior, new, model) == pytest.approx(t, rel=1e-9)
             return "gained"
         return "none"
     assert new is not None, (prior, t, old)
     first = first_k_bracket(prior, model)
     bracket = weights._k_bracket(prior, model, min(t, 1e-15), max(t, 1 - 1e-15))
-    if bracket == first and np.prod([mean_threshold(prior, k, model) - t for k in first]) <= 0:
+    if bracket == first and np.prod([mean_threshold_at(prior, lk, model) - t
+                                     for lk in first]) <= 0:
         assert new == old, (prior, t, new, old)
         return "bitwise"
-    if abs(new - old) <= 1e-12 * old:
+    if abs(new - old) <= 1e-12:
         return "close"
-    # a t within a few ulp of 1, or at a table's 1e-15 clamp, leaves a
-    # stretch of k where the mean threshold rounds to t: any k there is a root
-    assert t > 1 - 1e-15 or (model is not MODEL and t == 1e-15), (prior, t, new, old)
-    resid = [abs(mean_threshold(prior, k, model) - t) for k in (old, new)]
+    assert flat, (prior, t, new, old)
+    resid = [abs(mean_threshold_at(prior, lk, model) - t) for lk in (old, new)]
     assert resid[1] <= max(resid[0], 2.0 ** -53), (prior, t, old, new)
     return "flat"
 

@@ -177,7 +177,7 @@ class TestFdpApproximator:
         # is the 40-digit oracle result for this configuration
         prior = PriorSpec([0.5], [2.0])
         k = 2.52  # slope k/p = 5.04
-        t = MODEL.threshold_for_slope(2.0, k / 0.5)
+        t = MODEL.threshold_for_log_slope(2.0, np.log(k / 0.5))
         g = 0.5 * t + 0.5 * MODEL.power(2.0, t)
         direct = (1 - g) / (1 - t) * (t / g)
         value = fdp_approximator(prior, k)
