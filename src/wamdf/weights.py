@@ -37,7 +37,15 @@ __all__ = [
 # of the float range of k itself.
 _LOG_K_LO, _LOG_K_HI = np.log(1e-8), np.log(1e8)
 _T_EPS = 1e-15
+# The crossing scan takes four grid points per decade of k, but at least
+# _SCAN_POINTS and at most _MAX_SCAN_POINTS (four per decade across the 600
+# decades a float k spans): the bracket grows with gamma^2, so a wider one
+# gets a coarser grid, not a longer scan.
 _SCAN_POINTS = 512
+_MAX_SCAN_POINTS = 2400
+# brentq in log k: bisection alone narrows any finite bracket (under 2^1024
+# wide) to xtol 1e-13 (over 2^-44) in 1,068 steps
+_BRENTQ = dict(xtol=1e-13, rtol=8.9e-16, maxiter=1100)
 # The crossing scan first visits every _COARSE_STEP-th grid point, and
 # evaluates the grid in row blocks of at most _BLOCK_ELEMENTS (k, pair)
 # elements, so its temporaries stay near a dozen 512 KB arrays at any M.
@@ -272,7 +280,9 @@ def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI)
     ``log k = log p_m + log_slope_m(t)``: at ``lo`` every threshold is at
     least ``t_hi``, at ``hi`` at most ``t_lo``, and the bracket covers at
     least [log 1e-8, log_k_hi].  An end moved beyond [1e-15, 1 - 1e-15] goes
-    log 2 further, which rounding cannot undo.  A tabulated model clamps
+    log 2 further, which rounding cannot undo.  A bracket whose width is
+    not finite (an effect size near the square root of the largest float)
+    raises NoSolutionError.  A tabulated model clamps
     thresholds at 1e-15 but maps a slope equal to its first secant to the
     next knot; when a threshold at ``hi`` is still above the clamp, ``hi``
     grows by log 2, so every threshold is clamped and the FDP approximator
@@ -283,6 +293,9 @@ def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI)
     hi = float(np.max(model.log_power_slope(prior.gamma, t_lo) + log_p))
     lo = min(lo - np.log(2.0) if t_hi > 1.0 - _T_EPS else lo, _LOG_K_LO)
     hi = max(hi + np.log(2.0) if t_lo < _T_EPS else hi, log_k_hi)
+    if not np.isfinite(hi - lo):
+        raise NoSolutionError(f"the log k bracket [{lo:g}, {hi:g}] is not finite: "
+                              "an effect size is too large for float arithmetic")
     if np.max(model.threshold_for_log_slope(prior.gamma, hi - log_p)) > 2 * _T_EPS:
         hi += np.log(2.0)
     return lo, hi
@@ -341,7 +354,7 @@ def optimal_fixed_t_weights(prior, t, model=None):
     if resid(lo) < 0 or resid(hi) > 0:
         raise NoSolutionError(f"no multiplier attains mean threshold t={float(t)!r} "
                               f"(searched log k in [{lo:g}, {hi:g}])")
-    log_k = brentq(resid, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    log_k = brentq(resid, lo, hi, **_BRENTQ)
     return _profile(prior, log_k, model)
 
 
@@ -355,29 +368,34 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     """Smallest log k in [lo, hi] where the FDP approximator crosses alpha from above.
 
     The approximator need not be monotone in k, so the crossing is looked
-    for on a grid even in log k (ascending, at least four points per decade):
-    the first interval with value >= alpha on the left and < alpha on the
-    right, refined by brentq inside it.  The grid is searched coarse to
-    fine: every ``_COARSE_STEP``-th point first, in ascending blocks that
-    stop at the first block showing a downward crossing, then every point
-    of the first coarse interval that crosses downward.  When the coarse
-    points show no downward crossing, the rest of the grid is scanned too.
-    A bump above alpha, or a dip below it, that is narrower than one coarse
-    step and lies before the first coarse crossing is not seen (the full
-    grid has the same limit at its own resolution).  Returns None when no
-    crossing is found.
+    for on a grid even in log k (ascending, four points per decade within
+    [_SCAN_POINTS, _MAX_SCAN_POINTS] points): the first interval with value
+    >= alpha on the left and < alpha on the right, refined by brentq inside
+    it.  The grid is searched coarse to fine: every ``_COARSE_STEP``-th
+    point first, in ascending blocks that stop at the first block showing a
+    downward crossing, then every point of the first coarse interval that
+    crosses downward.  When the coarse points show no downward crossing,
+    the rest of the grid is scanned too.  A bump above alpha, or a dip
+    below it, that is narrower than one coarse step and lies before the
+    first coarse crossing is not seen (the full grid has the same limit at
+    its own resolution).  Returns None when no crossing is found.
     """
-    n_points = max(_SCAN_POINTS, int(4 * (hi - lo) / np.log(10)))
+    decades = min((hi - lo) / np.log(10), _MAX_SCAN_POINTS / 4)
+    n_points = max(_SCAN_POINTS, int(4 * decades))
     grid = np.linspace(lo, hi, n_points)
     coarse = np.r_[np.arange(0, n_points - 1, _COARSE_STEP), n_points - 1]
     size = max(_COARSE_BLOCK, _COARSE_MIN_ELEMENTS // pairs.p.size)
-    vals = np.empty(0)
+    blocks, prev, j = [], np.empty(0), None
     for start in range(0, coarse.size, size):
         block = _fdp_scan(pairs, grid[coarse[start:start + size]], model) - alpha
-        vals = np.concatenate([vals, block])
-        j = _first_down(vals)
-        if j is not None:
+        blocks.append(block)
+        # each block is checked on its own, after the last value before it
+        d = _first_down(np.concatenate([prev, block]))
+        if d is not None:
+            j = start - prev.size + d
             break
+        prev = block[-1:]
+    vals = np.concatenate(blocks)
     if j is not None:
         # the first downward coarse interval, its end values reused
         offset, b = coarse[j], coarse[j + 1]
@@ -395,8 +413,7 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     i = offset + d
     if vals[d] == 0.0:
         return float(grid[i])
-    return brentq(lambda lk: _fdp_at(pairs, lk, model) - alpha, grid[i], grid[i + 1],
-                  xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    return brentq(lambda lk: _fdp_at(pairs, lk, model) - alpha, grid[i], grid[i + 1], **_BRENTQ)
 
 
 def asymptotically_optimal_weights(prior, alpha, model=None):
@@ -408,14 +425,17 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     there, with ``t_bar`` doubling as the recommended lambda and
     ``u = 1/max(w)``.
 
-    A solution is guaranteed when ``alpha <= 1 - max(p)``.  Outside that
-    regime the solve proceeds if a crossing exists but the profile carries
-    ``warning=True``; with no crossing, NoSolutionError is raised.
+    A solution is guaranteed when ``alpha <= 1 - max(p)``, unless its
+    thresholds lie where floats cannot hold them: every one below the float
+    range, or (alpha within rounding of 1 - max(p)) every one within 1e-15
+    of 1.  Outside that regime the solve proceeds if a crossing exists but
+    the profile carries ``warning=True``; with no crossing, NoSolutionError
+    is raised.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     model = model or default_model()
-    out_of_regime = alpha > 1.0 - prior.p_max
+    out_of_regime = bool(alpha > 1.0 - prior.p_max)
 
     pairs = _collapse(prior)
     # FDP(k) <= 1/k for a concave power curve, so it is below alpha at 2/alpha

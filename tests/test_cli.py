@@ -161,6 +161,17 @@ class TestMultiplierBracket:
         assert main(["run", str(pvalues), "--weights", str(out / "weights.json"),
                      "--out", str(tmp_path / "r")]) == EXIT_OK
 
+    @pytest.mark.parametrize("level", [["--t", "0.05"], ["--alpha", "0.05"]], ids=["t", "alpha"])
+    def test_effect_size_beyond_the_float_range(self, tmp_path, capsys, level):
+        # gamma^2 / 2 overflows: no bracket, exit 2 with a message, no traceback
+        prior = tmp_path / "prior.csv"
+        prior.write_text("p,gamma\n0.5,1\n0.5,1e200\n")
+        out = tmp_path / "o"
+        assert main(["weights", str(prior), *level, "--out", str(out)]) == EXIT_NO_SOLUTION
+        err = capsys.readouterr().err
+        assert err.startswith("error: the log k bracket [-inf, ") and "Traceback" not in err
+        assert not (out / "weights.json").exists()
+
     def test_out_of_regime_keeps_the_hint(self, tmp_path, capsys):
         prior = tmp_path / "prior.csv"
         prior.write_text("p,gamma\n0.96,2\n")

@@ -168,6 +168,8 @@ def in_regime_priors(draw):
 @given(in_regime_priors())
 @example(([0.5, 0.5, 0.5], [45.0, 46.0, 47.0], 0.05))   # k* below the float range
 @example(([0.5, 0.3, 0.2], [60.0, 45.0, 50.0], 0.05))
+@example(([1e-8], [0.5], 0.125))   # the crossing needs a threshold near 1e-368
+@example(([0.5], [4.0], 0.49999999999999994))   # ... and here one within 1e-16 of 1
 def test_pre_data_profile_round_trip(case):
     # inside the guaranteed regime the pre-data solve succeeds, and its
     # profile survives JSON into the weighted adaptive procedure
@@ -175,9 +177,24 @@ def test_pre_data_profile_round_trip(case):
     try:
         profile = asymptotically_optimal_weights(PriorSpec(p, gamma), alpha)
     except NoSolutionError as exc:
-        # a tiny max(p) with a weak effect puts the crossing below the
-        # smallest float threshold (p = 1e-8, gamma = 0.5, alpha = 0.125)
-        assert "every threshold underflowed" in str(exc) and max(p) < 1e-4
+        # the two in-regime exits, each where the crossing needs thresholds
+        # that floats cannot hold
+        prior = PriorSpec(p, gamma)
+        model = NormalLocationModel()
+        pairs = weights._collapse(prior)
+        if "every threshold underflowed" in str(exc):
+            # every threshold at the crossing is below the float range, so
+            # t_bar (the lambda to write) is 0: the FDP approximator is still
+            # at least alpha where the largest threshold is 1e-300
+            log_k = np.max(np.log(prior.p) + model.log_power_slope(prior.gamma, 1e-300))
+            assert weights._fdp_at(pairs, log_k, model) >= alpha
+        else:
+            # alpha within rounding of 1 - max(p): the approximator rises to
+            # that limit from below as k -> 0, so the crossing needs every
+            # threshold within 1e-15 of 1, past the bracket's low end
+            assert "no multiplier attains FDP level" in str(exc)
+            assert alpha > (1 - prior.p_max) * (1 - 1e-9)
+            assert weights._fdp_at(pairs, weights._k_bracket(pairs, model)[0], model) < alpha
         return
     assert np.all((profile.weights > 0) & (profile.weights < np.inf))
     back = WeightProfile.from_dict(json.loads(json.dumps(profile.to_dict())))

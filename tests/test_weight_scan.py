@@ -60,7 +60,8 @@ def dense_fdp_values(prior, log_ks, model):
 
 
 def dense_grid(lo, hi):
-    n_points = max(weights._SCAN_POINTS, int(4 * (hi - lo) / np.log(10)))
+    decades = min((hi - lo) / np.log(10), weights._MAX_SCAN_POINTS / 4)
+    n_points = max(weights._SCAN_POINTS, int(4 * decades))
     return np.linspace(lo, hi, n_points)
 
 
@@ -390,6 +391,28 @@ def test_no_solution_scans_its_grid_once(prior, monkeypatch):
         asymptotically_optimal_weights(prior, 0.05)
     grid = dense_grid(*weights._k_bracket(prior, MODEL))
     np.testing.assert_array_equal(np.sort(np.concatenate(scanned)), grid)
+
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e4, 1e150])
+def test_strong_effects_scan_a_bounded_grid(gamma, monkeypatch):
+    # the bracket reaches about -gamma^2/2 in log k, far below the float
+    # range of k, and the weak pair puts the crossing near log k = 0 at the
+    # far end of it; the grid stops at _MAX_SCAN_POINTS points all the same
+    prior = PriorSpec([0.5, 0.5], [1.0, gamma])
+    lo, hi = weights._k_bracket(weights._collapse(prior), MODEL)
+    assert 4 * (hi - lo) / np.log(10) > 300 * weights._MAX_SCAN_POINTS
+    scanned, profile = scanned_blocks(prior, 0.05, monkeypatch)
+    assert sum(log_ks.size for log_ks in scanned) <= weights._MAX_SCAN_POINTS
+    # the frozen linear-k solver, whose floor hid the strong pair's range,
+    # found the same crossing
+    want = linear_pre_data_k_star(prior, 0.05, MODEL)
+    assert abs(profile.k_star - want) <= 1e-12 * want
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the strong pair's weight is clamped
+        fixed = optimal_fixed_t_weights(prior, 0.05)
+    want = linear_fixed_t_k_star(prior, 0.05, MODEL)
+    assert abs(fixed.k_star - want) <= 1e-12 * want
 
 
 def random_table(rng):

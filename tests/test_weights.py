@@ -351,3 +351,14 @@ class TestWeightProfileSerialization:
         assert loaded.t_bar == profile.t_bar
         assert loaded.u == profile.u
         assert loaded.warning == profile.warning
+
+    @pytest.mark.filterwarnings("ignore:alpha=:RuntimeWarning")
+    @pytest.mark.parametrize("prior, warning", [
+        (worked_prior(), False),
+        (PriorSpec([0.97, 0.4, 0.4, 0.4], [2.0, 2.0, 3.0, 2.5]), True),   # out of regime
+    ])
+    def test_numpy_alpha_writes_a_json_bool(self, prior, warning):
+        import json
+
+        profile = asymptotically_optimal_weights(prior, np.float64(0.05))
+        assert json.loads(json.dumps(profile.to_dict()))["warning"] is warning
