@@ -23,7 +23,6 @@ from .power import NormalLocationModel, TabulatedPowerModel, default_model
 from .procedures import (
     VARIANTS,
     DecisionReport,
-    adaptive_fdp_estimate,
     alpha_star,
     estimate_m0,
     fdr_upper_bound,

@@ -20,7 +20,6 @@ __all__ = [
     "DecisionReport",
     "weighted_pvalues",
     "estimate_m0",
-    "adaptive_fdp_estimate",
     "step_up_threshold",
     "run_procedure",
     "alpha_star",
@@ -94,17 +93,6 @@ def estimate_m0(q, lam):
     q = np.asarray(q, dtype=float)
     r_lam = int(np.sum(q <= lam))
     return (q.size - r_lam + 1) / (1.0 - lam)
-
-
-def adaptive_fdp_estimate(t, q, m0_hat):
-    """Estimated FDP at overall threshold t: ``m0_hat * t / max(R(t), 1)``."""
-    if not 0 <= t <= 1:
-        raise ValueError("threshold t must lie in [0, 1]")
-    if not np.all((m0_hat > 0) & (m0_hat < np.inf)):
-        raise ValueError("m0_hat must be positive and finite")
-    q = np.asarray(q, dtype=float)
-    r = int(np.sum(q <= t))
-    return m0_hat * t / max(r, 1)
 
 
 def step_up_threshold(q, m0_hat, alpha, u):

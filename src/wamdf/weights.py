@@ -37,26 +37,15 @@ __all__ = [
 # of the float range of k itself.
 _LOG_K_LO, _LOG_K_HI = np.log(1e-8), np.log(1e8)
 _T_EPS = 1e-15
-# The crossing scan takes four grid points per decade of k, but at least
-# _SCAN_POINTS and at most _MAX_SCAN_POINTS (four per decade across the 600
-# decades a float k spans): the bracket grows with gamma^2, so a wider one
-# gets a coarser grid, not a longer scan.
-_SCAN_POINTS = 512
-_MAX_SCAN_POINTS = 2400
 # brentq in log k: bisection alone narrows any finite bracket (under 2^1024
 # wide) to xtol 1e-13 (over 2^-44) in 1,068 steps
 _BRENTQ = dict(xtol=1e-13, rtol=8.9e-16, maxiter=1100)
-# The crossing scan first visits every _COARSE_STEP-th grid point, and
-# evaluates the grid in row blocks of at most _BLOCK_ELEMENTS (k, pair)
-# elements, so its temporaries stay near a dozen 512 KB arrays at any M.
-# The coarse points go in ascending blocks that stop at the first crossing:
-# _COARSE_BLOCK points each, or as many as make _COARSE_MIN_ELEMENTS elements
-# when there are few distinct pairs, since every block also pays a fixed
-# cost of about a thousand elements in numpy calls.
-_COARSE_STEP = 8
-_COARSE_BLOCK = 8
-_COARSE_MIN_ELEMENTS = 1 << 13
-_BLOCK_ELEMENTS = 1 << 16
+# The crossing search splits a cell into at most _SPLIT_CAP pieces a round,
+# none of _CELL_WIDTH or less in log k, and evaluates in row blocks of at most
+# _BLOCK_ELEMENTS (k, pair) elements: temporaries near a dozen 64 KB arrays.
+_SPLIT_CAP = 8
+_CELL_WIDTH = 0.01
+_BLOCK_ELEMENTS = 1 << 13
 
 
 class NoSolutionError(ValueError):
@@ -218,7 +207,7 @@ def _collapse(prior):
 
 
 def _fdp_values(pairs, log_ks, model):
-    """FDP approximator at each log multiplier in ``log_ks``, in one broadcast pass.
+    """FDP approximator and means t_bar, g_bar, 1 - t_bar, 1 - g_bar at each ``log_ks``.
 
     Means over the battery weight each distinct pair by its multiplicity
     (``sum(x * count) / M``), so unit counts give the bits of a plain mean.
@@ -232,28 +221,32 @@ def _fdp_values(pairs, log_ks, model):
                                                  log_ks[:, None] - pairs.log_p[None, :])
     g = (1.0 - pairs.p) * t + pairs.p * pi
     gc = (1.0 - pairs.p) * tc + pairs.p * pic
-    t_bar, g_bar, tc_bar, gc_bar = ((x * pairs.count).sum(axis=1) / pairs.M
-                                    for x in (t, g, tc, gc))
+    t_bar, g_bar, tc_bar, gc_bar = means = [(x * pairs.count).sum(axis=1) / pairs.M
+                                            for x in (t, g, tc, gc)]
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (gc_bar / tc_bar) * (t_bar / g_bar)
     # k -> infinity: all thresholds underflow, the estimator vanishes
     vals = np.where((t_bar == 0.0) | (g_bar == 0.0), 0.0, vals)
     # k -> 0: survival masses underflow; use the limiting lower bound
     vals = np.where(tc_bar == 0.0, 1.0 - pairs.p_max, vals)
-    return vals
+    return vals, means
 
 
 def _fdp_scan(pairs, log_ks, model):
     """``_fdp_values`` over all of ``log_ks``, in ascending row blocks of at most
-    ``_BLOCK_ELEMENTS`` elements, so memory is O(block), not O(len(log_ks) * M)."""
+    ``_BLOCK_ELEMENTS`` elements, so memory is O(block), not O(len(log_ks) * M).
+    Returns rows: ``log_ks``, the values, and the logs of the values and means."""
     rows = max(1, _BLOCK_ELEMENTS // pairs.p.size)
-    return np.concatenate([np.empty(0)] + [_fdp_values(pairs, log_ks[start:start + rows], model)
-                                           for start in range(0, log_ks.size, rows)])
+    vals, means = (np.concatenate(part, axis=-1) for part in
+                   zip(*(_fdp_values(pairs, log_ks[start:start + rows], model)
+                         for start in range(0, log_ks.size, rows))))
+    with np.errstate(divide="ignore"):
+        return np.vstack([log_ks, vals, np.log(vals), np.log(means)])
 
 
 def _fdp_at(pairs, log_k, model):
     """FDP approximator at one log multiplier; warns when it degenerates to 0."""
-    value = float(_fdp_values(pairs, np.array([float(log_k)]), model)[0])
+    value = float(_fdp_values(pairs, np.array([float(log_k)]), model)[0][0])
     if value == 0.0:
         warnings.warn("all thresholds underflowed to 0; FDP approximator degenerate", RuntimeWarning)
     return value
@@ -358,62 +351,66 @@ def optimal_fixed_t_weights(prior, t, model=None):
     return _profile(prior, log_k, model)
 
 
-def _first_down(vals):
-    """Index of the first i with vals[i] >= 0 > vals[i + 1], or None."""
-    down = np.flatnonzero((vals[:-1] >= 0) & (vals[1:] < 0))
-    return int(down[0]) if down.size else None
-
-
 def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     """Smallest log k in [lo, hi] where the FDP approximator crosses alpha from above.
 
-    The approximator need not be monotone in k, so the crossing is looked
-    for on a grid even in log k (ascending, four points per decade within
-    [_SCAN_POINTS, _MAX_SCAN_POINTS] points): the first interval with value
-    >= alpha on the left and < alpha on the right, refined by brentq inside
-    it.  The grid is searched coarse to fine: every ``_COARSE_STEP``-th
-    point first, in ascending blocks that stop at the first block showing a
-    downward crossing, then every point of the first coarse interval that
-    crosses downward.  When the coarse points show no downward crossing,
-    the rest of the grid is scanned too.  A bump above alpha, or a dip
-    below it, that is narrower than one coarse step and lies before the
-    first coarse crossing is not seen (the full grid has the same limit at
-    its own resolution).  Returns None when no crossing is found.
+    The approximator need not be monotone in k, so the search bounds it on
+    cells of [lo, hi] from the means at their ends.  As t_bar and g_bar fall
+    in k and ``pi(t) >= t``, ``FDP = A * B`` with ``A = (1 - g_bar) / (1 - t_bar)``
+    in [1 - max(p), 1] and ``B = t_bar / g_bar`` in [t_bar(b) / g_bar(a), 1]
+    on a cell [a, b], and the FDP lies in ``[FDP(a) / e^V, FDP(b) e^V]`` and
+    in ``[FDP(b) / e^W, FDP(a) e^W]``, V and W being the rises of
+    ``log(1 - t_bar) - log(t_bar)`` and ``log(1 - g_bar) - log(g_bar)`` across
+    the cell.  Each round drops every cell after the first whose ends go from
+    >= alpha to < alpha, and splits each cell wider than ``_CELL_WIDTH`` whose
+    bounds hold alpha: in 4 when its ends straddle alpha, else in
+    ``ceil(min(V, W) / margin) + 1`` (2 to ``_SPLIT_CAP``), margin being the
+    log distance to alpha of the nearer end.  Then brentq refines the
+    crossing cell.  A bump above or a dip below alpha is missed only when it
+    fits inside one cell.  Returns None when no cell crosses.
     """
-    decades = min((hi - lo) / np.log(10), _MAX_SCAN_POINTS / 4)
-    n_points = max(_SCAN_POINTS, int(4 * decades))
-    grid = np.linspace(lo, hi, n_points)
-    coarse = np.r_[np.arange(0, n_points - 1, _COARSE_STEP), n_points - 1]
-    size = max(_COARSE_BLOCK, _COARSE_MIN_ELEMENTS // pairs.p.size)
-    blocks, prev, j = [], np.empty(0), None
-    for start in range(0, coarse.size, size):
-        block = _fdp_scan(pairs, grid[coarse[start:start + size]], model) - alpha
-        blocks.append(block)
-        # each block is checked on its own, after the last value before it
-        d = _first_down(np.concatenate([prev, block]))
-        if d is not None:
-            j = start - prev.size + d
-            break
-        prev = block[-1:]
-    vals = np.concatenate(blocks)
-    if j is not None:
-        # the first downward coarse interval, its end values reused
-        offset, b = coarse[j], coarse[j + 1]
-        vals = np.concatenate([vals[j:j + 1], _fdp_scan(pairs, grid[offset + 1:b], model) - alpha,
-                               vals[j + 1:j + 2]])
-    else:
-        # no coarse crossing: fill in the points between the coarse ones
-        offset, rest = 0, np.setdiff1d(np.arange(n_points), coarse)
-        full = np.empty(n_points)
-        full[coarse], full[rest] = vals, _fdp_scan(pairs, grid[rest], model) - alpha
-        vals = full
-    d = _first_down(vals)
-    if d is None:
+    log_alpha, log_floor = np.log(alpha), np.log(1.0 - pairs.p_max)
+    # rows: log k, FDP, then the logs of FDP, t_bar, g_bar, 1 - t_bar, 1 - g_bar
+    pts = _fdp_scan(pairs, np.linspace(lo, hi, _SPLIT_CAP + 1), model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            above = pts[1] >= alpha
+            # cells whose ends go from >= alpha to < alpha
+            down = np.flatnonzero(above[:-1] > above[1:])
+            if down.size:
+                pts, above = pts[:, :down[0] + 2], above[:down[0] + 2]
+            x, f, lf, lt, lg, ltc, lgc = pts
+            a, b, width = x[:-1], x[1:], np.diff(x)
+            var = ltc[1:] - ltc[:-1] + lt[:-1] - lt[1:]
+            gvar = lgc[1:] - lgc[:-1] + lg[:-1] - lg[1:]
+            lower = np.fmax(np.fmax(lf[:-1] - var, lf[1:] - gvar), log_floor + lt[1:] - lg[:-1])
+            upper = np.fmin(np.fmin(lf[1:] + var, lf[:-1] + gvar),
+                            np.fmin(lgc[1:] - ltc[:-1], lt[:-1] - lg[1:]))
+            # 1 - t_bar(b), t_bar(a) or g_bar(a) underflowed: the FDP is constant
+            flat = np.isneginf(np.fmin(np.fmin(lt[:-1], lg[:-1]), ltc[1:]))
+            # split cells that may cross, are wide, and have a float strictly inside
+            cells = np.flatnonzero((lower < log_alpha) & (upper >= log_alpha) & ~flat
+                                   & (width > _CELL_WIDTH) & (np.nextafter(a, b) < b))
+            if not cells.size:
+                break
+            margin = np.fmin(*np.abs(lf[np.array([cells, cells + 1])] - log_alpha))
+            pieces = np.ceil(np.fmin(var, gvar)[cells] / margin) + 1
+            pieces = np.fmax(np.fmin(pieces, _SPLIT_CAP), 2)
+            pieces[above[cells] != above[cells + 1]] = _SPLIT_CAP // 2
+            # the points a + (b - a) j / n of each cell cut into n pieces, 0 < j < n
+            frac = np.arange(1, _SPLIT_CAP) / pieces[:, None]
+            new = (a[cells, None] + width[cells, None] * frac)[frac < 1]
+            pts = np.concatenate([pts, _fdp_scan(pairs, new, model)], axis=1)
+            pts = pts[:, np.argsort(pts[0], kind="stable")]
+    if not down.size:
         return None
-    i = offset + d
-    if vals[d] == 0.0:
-        return float(grid[i])
-    return brentq(lambda lk: _fdp_at(pairs, lk, model) - alpha, grid[i], grid[i + 1], **_BRENTQ)
+    i = down[0]
+    if f[i] == alpha:
+        return float(x[i])
+    # brentq first evaluates the cell's ends, which the search already has
+    ends = {x[i]: f[i], x[i + 1]: f[i + 1]}
+    return brentq(lambda lk: (ends[lk] if lk in ends else _fdp_at(pairs, lk, model)) - alpha,
+                  x[i], x[i + 1], **_BRENTQ)
 
 
 def asymptotically_optimal_weights(prior, alpha, model=None):
@@ -423,7 +420,9 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     solution with the largest mean threshold, consistent with the
     data-dependent threshold chosen later) and returns the weight profile
     there, with ``t_bar`` doubling as the recommended lambda and
-    ``u = 1/max(w)``.
+    ``u = 1/max(w)``.  The crossing is found by a search that bounds the
+    FDP on cells of log k down to 0.01 wide, so it is missed only where
+    the FDP's stretch above alpha before it fits inside one such cell.
 
     A solution is guaranteed when ``alpha <= 1 - max(p)``, unless its
     thresholds lie where floats cannot hold them: every one below the float

@@ -32,6 +32,21 @@ def bisect_decreasing(f, target, lo=1e-15, hi=1 - 1e-15, tol=1e-12, max_iter=200
     return 0.5 * (lo + hi)
 
 
+def adaptive_fdp_estimate(t, q, m0_hat):
+    """Estimated FDP at overall threshold t: ``m0_hat * t / max(R(t), 1)``.
+
+    ``step_up_threshold`` picks, in closed form, the largest t at which this
+    estimate is at most alpha; the tests scan candidate thresholds with it.
+    """
+    if not 0 <= t <= 1:
+        raise ValueError("threshold t must lie in [0, 1]")
+    if not np.all((m0_hat > 0) & (m0_hat < np.inf)):
+        raise ValueError("m0_hat must be positive and finite")
+    q = np.asarray(q, dtype=float)
+    r = int(np.sum(q <= t))
+    return m0_hat * t / max(r, 1)
+
+
 def four_ndtr_split(gamma, log_slope):
     """The normal model's (t, 1-t, power, 1-power) with one ``ndtr`` per mass.
 

@@ -33,9 +33,8 @@ from wamdf import (
 )
 from wamdf.power import NormalLocationModel
 from wamdf.counts import score_statistic
-from wamdf.procedures import adaptive_fdp_estimate
 
-from oracles import bisect_decreasing
+from oracles import adaptive_fdp_estimate, bisect_decreasing
 
 MODEL = NormalLocationModel()
 X5 = np.array([0.86, 1.34, 1.81, 2.37, 3.00])

@@ -140,6 +140,27 @@ class TestWeightsCommand:
         assert len(d["weights"]) == 3
 
 
+class TestNarrowCrossings:
+    # out of the guaranteed regime, with a first crossing that a grid of
+    # four points per decade over the bracket can step over: the FDP is at
+    # least alpha on a 0.52-wide stretch of log k only (bump), or dips below
+    # it on a 1.1-wide one before crossing again at log k = 0.157 (dip)
+    @pytest.mark.parametrize("prior, alpha, log_k", [
+        ("p,gamma\n0.968,30.79\n0.137,0.19\n", "0.046", -1.7638554174239),
+        ("p,gamma\n0.91,7.68\n0.935,1.64\n0.916,1.61\n0.138,0.44\n", "0.067",
+         -4.2758637656566),
+    ], ids=["bump", "dip"])
+    def test_solves_with_a_warning(self, tmp_path, capsys, prior, alpha, log_k):
+        path = tmp_path / "prior.csv"
+        path.write_text(prior)
+        out = tmp_path / "o"
+        assert main(["weights", str(path), "--alpha", alpha, "--out", str(out)]) == EXIT_WARNING
+        d = json.loads((out / "weights.json").read_text())
+        assert d["warning"] is True
+        assert np.log(d["k_star"]) == pytest.approx(log_k, abs=1e-12)
+        assert "exceeds 1 - max(p)" in capsys.readouterr().err
+
+
 class TestMultiplierBracket:
     # k* of these priors lies below 1e-300, out of the float range; the
     # linear-k solver stopped at that floor and exited 2 (searched k in

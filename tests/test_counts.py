@@ -178,12 +178,13 @@ class TestCalibration:
 
     def test_jump_across_target_named(self):
         # average power jumps from about 0.16 to 1 near K = 0.0975, where
-        # the smallest crossing k* of the inner solve jumps
+        # the smallest crossing k* of the inner solve jumps: an earlier
+        # crossing, near log k = -9.3, appears there
         ds, _ = generate_synthetic_counts(30, np.arange(1.0, 6.0), substream(1, 0))
         with pytest.raises(CalibrationError) as info:
             calibrate_information(ds.totals, p_prior=0.95, target_avg_power=0.9)
         message = str(info.value)
-        assert message.startswith("achieved power 0.99999997 misses target 0.9 beyond 1e-06: ")
+        assert message.startswith("achieved power 0.99999995 misses target 0.9 beyond 1e-06: ")
         below, above = (float(v) for v in
                         re.findall(r"jumps from (\S+) at K = \S+ to (\S+) at K = ", message)[0])
         k_left, k_right = (float(k) for k in re.findall(r"at K = ([0-9.e+-]+)", message))

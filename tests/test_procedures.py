@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wamdf.procedures import (
-    adaptive_fdp_estimate,
     alpha_star,
     estimate_m0,
     fdr_upper_bound,
@@ -14,6 +13,8 @@ from wamdf.procedures import (
     step_up_threshold,
     weighted_pvalues,
 )
+
+from oracles import adaptive_fdp_estimate
 
 # weighted p-values shaped like the ten-test worked example: three below
 # the census level 0.028, the rest spread upward

@@ -19,7 +19,6 @@ from wamdf.cli import EXIT_INPUT, EXIT_OK, main
 from wamdf.power import NormalLocationModel, TabulatedPowerModel
 from wamdf.procedures import (
     VARIANTS,
-    adaptive_fdp_estimate,
     estimate_m0,
     run_procedure,
     step_up_threshold,
@@ -31,6 +30,8 @@ from wamdf.weights import (
     asymptotically_optimal_weights,
     optimal_fixed_t_weights,
 )
+
+from oracles import adaptive_fdp_estimate
 
 
 @st.composite

@@ -1,13 +1,17 @@
-"""Pre-data weight scan: the coarse-to-fine blocked scan against the dense oracle.
+"""Pre-data crossing search: the bounded cell search against the dense oracle.
 
 The oracle is the dense scan the solver used before tie collapsing, row
-blocks and the coarse pass: the FDP approximator on every grid point in
-one broadcast over all M hypotheses, the first downward crossing of
-alpha, and brentq on the uncollapsed prior inside it, on the expanding
-multiplier bracket the solver used before it derived one bracket from the
-model.  Both run in log k, like the solver.  A sweep holds both solvers
-against that expanding bracket, and every family against the frozen
-linear-k solver wherever that one solves inside the guaranteed regime.
+blocks and the cell search: the FDP approximator on every point of an
+even grid in one broadcast over all M hypotheses, the first downward
+crossing of alpha, and brentq on the uncollapsed prior inside it, on the
+expanding multiplier bracket the solver used before it derived one
+bracket from the model.  Both run in log k, like the solver.  The grid
+sees a bump or dip only when one of its points falls inside it; the
+search sees any wider than its 0.01 cells, so on two priors it finds a
+crossing the grid misses, checked on a fine window around the root.  A
+sweep holds the solver against that expanding bracket, and every family
+against the frozen linear-k solver wherever that one solves inside the
+guaranteed regime.
 """
 
 import tracemalloc
@@ -16,6 +20,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from wamdf import weights
@@ -59,9 +66,16 @@ def dense_fdp_values(prior, log_ks, model):
     return vals
 
 
+# The oracle's grid: four points per decade of k, but at least
+# ORACLE_POINTS and at most ORACLE_MAX_POINTS (four per decade across the
+# 600 decades a float k spans).
+ORACLE_POINTS = 512
+ORACLE_MAX_POINTS = 2400
+
+
 def dense_grid(lo, hi):
-    decades = min((hi - lo) / np.log(10), weights._MAX_SCAN_POINTS / 4)
-    n_points = max(weights._SCAN_POINTS, int(4 * decades))
+    decades = min((hi - lo) / np.log(10), ORACLE_MAX_POINTS / 4)
+    n_points = max(ORACLE_POINTS, int(4 * decades))
     return np.linspace(lo, hi, n_points)
 
 
@@ -112,7 +126,10 @@ def assert_matches_linear(want_k, got_log_k):
 
 
 def assert_matches_oracle(prior, alpha, model=MODEL):
-    """Same solvability and log k* within 1e-12; bitwise on untied priors."""
+    """Same solvability and log k* within 1e-12.  The oracle's brentq runs in
+    a grid interval and the solver's in a search cell, so the roots need not
+    share their last bits; on untied priors the FDP approximator at the
+    solver's root is bitwise the dense one."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = oracle_log_k(prior, alpha, model)
@@ -123,8 +140,8 @@ def assert_matches_oracle(prior, alpha, model=MODEL):
         return "none"
     assert abs(got - want) <= 1e-12, (got, want)
     if np.unique(prior.p + 1j * prior.gamma).size == prior.M:
-        assert got == want
-        assert np.array_equal(profile.weights, weights._profile(prior, want, model).weights)
+        assert (weights._fdp_at(weights._collapse(prior), got, model)
+                == dense_fdp_values(prior, [got], model)[0])
         return "untied"
     return "tied"
 
@@ -206,9 +223,10 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("rows", [None, 1, 293, 300])
     def test_spike_only_the_fallback_scan_finds(self, rows, monkeypatch):
-        # a one-grid-point spike above alpha between two coarse points; the
-        # collapsed prior has two pairs, and 293-row blocks put the crossing
-        # 878 -> 879 across a block boundary of the full scan
+        # a spike above alpha at one point of the oracle's 919-point grid,
+        # between two points of a grid eight times coarser; the collapsed
+        # prior has two pairs, and row blocks of 1, 293 and 300 rows leave
+        # the root alone
         if rows is not None:
             monkeypatch.setattr(weights, "_BLOCK_ELEMENTS", 2 * rows)
         prior = PriorSpec([0.99, 0.01, 0.01], [25.0, 0.3, 0.3])
@@ -217,9 +235,77 @@ class TestScanOracle:
         vals = dense_fdp_values(prior, grid, MODEL) - alpha
         assert grid.size == 919
         assert np.array_equal(np.flatnonzero(vals >= 0), [878])
-        coarse = vals[np.r_[np.arange(0, grid.size - 1, weights._COARSE_STEP), grid.size - 1]]
-        assert np.all(coarse < 0)
+        assert np.all(vals[::8] < 0)
         assert assert_matches_oracle(prior, alpha) == "tied"
+
+
+def assert_crossing(prior, alpha, log_k, model=MODEL, width=0.05):
+    """On a fine grid over ``log_k +- width`` the FDP approximator is at
+    least alpha before log_k and below it after (points within 1e-9 aside)."""
+    grid = np.linspace(log_k - width, log_k + width, 20_001)
+    vals = dense_fdp_values(prior, grid, model)
+    assert np.all(vals[grid < log_k - 1e-9] >= alpha)
+    assert np.all(vals[grid > log_k + 1e-9] < alpha)
+
+
+# Out-of-regime priors whose first crossing a grid of the solver's bracket
+# can step over.  bump: the FDP is at least alpha on about [-2.284, -1.764]
+# only, 0.52 wide, under one step (0.576) of a four-per-decade grid.  dip:
+# the FDP falls below alpha on about [-4.276, -3.166] and crosses again at
+# 0.157, and a grid eight times coarser (step 1.9) sees only the later one.
+NARROW = {
+    "bump": (PriorSpec([0.968, 0.137], [30.79, 0.19]), 0.046, -1.7638554174239),
+    "dip": (PriorSpec([0.91, 0.935, 0.916, 0.138], [7.68, 1.64, 1.61, 0.44]), 0.067,
+            -4.2758637656566),
+}
+
+
+@pytest.mark.parametrize("name", NARROW)
+def test_narrow_crossings_are_found(name):
+    prior, alpha, want = NARROW[name]
+    with pytest.warns(RuntimeWarning, match="exceeds 1 - max"):
+        got, profile = solved_log_k(asymptotically_optimal_weights, prior, alpha)
+    assert profile.warning
+    assert abs(got - want) <= 1e-12
+    assert got == pytest.approx(oracle_log_k(prior, alpha), abs=1e-12)
+    assert_crossing(prior, alpha, got)
+
+
+@st.composite
+def small_priors(draw):
+    """(p, gamma, alpha) of one to four hypotheses."""
+    m = draw(st.integers(1, 4))
+    p = draw(arrays(float, m, elements=st.floats(0.01, 0.99)))
+    gamma = draw(arrays(float, m, elements=st.floats(0.1, 30.0)))
+    return p, gamma, draw(st.floats(0.01, 0.5))
+
+
+@settings(deadline=None)
+@given(small_priors())
+def test_no_later_than_the_dense_first_crossing(case):
+    # the dense grid sees a crossing only where a grid point lands on each
+    # side of it; the search sees every one whose stretch above alpha is
+    # wider than its cells.  Its root is never later than the grid's.  (Before
+    # an out-of-regime bump the FDP can sit below alpha, so nothing is said
+    # about [lo, log k*) as a whole.)
+    p, gamma, alpha = case
+    # at alpha = 1 - max(p) the FDP tends to alpha as k -> 0, and its
+    # crossings there are rounding noise
+    assume(abs(alpha - (1.0 - p.max())) > 1e-9 * alpha)
+    prior = PriorSpec(p, gamma)
+    pairs = weights._collapse(prior)
+    bracket = weights._k_bracket(pairs, MODEL,
+                                 log_k_hi=max(weights._LOG_K_HI, np.log(2.0 / alpha)))
+    want = dense_crossing(prior, alpha, *bracket, MODEL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the FDP at a crossing where every threshold underflowed
+        got = weights._smallest_downward_crossing(pairs, alpha, *bracket, MODEL)
+    if want is not None:
+        assert got is not None, want
+        if got > want + 1e-12 * max(1.0, abs(want)):
+            # where the FDP between the two rounds to alpha, both are roots
+            between = dense_fdp_values(prior, np.linspace(want, got, 101), MODEL)
+            assert np.all(np.abs(between / alpha - 1) <= 1e-14), (got, want)
 
 
 def acceptance_priors():
@@ -259,67 +345,75 @@ def test_kstar_matches_four_ndtr_split():
     assert worst <= 1e-12, worst
 
 
-def scanned_blocks(prior, alpha, monkeypatch):
-    """The log multipliers of every ``_fdp_scan`` call of one solve, and its profile."""
-    scanned = []
-    scan = weights._fdp_scan
+def evaluations(prior, alpha, monkeypatch, model=MODEL):
+    """(log multipliers of each ``_fdp_scan`` call, brentq's ``_fdp_at``
+    evaluations, log k*) of one pre-data solve; log k* is None when it
+    raises NoSolutionError."""
+    scans, refined = [], []
+    scan, at = weights._fdp_scan, weights._fdp_at
 
-    def recorded(pairs, log_ks, model):
-        scanned.append(log_ks)
+    def recorded_scan(pairs, log_ks, model):
+        scans.append(log_ks)
         return scan(pairs, log_ks, model)
 
-    monkeypatch.setattr(weights, "_fdp_scan", recorded)
+    def recorded_at(pairs, log_k, model):
+        refined.append(log_k)
+        return at(pairs, log_k, model)
+
+    monkeypatch.setattr(weights, "_fdp_scan", recorded_scan)
+    monkeypatch.setattr(weights, "_fdp_at", recorded_at)
     with warnings.catch_warnings():
         # preset 2 draws p close to 1, beyond the guaranteed regime
         warnings.simplefilter("ignore")
-        profile = asymptotically_optimal_weights(prior, alpha)
-    return scanned, profile
+        log_k, _ = solved_log_k(asymptotically_optimal_weights, prior, alpha, model)
+    return scans, refined, log_k
 
 
-def coarse_points(prior, alpha):
-    """The grid, its coarse indices and the first downward coarse interval."""
-    grid = dense_grid(*weights._k_bracket(prior, MODEL))
-    coarse = np.r_[np.arange(0, grid.size - 1, weights._COARSE_STEP), grid.size - 1]
-    vals = dense_fdp_values(prior, grid[coarse], MODEL) - alpha
-    return grid, coarse, int(np.flatnonzero((vals[:-1] >= 0) & (vals[1:] < 0))[0])
+def preset_prior(preset, rep=0):
+    config = simulation_preset(preset, a=5.0, M=1000, n_reps=1, seed=1)
+    _, p, gamma, _ = generate_model1(config, substream(config.seed, rep))
+    return PriorSpec(p, gamma), config.alpha
 
 
-class TestEarlyStop:
-    # (coarse_block, min_elements, block size at 1,000 distinct pairs)
-    @pytest.mark.parametrize("coarse_block, min_elements, size", [
-        (1, 0, 1), (4, 0, 4), (8, 0, 8), (11, 0, 11), (100, 0, 100),
-        (8, 1 << 13, 8), (8, 1 << 14, 16),
-    ])
-    def test_no_coarse_block_after_the_crossing(self, coarse_block, min_elements, size,
-                                                monkeypatch):
-        config = simulation_preset(2, a=5.0, M=1000, n_reps=1, seed=1)
-        _, p, gamma, _ = generate_model1(config, substream(config.seed, 0))
-        prior = PriorSpec(p, gamma)
-        grid, coarse, j = coarse_points(prior, config.alpha)
-        # blocks of 4 and 11 put the crossing's right end j + 1 = 44 first in a block
-        assert (j + 1, coarse.size, weights._collapse(prior).p.size) == (44, 65, 1000)
+def count_prior(k_info):
+    dataset, _ = generate_synthetic_counts(150, X5, substream(1000, 0))
+    totals = dataset.totals[dataset.totals > 0].astype(float)
+    return PriorSpec(np.full(totals.size, 0.5), np.sqrt(totals) * k_info), 0.05
 
-        monkeypatch.setattr(weights, "_COARSE_BLOCK", coarse_block)
-        monkeypatch.setattr(weights, "_COARSE_MIN_ELEMENTS", min_elements)
-        scanned, profile = scanned_blocks(prior, config.alpha, monkeypatch)
-        # ascending coarse blocks up to the one holding coarse point j + 1,
-        # then the fine points strictly inside the crossing interval
-        last = (j + 1) // size * size
-        want = [grid[coarse[start:start + size]] for start in range(0, last + 1, size)]
-        want.append(grid[coarse[j] + 1:coarse[j + 1]])
-        assert len(scanned) == len(want)
-        for got_ks, want_ks in zip(scanned, want):
-            np.testing.assert_array_equal(got_ks, want_ks)
-        assert profile.k_star == np.exp(oracle_log_k(prior, config.alpha))
 
-    def test_few_pairs_scan_the_coarse_points_at_once(self, monkeypatch):
-        # two distinct pairs: one call costs less than the elements a stop saves
-        prior = PriorSpec(np.full(10, 0.5), np.r_[np.full(5, 2.0), np.full(5, 3.0)])
-        grid, coarse, j = coarse_points(prior, 0.05)
-        scanned, _ = scanned_blocks(prior, 0.05, monkeypatch)
-        assert len(scanned) == 2
-        np.testing.assert_array_equal(scanned[0], grid[coarse])
-        np.testing.assert_array_equal(scanned[1], grid[coarse[j] + 1:coarse[j + 1]])
+class TestSearchCost:
+    # (prior, alpha, most FDP evaluations): scan points plus brentq steps
+    @pytest.mark.parametrize("case, budget", [
+        ((PriorSpec(np.full(10, 0.5), np.r_[np.full(5, 2.0), np.full(5, 3.0)]), 0.05), 50),
+        (preset_prior(1), 35),
+        (preset_prior(2), 75),
+        (count_prior(0.05), 70),
+        (count_prior(0.4), 40),
+    ], ids=["worked", "preset-1", "preset-2", "count-0.05", "count-0.4"])
+    def test_fdp_evaluations_are_bounded(self, case, budget, monkeypatch):
+        prior, alpha = case
+        scans, refined, log_k = evaluations(prior, alpha, monkeypatch)
+        assert log_k == pytest.approx(oracle_log_k(prior, alpha), abs=1e-12)
+        assert sum(s.size for s in scans) + len(refined) <= budget
+
+    @pytest.mark.parametrize("case", [preset_prior(1), preset_prior(2), count_prior(0.4)],
+                             ids=["preset-1", "preset-2", "count-0.4"])
+    def test_nothing_past_the_first_crossing_cell(self, case, monkeypatch):
+        # after the first split, the search looks only at or before the first
+        # cell whose ends cross downward, and no point twice; brentq stays
+        # inside the last such cell, at most _CELL_WIDTH wide
+        prior, alpha = case
+        scans, refined, log_k = evaluations(prior, alpha, monkeypatch)
+        first = weights._fdp_values(weights._collapse(prior), scans[0], MODEL)[0]
+        i = np.flatnonzero((first[:-1] >= alpha) & (first[1:] < alpha))[0]
+        later = np.concatenate(scans[1:])
+        assert later.size and np.all(later < scans[0][i + 1])
+        points = np.sort(np.concatenate(scans))
+        assert np.all(np.diff(points) > 0)
+        below = points[points <= log_k].max()
+        above = points[points > log_k].min()
+        assert above - below <= weights._CELL_WIDTH
+        assert np.all((np.array(refined) > below) & (np.array(refined) < above))
 
 
 class TestScanPieces:
@@ -336,7 +430,7 @@ class TestScanPieces:
         prior = PriorSpec(rng.uniform(0.05, 0.9, 300), rng.uniform(0.5, 5.0, 300))
         pairs = weights._collapse(prior)
         log_ks = np.linspace(-30, 30, 97)
-        one_pass = weights._fdp_values(pairs, log_ks, MODEL)
+        one_pass, means = weights._fdp_values(pairs, log_ks, MODEL)
         np.testing.assert_array_equal(one_pass, dense_fdp_values(prior, log_ks, MODEL))
         rows = []
         values = weights._fdp_values
@@ -347,7 +441,9 @@ class TestScanPieces:
 
         monkeypatch.setattr(weights, "_fdp_values", counted)
         monkeypatch.setattr(weights, "_BLOCK_ELEMENTS", 7 * 300 + 5)
-        np.testing.assert_array_equal(weights._fdp_scan(pairs, log_ks, MODEL), one_pass)
+        with np.errstate(divide="ignore"):
+            want = np.vstack([log_ks, one_pass, np.log(one_pass), np.log(means)])
+        np.testing.assert_array_equal(weights._fdp_scan(pairs, log_ks, MODEL), want)
         assert rows == [7] * 13 + [6]
 
     def test_fdp_approximator_matches_dense_on_ties(self):
@@ -378,36 +474,33 @@ def test_memory_stays_bounded_at_large_m():
     PriorSpec([0.97, 0.97], [2.0, 3.0]),             # alpha > 1 - max(p), two pairs
 ])
 def test_no_solution_scans_its_grid_once(prior, monkeypatch):
-    # the expanding bracket scanned up to seven grids before giving up
-    scanned = []
-    scan = weights._fdp_scan
-
-    def recorded(pairs, log_ks, model):
-        scanned.append(log_ks)
-        return scan(pairs, log_ks, model)
-
-    monkeypatch.setattr(weights, "_fdp_scan", recorded)
-    with pytest.raises(NoSolutionError):
-        asymptotically_optimal_weights(prior, 0.05)
-    grid = dense_grid(*weights._k_bracket(prior, MODEL))
-    np.testing.assert_array_equal(np.sort(np.concatenate(scanned)), grid)
-
+    # the expanding bracket scanned up to seven grids before giving up; the
+    # search certifies the one bracket at fewer points than the oracle's
+    # grid, each evaluated once
+    scans, refined, log_k = evaluations(prior, 0.05, monkeypatch)
+    assert log_k is None and not refined
+    points = np.sort(np.concatenate(scans))
+    assert np.all(np.diff(points) > 0)
+    assert points.size < dense_grid(*weights._k_bracket(prior, MODEL)).size
 
 
 @pytest.mark.parametrize("gamma", [1e3, 1e4, 1e150])
 def test_strong_effects_scan_a_bounded_grid(gamma, monkeypatch):
     # the bracket reaches about -gamma^2/2 in log k, far below the float
     # range of k, and the weak pair puts the crossing near log k = 0 at the
-    # far end of it; the grid stops at _MAX_SCAN_POINTS points all the same
+    # far end of it.  A cell straddling alpha shrinks fourfold a round, so
+    # the search takes about log4(width / 0.01) rounds of three points:
+    # about 60 points at gamma 1e4 and 1,500 at gamma 1e150.
     prior = PriorSpec([0.5, 0.5], [1.0, gamma])
     lo, hi = weights._k_bracket(weights._collapse(prior), MODEL)
-    assert 4 * (hi - lo) / np.log(10) > 300 * weights._MAX_SCAN_POINTS
-    scanned, profile = scanned_blocks(prior, 0.05, monkeypatch)
-    assert sum(log_ks.size for log_ks in scanned) <= weights._MAX_SCAN_POINTS
+    assert 4 * (hi - lo) / np.log(10) > 300 * ORACLE_MAX_POINTS
+    scans, refined, log_k = evaluations(prior, 0.05, monkeypatch)
+    budget = 3 * np.log((hi - lo) / weights._CELL_WIDTH) / np.log(4) + 30
+    assert sum(s.size for s in scans) + len(refined) <= budget
     # the frozen linear-k solver, whose floor hid the strong pair's range,
     # found the same crossing
     want = linear_pre_data_k_star(prior, 0.05, MODEL)
-    assert abs(profile.k_star - want) <= 1e-12 * want
+    assert abs(np.exp(log_k) - want) <= 1e-12 * want
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the strong pair's weight is clamped
         fixed = optimal_fixed_t_weights(prior, 0.05)
