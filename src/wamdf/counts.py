@@ -12,9 +12,9 @@ calibrated so the posited average power across features hits a target.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from ._brent import brentq
 from .power import default_model
 from .procedures import run_procedure
 from .tables import read_table

@@ -84,9 +84,7 @@ class NormalLocationModel:
         as ``Phi(-(...))`` to keep small thresholds at full precision.  A
         log slope of +inf gives t = 0 and -inf gives t = 1.
         """
-        g = _check_gamma(gamma)
-        s = _check_log_slope(log_slope)
-        out = ndtr(-(0.5 * g + s / g))
+        out = self._threshold(_check_gamma(gamma), _check_log_slope(log_slope))
         return out if out.ndim else float(out)
 
     def threshold_power_split(self, gamma, log_slope):
@@ -100,8 +98,15 @@ class NormalLocationModel:
         subtraction, so ratios of survival masses stay accurate even when
         the threshold or the power sits within a few ulp of 1.
         """
-        g = _check_gamma(gamma)
-        s = _check_log_slope(log_slope)
+        return self._split(_check_gamma(gamma), _check_log_slope(log_slope))
+
+    # Unchecked kernels of the two queries above, for float arrays g and s
+    # already validated: the weight solver calls them once per evaluation.
+
+    def _threshold(self, g, s):
+        return ndtr(-(0.5 * g + s / g))
+
+    def _split(self, g, s):
         z = 0.5 * g + s / g
         d = g - z
         a = ndtr(-np.abs(z))
@@ -154,16 +159,6 @@ class TabulatedPowerModel:
         idx = np.searchsorted(self._t, tt, side="left") - 1
         return np.clip(idx, 0, self._t.size - 2)
 
-    def _knot(self, gamma, log_slope):
-        # the largest t with slope(t) >= slope is knot j, where j counts the
-        # secants >= slope (a slope equal to secant j maps to knot j + 1);
-        # the clamp keeps t inside (0, 1) like the bisection bracket, so a
-        # log slope of +inf lands on 1e-15 and -inf on 1 - 1e-15
-        _check_gamma(gamma)
-        s = _check_log_slope(log_slope)
-        j = np.searchsorted(-self._log_secants, -s, side="right")
-        return np.clip(self._t[j], 1e-15, 1 - 1e-15)
-
     def power(self, gamma, t):
         _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
@@ -182,12 +177,25 @@ class TabulatedPowerModel:
 
     def threshold_for_log_slope(self, gamma, log_slope):
         """Largest knot t with ``log_power_slope(gamma, t) >= log_slope``, in [1e-15, 1 - 1e-15]."""
-        t = self._knot(gamma, log_slope)
+        t = self._threshold(_check_gamma(gamma), _check_log_slope(log_slope))
         return t if t.ndim else float(t)
 
     def threshold_power_split(self, gamma, log_slope):
         """(t, 1-t, power, 1-power) at the inverse-log-slope knot."""
-        t = self._knot(gamma, log_slope)
+        return self._split(_check_gamma(gamma), _check_log_slope(log_slope))
+
+    # Unchecked kernels of the two queries above, as in NormalLocationModel.
+
+    def _threshold(self, g, s):
+        # the largest t with slope(t) >= slope is knot j, where j counts the
+        # secants >= slope (a slope equal to secant j maps to knot j + 1);
+        # the clamp keeps t inside (0, 1) like the bisection bracket, so a
+        # log slope of +inf lands on 1e-15 and -inf on 1 - 1e-15
+        j = np.searchsorted(-self._log_secants, -s, side="right")
+        return np.clip(self._t[j], 1e-15, 1 - 1e-15)
+
+    def _split(self, g, s):
+        t = self._threshold(g, s)
         pi = np.interp(t, self._t, self._p)
         return t, 1.0 - t, pi, 1.0 - pi
 

@@ -13,8 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .power import default_model
 from .tables import read_table
 
@@ -161,8 +161,10 @@ class WeightProfile:
 
 
 def _thresholds(prior, log_k, model):
-    """Per-hypothesis thresholds at multiplier ``exp(log_k)``."""
-    return model.threshold_for_log_slope(prior.gamma, log_k - np.log(prior.p))
+    """Per-hypothesis thresholds at multiplier ``exp(log_k)``.  Queries the
+    model's unchecked kernel: ``PriorSpec`` validated gamma, and log k is
+    never NaN."""
+    return model._threshold(prior.gamma, log_k - np.log(prior.p))
 
 
 def solve_thresholds(prior, k, model=None):
@@ -217,8 +219,7 @@ def _fdp_values(pairs, log_ks, model):
     1 - G directly: near k = 0 every threshold sits within float rounding
     of 1 and the leading ratio would otherwise be pure cancellation noise.
     """
-    t, tc, pi, pic = model.threshold_power_split(pairs.gamma[None, :],
-                                                 log_ks[:, None] - pairs.log_p[None, :])
+    t, tc, pi, pic = model._split(pairs.gamma[None, :], log_ks[:, None] - pairs.log_p[None, :])
     g = (1.0 - pairs.p) * t + pairs.p * pi
     gc = (1.0 - pairs.p) * tc + pairs.p * pic
     t_bar, g_bar, tc_bar, gc_bar = means = [(x * pairs.count).sum(axis=1) / pairs.M
@@ -235,11 +236,13 @@ def _fdp_values(pairs, log_ks, model):
 def _fdp_scan(pairs, log_ks, model):
     """``_fdp_values`` over all of ``log_ks``, in ascending row blocks of at most
     ``_BLOCK_ELEMENTS`` elements, so memory is O(block), not O(len(log_ks) * M).
-    Returns rows: ``log_ks``, the values, and the logs of the values and means."""
+    The blocks are as few as that allows and differ in size by at most one
+    row, so no call is left with a short tail.  Returns rows: ``log_ks``, the
+    values, and the logs of the values and means."""
     rows = max(1, _BLOCK_ELEMENTS // pairs.p.size)
     vals, means = (np.concatenate(part, axis=-1) for part in
-                   zip(*(_fdp_values(pairs, log_ks[start:start + rows], model)
-                         for start in range(0, log_ks.size, rows))))
+                   zip(*(_fdp_values(pairs, block, model)
+                         for block in np.array_split(log_ks, -(-log_ks.size // rows)))))
     with np.errstate(divide="ignore"):
         return np.vstack([log_ks, vals, np.log(vals), np.log(means)])
 

@@ -59,10 +59,11 @@ def four_ndtr_split(gamma, log_slope):
 
 
 class FourNdtrModel(NormalLocationModel):
-    """The normal location model with the frozen four-``ndtr`` split."""
+    """The normal location model with the frozen four-``ndtr`` split, in the
+    unchecked kernel that both the solver and ``threshold_power_split`` call."""
 
-    def threshold_power_split(self, gamma, log_slope):
-        return four_ndtr_split(gamma, log_slope)
+    def _split(self, g, s):
+        return four_ndtr_split(g, s)
 
 
 def per_row_score_statistic(y, x):

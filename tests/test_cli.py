@@ -1,10 +1,14 @@
 """CLI: exit-code contract, file formats, manifests, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wamdf
 from wamdf.cli import EXIT_INPUT, EXIT_NO_SOLUTION, EXIT_OK, EXIT_WARNING, main
 
 WORKED_PRIOR = "p,gamma\n" + "".join(
@@ -897,3 +901,13 @@ class TestManifest:
         assert any(p.endswith("weights.json") for p in manifest["outputs"])
         assert manifest["version"]
         assert manifest["timestamp"]
+
+
+def test_startup_skips_scipy_optimize():
+    # the package's own Brent solver keeps scipy.optimize out of every CLI call
+    code = ("import sys, wamdf.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wamdf.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -445,6 +445,11 @@ class TestScanPieces:
             want = np.vstack([log_ks, one_pass, np.log(one_pass), np.log(means)])
         np.testing.assert_array_equal(weights._fdp_scan(pairs, log_ks, MODEL), want)
         assert rows == [7] * 13 + [6]
+        # blocks of near-equal size: 9 points at 8 rows a block are 5 + 4, not 8 + 1
+        rows.clear()
+        monkeypatch.setattr(weights, "_BLOCK_ELEMENTS", 8 * 300)
+        np.testing.assert_array_equal(weights._fdp_scan(pairs, log_ks[:9], MODEL), want[:, :9])
+        assert rows == [5, 4]
 
     def test_fdp_approximator_matches_dense_on_ties(self):
         prior = PriorSpec(np.full(30, 0.4), np.repeat([1.0, 2.5, 4.0], 10))
