@@ -41,6 +41,11 @@ class CalibrationError(RuntimeError):
     """The average-power target cannot be bracketed in the information constant."""
 
 
+def _check_covariate(x):
+    if not np.all(np.isfinite(x)) or np.unique(x).size < 2:
+        raise ValueError("covariate must be finite with at least two distinct values")
+
+
 @dataclass
 class CountDataset:
     """Per-feature count vectors over g groups plus the group covariate."""
@@ -57,8 +62,7 @@ class CountDataset:
             raise ValueError("covariate length must match the number of groups")
         if np.any(self.counts < 0) or not np.all(self.counts == np.floor(self.counts)):
             raise ValueError("counts must be nonnegative integers")
-        if not np.all(np.isfinite(self.x)) or np.unique(self.x).size < 2:
-            raise ValueError("covariate must be finite with at least two distinct values")
+        _check_covariate(self.x)
         self.counts = self.counts.astype(np.int64)
 
     @property
@@ -324,6 +328,7 @@ def generate_synthetic_counts(n_features, x, rng, beta=0.35, positive_fraction=0
         raise ValueError(f"positive_fraction must lie in [0, 1], got {positive_fraction}")
     if total_min < 1 or total_max < total_min:
         raise ValueError("need 1 <= total_min <= total_max")
+    _check_covariate(x)   # before the draw, which a non-finite x turns into NaN
     g = x.size
     totals = np.exp(rng.uniform(np.log(total_min), np.log(total_max + 1), n_features))
     totals = np.clip(totals.astype(np.int64), total_min, total_max)

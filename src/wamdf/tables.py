@@ -40,7 +40,8 @@ def read_table(path, headers=(), dtype=float):
                 if len(widths) > 1:
                     raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
                 try:
-                    blocks.append(np.array(block, dtype=dtype))
+                    blocks.append(np.array(list(chain.from_iterable(block)), dtype=dtype)
+                                  .reshape(len(block), -1))
                 except ValueError as exc:
                     kind = "integer" if np.dtype(dtype).kind in "iu" else "numeric"
                     raise ValueError(f"{path}: non-{kind} field ({exc})") from None

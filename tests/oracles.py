@@ -96,6 +96,20 @@ def per_row_multinomial(rng, totals, theta, p_alt, p_null):
     return counts
 
 
+def per_row_write_tsv(path, header, columns):
+    """Equal-length columns as a tab-separated table, one ``str.format`` per row.
+
+    Frozen from the first form of ``cli._write_tsv``: ``.10g`` floats,
+    integer and boolean columns as integers, string columns as they are.
+    """
+    columns = [np.asarray(c) for c in columns]
+    formats = {"b": "{:d}", "i": "{:d}", "u": "{:d}", "U": "{}"}
+    line = "\t".join(formats.get(c.dtype.kind, "{:.10g}") for c in columns) + "\n"
+    with open(path, "w") as fh:
+        fh.write("\t".join(header) + "\n")
+        fh.writelines(line.format(*row) for row in zip(*(c.tolist() for c in columns)))
+
+
 # The expanding multiplier bracket, frozen from the weight solver before it
 # derived one bracket from the model, and moved to log k with the solver: a
 # first bracket, then up to six more, each 10^4 wider per side.

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import wamdf
+from oracles import per_row_write_tsv
+from wamdf import cli
 from wamdf.cli import EXIT_INPUT, EXIT_NO_SOLUTION, EXIT_OK, EXIT_WARNING, main
 
 WORKED_PRIOR = "p,gamma\n" + "".join(
@@ -357,6 +360,48 @@ class TestTsvRows:
         assert power[1] == "0\t1.63385694\t2.059877326\t0.3145673889\t0.430874529"
 
 
+def writer_columns(n, seed=17):
+    """One column of each kind ``_write_tsv`` formats, ``n`` rows each.
+
+    Floats span the whole exponent range, with nan, infinities, signed zeros,
+    the smallest subnormal and the largest float first; integers reach the
+    int64 and uint64 extremes; strings carry ``%`` and ``{}``.
+    """
+    rng = np.random.default_rng(seed)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+               -2.2250738585072014e-308, 0.1, 1e16, 123456789012.5]
+    drawn = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 1025, n))
+    floats = np.r_[special, drawn][:n]
+    info = np.iinfo(np.int64)
+    signed = np.r_[np.array([info.min, info.max, 0, -1]),
+                   rng.integers(info.min, info.max, n, endpoint=True)][:n]
+    unsigned = np.r_[np.array([2 ** 64 - 1, 0], dtype=np.uint64),
+                     rng.integers(0, 2 ** 64 - 1, n, dtype=np.uint64, endpoint=True)][:n]
+    words = np.array(["%s", "{}", "100%", "{0}", "%(x)d", "%%", "a b"])
+    return [np.arange(n), floats, signed, unsigned, rng.random(n) < 0.5,
+            words[rng.integers(0, words.size, n)]]
+
+
+class TestTsvWriter:
+    # _write_tsv must write the bytes of the per-row str.format writer it replaced
+    HEADER = ["index", "float", "int64", "uint64", "flag", "text"]
+
+    def assert_same_bytes(self, tmp_path, columns):
+        cli._write_tsv(tmp_path / "got.tsv", self.HEADER, columns)
+        per_row_write_tsv(tmp_path / "want.tsv", self.HEADER, columns)
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_every_kind_over_many_blocks(self, tmp_path):
+        columns = writer_columns(20_000)
+        assert columns[0].size > 4 * cli._TSV_BLOCK
+        self.assert_same_bytes(tmp_path, columns)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+    def test_partial_blocks(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(cli, "_TSV_BLOCK", 3)
+        self.assert_same_bytes(tmp_path, writer_columns(n))
+
+
 class TestSimulateCommand:
     def test_small_run_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -504,13 +549,20 @@ class TestAnalyzeCommand:
          "positive_fraction must lie in [0, 1], got nan"),
         (["--synthetic", "20", "--positive-fraction", "2"],
          "positive_fraction must lie in [0, 1], got 2.0"),
+        (["--synthetic", "10", "--x", "1,inf"],
+         "covariate must be finite with at least two distinct values"),
+        (["--synthetic", "10", "--x", "1,nan"],
+         "covariate must be finite with at least two distinct values"),
     ])
     def test_bad_synthetic_arguments_exit_1(self, tmp_path, capsys, flags, message):
         # these used to be misreported, leak numpy's message and a warning,
         # or run on a silently clipped fraction
         out = tmp_path / "o"
-        assert main(["analyze", *flags, "--seed", "1", "--x", "1,2,3,4,5",
-                     "--out", str(out)]) == EXIT_INPUT
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", "--seed", "1", "--x", "1,2,3,4,5", *flags,
+                         "--out", str(out)]) == EXIT_INPUT
+        assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

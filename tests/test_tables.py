@@ -74,12 +74,29 @@ def test_format_errors_name_the_file(tmp_path, text, named):
     assert str(info.value).startswith(f"{path}: ")
 
 
-def test_rows_are_checked_in_every_block(tmp_path, monkeypatch):
+def distinct_cells(dtype, n_rows, width):
+    # every cell differs, so a block reshaped in the wrong order cannot match
+    values = np.random.default_rng(11).permutation(n_rows * width) * 7919 - 10**6
+    if dtype is float:
+        values = values * np.pi
+    return [[repr(v) for v in row] for row in values.reshape(n_rows, width).tolist()]
+
+
+@pytest.mark.parametrize("dtype, convert, width", [
+    (float, float, 1), (float, float, 3), (np.int64, int, 3),
+], ids=["1-float", "3-float", "3-int"])
+def test_rows_are_checked_in_every_block(tmp_path, monkeypatch, dtype, convert, width):
     monkeypatch.setattr(tables, "_BLOCK_ROWS", 3)
     path = tmp_path / "t.csv"
-    values = np.arange(11.0)
-    path.write_text("p\n" + "".join(f"{v}\n" for v in values))
-    np.testing.assert_array_equal(read_table(path, [("p",)])[1][:, 0], values)
-    path.write_text("p\n" + "".join(f"{v}\n" for v in values) + "1,2\n")
+    names = ("p", "q", "r")[:width]
+    rows = ([[f"{v}"] for v in np.arange(11.0)] if width == 1
+            else distinct_cells(dtype, 11, width))
+    text = ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    path.write_text(text)
+    got = read_table(path, [names], dtype=dtype)[1]
+    expected = np.array([[convert(f) for f in row] for row in rows], dtype=dtype)
+    assert got.shape == (11, width) and got.dtype == expected.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    path.write_text(text + ",".join(["1"] * (width + 1)) + "\n")
     with pytest.raises(ValueError, match="ragged"):
-        read_table(path, [("p",)])
+        read_table(path, [names], dtype=dtype)
