@@ -5,7 +5,7 @@ the canned simulation studies, the count-data pipeline, and the finite-FDR
 bound calculators.  Every invocation writes a manifest alongside its
 outputs so a result can be re-derived from its manifest alone.
 
-Exit codes: 0 success, 1 input error, 2 model-precondition failure
+Exit codes: 0 success, 1 input or usage error, 2 model-precondition failure
 (no-solution), 3 success with a model warning attached.
 """
 
@@ -419,8 +419,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the no-solution code here
+        raise SystemExit(EXIT_INPUT if exc.code == 2 else exc.code)
     try:
         return args.func(args)
     except (NoSolutionError, CalibrationError) as exc:

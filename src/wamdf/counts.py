@@ -36,6 +36,9 @@ __all__ = [
     "generate_synthetic_counts",
 ]
 
+# calibrate_information's tolerance on the achieved average power
+_POWER_TOL = 1e-6
+
 
 class CalibrationError(RuntimeError):
     """The average-power target cannot be bracketed in the information constant."""
@@ -160,7 +163,7 @@ def _average_power(k_info, totals, p_prior, alpha, model):
 
 
 def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
-                          model=None, tol=1e-6):
+                          model=None):
     """Solve the information constant so posited average power hits a target.
 
     The solve brackets the target by doubling and halving the constant,
@@ -168,7 +171,7 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
     thresholds) minus the target, wrapping the inner weight solve.
     Average power need not be continuous or increasing in the constant:
     the smallest crossing ``k*`` of the inner solve can jump, and power
-    jumps with it.  The achieved power is certified to within ``tol`` of
+    jumps with it.  The achieved power is certified to within 1e-6 of
     the target; when brentq lands on a jump across the target, the
     CalibrationError names the constant and the average power on each
     side of it.  ``p_prior`` is a scalar prior shared by all features or
@@ -212,14 +215,14 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
     k_info = brentq(lambda k: power_at(k) - target_avg_power, lo, hi,
                     xtol=1e-12, rtol=8.9e-16, maxiter=200)
     achieved = power_at(k_info)
-    if abs(achieved - target_avg_power) > tol:
+    if abs(achieved - target_avg_power) > _POWER_TOL:
         # the tried constants nearest k_info on either side of the target
         # hold the jump between them
         sides = [min((k for k, (v, _) in solved.items() if (v < target_avg_power) == short),
                      key=lambda k: abs(k - k_info)) for short in (True, False)]
         left, right = sorted(sides)
         raise CalibrationError(
-            f"achieved power {achieved:.8f} misses target {target_avg_power} beyond {tol}: "
+            f"achieved power {achieved:.8f} misses target {target_avg_power} beyond {_POWER_TOL}: "
             f"average power jumps from {solved[left][0]:.8g} at K = {left:.12g} "
             f"to {solved[right][0]:.8g} at K = {right:.12g}"
         )

@@ -35,73 +35,84 @@ def _check_log_slope(log_slope):
     return s
 
 
-class NormalLocationModel:
-    """One-sided test of a unit-variance normal mean shift.
+def _float_if_scalar(out):
+    return out if out.ndim else float(out)
 
-    The test statistic is N(0, 1) under the null and N(gamma, 1) under the
-    alternative; the size-t test rejects when the statistic exceeds the
-    upper-t normal quantile.  Power, its slope in t, and the inverse-slope
-    map all have closed forms.
+
+class _PowerModel:
+    """The four checked queries of a power model, over its unchecked kernels.
+
+    A model supplies the kernels ``_power(g, t)``, ``_log_slope(g, t)`` and
+    ``_threshold(g, s)``, for float arrays g, t and s already validated: the
+    weight solver calls them directly, once per evaluation.  ``_split(g, s)``
+    is built from ``_threshold`` and ``_power`` unless a model overrides it.
     """
 
     def power(self, gamma, t):
-        """Power ``pi_gamma(t) = Phi(gamma - Phi^{-1}(1 - t))`` for t in [0, 1].
-
-        Accepts scalars or arrays (broadcast).  Raises ValueError outside
-        the domain.
-        """
+        """Power ``pi_gamma(t)`` for t in [0, 1], on scalars or arrays (broadcast)."""
         g = _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
         if not np.all((tt >= 0) & (tt <= 1)):
             raise ValueError("size threshold t must lie in [0, 1]")
-        # -ndtri(t) = Phi^{-1}(1 - t) but stays accurate for t near 0
-        with np.errstate(divide="ignore"):
-            z = -ndtri(tt)
-        out = ndtr(g - z)
-        # endpoints are exact by definition
-        out = np.where(tt == 0.0, 0.0, out)
-        out = np.where(tt == 1.0, 1.0, out)
-        return out if out.ndim else float(out)
+        return _float_if_scalar(self._power(g, tt))
 
     def log_power_slope(self, gamma, t):
-        """Log of the derivative of power in t: ``gamma*z - gamma^2/2``, z the upper-t quantile.
-
-        Only defined on the open interval (the slope diverges at 0 and
-        vanishes at 1).
-        """
+        """Log of the derivative of power in t, defined only on the open
+        interval (0, 1): the slope diverges at 0 and vanishes at 1."""
         g = _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
         if not np.all((tt > 0) & (tt < 1)):
             raise ValueError("slope is defined only for t in (0, 1)")
-        z = -ndtri(tt)
-        out = g * z - 0.5 * g * g
-        return out if out.ndim else float(out)
+        return _float_if_scalar(self._log_slope(g, tt))
 
     def threshold_for_log_slope(self, gamma, log_slope):
-        """Unique t in [0, 1] with ``log_power_slope(gamma, t) == log_slope``.
-
-        Closed form ``t = 1 - Phi(gamma/2 + log_slope/gamma)``, computed
-        as ``Phi(-(...))`` to keep small thresholds at full precision.  A
-        log slope of +inf gives t = 0 and -inf gives t = 1.
-        """
-        out = self._threshold(_check_gamma(gamma), _check_log_slope(log_slope))
-        return out if out.ndim else float(out)
+        """The t in [0, 1] where ``log_power_slope(gamma, t)`` reaches ``log_slope``;
+        +inf gives the smallest threshold and -inf the largest."""
+        return _float_if_scalar(self._threshold(_check_gamma(gamma),
+                                                _check_log_slope(log_slope)))
 
     def threshold_power_split(self, gamma, log_slope):
-        """(t, 1-t, power, 1-power) at the inverse-log-slope threshold.
-
-        With ``z = gamma/2 + log_slope/gamma``, ``t = Phi(-z)`` and
-        ``power = Phi(gamma - z)``.  One ``ndtr`` serves each complement
-        pair: ``a = Phi(-|z|)`` and ``b = Phi(-|gamma - z|)`` are the smaller
-        masses (<= 1/2), taken as they are, and the larger masses are
-        ``1 - a`` and ``1 - b``.  A mass near 0 is never formed by
-        subtraction, so ratios of survival masses stay accurate even when
-        the threshold or the power sits within a few ulp of 1.
-        """
+        """(t, 1-t, power, 1-power) at the inverse-log-slope threshold."""
         return self._split(_check_gamma(gamma), _check_log_slope(log_slope))
 
-    # Unchecked kernels of the two queries above, for float arrays g and s
-    # already validated: the weight solver calls them once per evaluation.
+    def _split(self, g, s):
+        t = self._threshold(g, s)
+        pi = self._power(g, t)
+        return t, 1.0 - t, pi, 1.0 - pi
+
+
+class NormalLocationModel(_PowerModel):
+    """One-sided test of a unit-variance normal mean shift.
+
+    The test statistic is N(0, 1) under the null and N(gamma, 1) under the
+    alternative; the size-t test rejects when the statistic exceeds the
+    upper-t normal quantile ``z = Phi^{-1}(1 - t)``, computed as
+    ``-Phi^{-1}(t)`` to stay accurate for t near 0.  Power, its slope in t,
+    and the inverse-slope map all have closed forms:
+
+    - power ``pi_gamma(t) = Phi(gamma - z)``, exact at t = 0 and t = 1;
+    - log slope ``gamma*z - gamma^2/2``;
+    - threshold ``t = 1 - Phi(gamma/2 + log_slope/gamma)``, computed as
+      ``Phi(-(...))`` to keep small thresholds at full precision, so a log
+      slope of +inf gives t = 0 and -inf gives t = 1.
+
+    The split takes, with ``z = gamma/2 + log_slope/gamma``, ``t = Phi(-z)``
+    and ``power = Phi(gamma - z)``.  One ``ndtr`` serves each complement
+    pair: ``a = Phi(-|z|)`` and ``b = Phi(-|gamma - z|)`` are the smaller
+    masses (<= 1/2), taken as they are, and the larger masses are ``1 - a``
+    and ``1 - b``.  A mass near 0 is never formed by subtraction, so ratios
+    of survival masses stay accurate even when the threshold or the power
+    sits within a few ulp of 1.
+    """
+
+    def _power(self, g, t):
+        with np.errstate(divide="ignore"):
+            out = ndtr(g + ndtri(t))
+        # endpoints are exact by definition
+        return np.where(t == 0.0, 0.0, np.where(t == 1.0, 1.0, out))
+
+    def _log_slope(self, g, t):
+        return g * -ndtri(t) - 0.5 * g * g
 
     def _threshold(self, g, s):
         return ndtr(-(0.5 * g + s / g))
@@ -117,15 +128,16 @@ class NormalLocationModel:
                 np.where(pi_large, cb, b), np.where(pi_large, b, cb))
 
 
-class TabulatedPowerModel:
+class TabulatedPowerModel(_PowerModel):
     """Power curve defined by a user-supplied strictly concave table.
 
     The table is a set of (t, power) knots including (0, 0) and (1, 1),
     with strictly increasing t and power and strictly decreasing secant
     slopes (concavity is validated at load).  Power between knots is
     linearly interpolated; the slope on ``(t_i, t_{i+1}]`` is that
-    segment's secant, so the inverse-slope query returns a knot.  The same
-    curve is used for every effect size.
+    segment's secant, so the inverse-slope query returns a knot: the
+    largest knot t with ``log_power_slope(gamma, t) >= log_slope``, in
+    [1e-15, 1 - 1e-15].  The same curve is used for every effect size.
     """
 
     def __init__(self, t, power):
@@ -159,32 +171,11 @@ class TabulatedPowerModel:
         idx = np.searchsorted(self._t, tt, side="left") - 1
         return np.clip(idx, 0, self._t.size - 2)
 
-    def power(self, gamma, t):
-        _check_gamma(gamma)
-        tt = np.asarray(t, dtype=float)
-        if not np.all((tt >= 0) & (tt <= 1)):
-            raise ValueError("size threshold t must lie in [0, 1]")
-        out = np.interp(tt, self._t, self._p)
-        return out if out.ndim else float(out)
+    def _power(self, g, t):
+        return np.interp(t, self._t, self._p)
 
-    def log_power_slope(self, gamma, t):
-        _check_gamma(gamma)
-        tt = np.asarray(t, dtype=float)
-        if not np.all((tt > 0) & (tt < 1)):
-            raise ValueError("slope is defined only for t in (0, 1)")
-        out = self._log_secants[self._segment(tt)]
-        return out if out.ndim else float(out)
-
-    def threshold_for_log_slope(self, gamma, log_slope):
-        """Largest knot t with ``log_power_slope(gamma, t) >= log_slope``, in [1e-15, 1 - 1e-15]."""
-        t = self._threshold(_check_gamma(gamma), _check_log_slope(log_slope))
-        return t if t.ndim else float(t)
-
-    def threshold_power_split(self, gamma, log_slope):
-        """(t, 1-t, power, 1-power) at the inverse-log-slope knot."""
-        return self._split(_check_gamma(gamma), _check_log_slope(log_slope))
-
-    # Unchecked kernels of the two queries above, as in NormalLocationModel.
+    def _log_slope(self, g, t):
+        return self._log_secants[self._segment(t)]
 
     def _threshold(self, g, s):
         # the largest t with slope(t) >= slope is knot j, where j counts the
@@ -193,11 +184,6 @@ class TabulatedPowerModel:
         # log slope of +inf lands on 1e-15 and -inf on 1 - 1e-15
         j = np.searchsorted(-self._log_secants, -s, side="right")
         return np.clip(self._t[j], 1e-15, 1 - 1e-15)
-
-    def _split(self, g, s):
-        t = self._threshold(g, s)
-        pi = np.interp(t, self._t, self._p)
-        return t, 1.0 - t, pi, 1.0 - pi
 
 
 def default_model():

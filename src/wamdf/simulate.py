@@ -30,6 +30,8 @@ __all__ = [
 
 _WEIGHT_MODES = ("optimal", "perturbed", "independent", "unit")
 _MASK64 = (1 << 64) - 1
+# resampling rounds _draw_positive_uniform02 makes before it gives up
+_DRAW_TRIES = 100
 
 
 @dataclass
@@ -202,10 +204,10 @@ def evaluate(theta, report):
     return fdp, cdp
 
 
-def _draw_positive_uniform02(rng, size, limit=None, max_tries=100):
+def _draw_positive_uniform02(rng, size, limit=None):
     """Uniform(0, 2) draws, resampling zeros and entries breaking ``x*limit <= 1``."""
     x = rng.uniform(0.0, 2.0, size)
-    for _ in range(max_tries):
+    for _ in range(_DRAW_TRIES):
         bad = x <= 0.0
         if limit is not None:
             bad |= x * limit > 1.0

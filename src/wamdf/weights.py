@@ -22,8 +22,6 @@ __all__ = [
     "PriorSpec",
     "WeightProfile",
     "NoSolutionError",
-    "solve_thresholds",
-    "mean_threshold",
     "optimal_fixed_t_weights",
     "fdp_approximator",
     "asymptotically_optimal_weights",
@@ -124,10 +122,6 @@ class WeightProfile:
         """Per-test thresholds t_m = t_bar * w_m."""
         return self.t_bar * self.weights
 
-    @property
-    def w_max(self):
-        return float(self.weights.max())
-
     def to_dict(self):
         return {
             "k_star": self.k_star,
@@ -165,22 +159,6 @@ def _thresholds(prior, log_k, model):
     model's unchecked kernel: ``PriorSpec`` validated gamma, and log k is
     never NaN."""
     return model._threshold(prior.gamma, log_k - np.log(prior.p))
-
-
-def solve_thresholds(prior, k, model=None):
-    """Per-hypothesis thresholds ``t_m`` solving ``pi'(t_m) = k / p_m``.
-
-    Each t_m is strictly decreasing in k; ties in (p, gamma) give
-    identical thresholds.
-    """
-    if not np.all((k > 0) & (k < np.inf)):
-        raise ValueError("multiplier k must be positive and finite")
-    return _thresholds(prior, np.log(k), model or default_model())
-
-
-def mean_threshold(prior, k, model=None):
-    """Mean of ``solve_thresholds`` over the battery; strictly decreasing in k."""
-    return float(np.mean(solve_thresholds(prior, k, model)))
 
 
 @dataclass
@@ -323,8 +301,8 @@ def _profile(prior, log_k, model, warning=False):
 def optimal_fixed_t_weights(prior, t, model=None):
     """Weights maximizing expected correct rejections at mean threshold t.
 
-    Finds the unique multiplier ``k*`` with ``mean_threshold(k*) == t``
-    (the mean threshold is continuous and strictly decreasing in k) and
+    Finds the unique multiplier ``k*`` at which the mean threshold equals t
+    (it is continuous and strictly decreasing in k) and
     returns ``w_m = t_m / t``.  A homogeneous prior yields the unit
     weight vector for every t.
 

@@ -12,27 +12,22 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-import wamdf
-from wamdf import (
-    PriorSpec,
-    alpha_star,
-    analyze,
-    asymptotically_optimal_weights,
-    estimate_m0,
-    evaluate,
-    fdp_approximator,
-    fdr_upper_bound,
-    generate_du,
-    generate_synthetic_counts,
-    optimal_fixed_t_weights,
-    run_procedure,
-    run_simulation,
-    simulation_preset,
-    step_up_threshold,
-    substream,
-)
+from wamdf.counts import analyze, generate_synthetic_counts, score_statistic
 from wamdf.power import NormalLocationModel
-from wamdf.counts import score_statistic
+from wamdf.procedures import (
+    alpha_star,
+    estimate_m0,
+    fdr_upper_bound,
+    run_procedure,
+    step_up_threshold,
+)
+from wamdf.simulate import evaluate, generate_du, run_simulation, simulation_preset, substream
+from wamdf.weights import (
+    PriorSpec,
+    asymptotically_optimal_weights,
+    fdp_approximator,
+    optimal_fixed_t_weights,
+)
 
 from oracles import adaptive_fdp_estimate, bisect_decreasing
 

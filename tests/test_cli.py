@@ -689,6 +689,34 @@ class TestExitMap:
         assert err.startswith("error: achieved power") and err.count("\n") == 1
         assert "hint" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: subcommand"),
+        (["weights", "prior.csv", "--alpha", "0.05"], "the following arguments are required: --out"),
+        (["run", "p.csv", "--alpha", "abc", "--out", "o"], "argument --alpha: invalid float value: 'abc'"),
+        (["simulate", "--preset", "1", "--K", "2.5", "--out", "o"],
+         "argument --K: invalid int value: '2.5'"),
+        (["analyze", "--synthetic", "ten", "--seed", "1", "--x", "1,2", "--out", "o"],
+         "argument --synthetic: invalid int value: 'ten'"),
+        (["bounds", "--alpha", "0.05", "--lambda", "0.5", "--w0-bar", "1", "--m0", "2.5"],
+         "argument --m0: invalid int value: '2.5'"),
+    ], ids=["no-subcommand", "weights", "run", "simulate", "analyze", "bounds"])
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        # argparse's own status 2 would read as "no solution"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        prog = " ".join(["wamdf"] + argv[:1])
+        assert err.startswith(f"usage: {prog} ")
+        assert err.endswith(f"{prog}: error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: wamdf" if flag == "--help" else "wamdf ")
+
     @pytest.mark.parametrize("argv", [
         ["run", "{}", "--variant", "UU"],
         ["weights", "{}", "--t", "0.1"],

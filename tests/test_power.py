@@ -1,6 +1,7 @@
 """Power-curve model: frozen values, derivative checks, inversion properties."""
 
 import bisect
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wamdf.power import NormalLocationModel, TabulatedPowerModel
 from oracles import bisect_decreasing, four_ndtr_split
 
 MODEL = NormalLocationModel()
+MODELS = (MODEL, TabulatedPowerModel([0.0, 0.2, 1.0], [0.0, 0.6, 1.0]))
 
 GAMMAS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
 
@@ -57,32 +59,46 @@ class TestFrozenValues:
 
 
 class TestDomainErrors:
+    # each check runs on both models, and the messages are matched whole
+    T_RANGE = "^" + re.escape("size threshold t must lie in [0, 1]") + "$"
+    GAMMA = "^effect size gamma must be positive and finite$"
+    OPEN_T = "^" + re.escape("slope is defined only for t in (0, 1)") + "$"
+
     def test_power_t_out_of_range(self):
-        with pytest.raises(ValueError):
-            MODEL.power(2.0, -0.01)
-        with pytest.raises(ValueError):
-            MODEL.power(2.0, 1.01)
+        for model in MODELS:
+            for t in (-0.01, 1.01):
+                with pytest.raises(ValueError, match=self.T_RANGE):
+                    model.power(2.0, t)
 
     def test_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            MODEL.power(0.0, 0.5)
-        with pytest.raises(ValueError):
-            MODEL.log_power_slope(-1.0, 0.5)
+        for model in MODELS:
+            with pytest.raises(ValueError, match=self.GAMMA):
+                model.power(0.0, 0.5)
+            with pytest.raises(ValueError, match=self.GAMMA):
+                model.log_power_slope(-1.0, 0.5)
 
     def test_slope_at_endpoints(self):
-        with pytest.raises(ValueError):
-            MODEL.log_power_slope(2.0, 0.0)
-        with pytest.raises(ValueError):
-            MODEL.log_power_slope(2.0, 1.0)
+        for model in MODELS:
+            for t in (0.0, 1.0):
+                with pytest.raises(ValueError, match=self.OPEN_T):
+                    model.log_power_slope(2.0, t)
 
-    @pytest.mark.parametrize("model", [MODEL, TabulatedPowerModel([0.0, 0.2, 1.0], [0.0, 0.6, 1.0])],
-                             ids=["normal", "tabulated"])
+    @pytest.mark.parametrize("model", MODELS, ids=["normal", "tabulated"])
     def test_nan_threshold(self, model):
         # a NaN t used to give a NaN power or slope
         with pytest.raises(ValueError, match="t must lie"):
             model.power(2.0, np.nan)
         with pytest.raises(ValueError, match="t in"):
             model.log_power_slope(2.0, np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=["normal", "tabulated"])
+def test_scalar_queries_return_float(model):
+    # a scalar input gives a Python float, an array input an array
+    for query, x in ((model.power, 0.3), (model.log_power_slope, 0.3),
+                     (model.threshold_for_log_slope, 0.5)):
+        assert type(query(2.0, x)) is float
+        assert isinstance(query(2.0, np.array([x, x])), np.ndarray)
 
 
 @pytest.mark.parametrize("model, limit", [

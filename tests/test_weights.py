@@ -8,12 +8,11 @@ from wamdf.weights import (
     NoSolutionError,
     PriorSpec,
     WeightProfile,
+    _thresholds,
     asymptotically_optimal_weights,
     fdp_approximator,
-    mean_threshold,
     optimal_fixed_t_weights,
     perturb_weights,
-    solve_thresholds,
 )
 
 MODEL = NormalLocationModel()
@@ -59,25 +58,21 @@ class TestPriorSpec:
 class TestSolveThresholds:
     def test_homogeneous_equal(self):
         prior = PriorSpec(np.full(6, 0.4), np.full(6, 2.5))
-        t = solve_thresholds(prior, 1.3)
+        t = _thresholds(prior, np.log(1.3), MODEL)
         assert np.ptp(t) == 0.0
 
     def test_worked_example_thresholds(self):
         # at k = 2.52 the two effect-size groups land on 0.0352 / 0.0207
-        t = solve_thresholds(worked_prior(), 2.52)
+        t = _thresholds(worked_prior(), np.log(2.52), MODEL)
         np.testing.assert_allclose(t[:5], 0.035248575147992487, rtol=1e-12)
         np.testing.assert_allclose(t[5:], 0.020718259971459153, rtol=1e-10)
         assert np.mean(t) == pytest.approx(0.028, abs=5e-5)
 
     def test_large_k_vanishes(self):
-        t = solve_thresholds(worked_prior(), 1e8)
+        t = _thresholds(worked_prior(), np.log(1e8), MODEL)
         assert np.all(t < 1e-6)
 
-    def test_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            solve_thresholds(worked_prior(), 0.0)
-
-    @pytest.mark.parametrize("solve", [solve_thresholds, mean_threshold, fdp_approximator])
+    @pytest.mark.parametrize("solve", [fdp_approximator])
     @pytest.mark.parametrize("k", [np.nan, np.inf, -1.0])
     def test_k_not_positive_finite_names_k(self, solve, k):
         with pytest.raises(ValueError, match="^multiplier k must be positive and finite"):
@@ -156,7 +151,7 @@ class TestOptimalFixedT:
     def test_monotone_mean_threshold(self):
         prior = worked_prior()
         ks = np.logspace(-3, 3, 25)
-        tbars = np.array([mean_threshold(prior, k) for k in ks])
+        tbars = np.array([np.mean(_thresholds(prior, np.log(k), MODEL)) for k in ks])
         assert np.all(np.diff(tbars) < 0)
 
     def test_weight_increases_in_prior(self):
@@ -260,7 +255,7 @@ class TestWeightUnderflow:
         assert profile.weights[2] == tiny
         assert np.all(profile.weights >= tiny)
         # the other weights are those of the unclamped profile
-        thresholds = solve_thresholds(self.PRIOR, profile.k_star)
+        thresholds = _thresholds(self.PRIOR, np.log(profile.k_star), MODEL)
         untouched = [0, 1, 3]
         np.testing.assert_array_equal(profile.weights[untouched],
                                       (thresholds / np.mean(thresholds))[untouched])
