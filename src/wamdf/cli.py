@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 input or usage error, 2 model-precondition failure
 """
 
 import argparse
+import contextlib
+import ctypes
 import datetime
 import json
 import os
@@ -149,7 +151,9 @@ def cmd_run(args):
     pvalues = table[:, 0]
     weights = None
     inputs = [args.pvalues]
-    if args.weights:
+    if args.unit:
+        weights = np.ones_like(pvalues)
+    elif args.weights:
         inputs.append(args.weights)
         with open(args.weights) as fh:
             profile = WeightProfile.from_dict(json.load(fh))
@@ -158,7 +162,7 @@ def cmd_run(args):
             args.lam = profile.t_bar
         if args.u is None and args.variant in ("WU", "WA"):
             args.u = profile.u
-    elif not args.unit and header == ("p", "weight"):
+    elif header == ("p", "weight"):
         weights = table[:, 1]
     if args.variant in ("WU", "WA") and weights is None:
         raise ValueError(f"variant {args.variant} needs --weights, a weight column, or --unit")
@@ -366,8 +370,9 @@ def build_parser():
 
     r = sub.add_parser("run", help="run a procedure on a p-value file")
     r.add_argument("pvalues", help="CSV with header p or p,weight")
-    r.add_argument("--weights", help="weights JSON produced by the weights subcommand")
-    r.add_argument("--unit", action="store_true", help="force unit weights")
+    source = r.add_mutually_exclusive_group()
+    source.add_argument("--weights", help="weights JSON produced by the weights subcommand")
+    source.add_argument("--unit", action="store_true", help="force unit weights")
     r.add_argument("--variant", default="WA", choices=["UU", "WU", "UA", "WA"])
     r.add_argument("--alpha", type=float, default=0.05)
     r.add_argument("--lambda", dest="lam", type=float, help="census level for adaptive variants")
@@ -418,11 +423,26 @@ def build_parser():
     return parser
 
 
+def _release_freed_memory():
+    """Hand the heap's free pages back to the operating system.
+
+    glibc keeps freed heap memory resident, and whether a later large
+    allocation reuses it or grows the heap depends on where earlier frees
+    left holes, which differs from process to process with address-space
+    randomization.  Trimming before and after each command keeps a
+    process that runs many commands at its live memory, so its peak is
+    the same from run to run.  A no-op where ``malloc_trim`` is missing.
+    """
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).malloc_trim(0)
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, the no-solution code here
         raise SystemExit(EXIT_INPUT if exc.code == 2 else exc.code)
+    _release_freed_memory()
     try:
         return args.func(args)
     except (NoSolutionError, CalibrationError) as exc:
@@ -439,6 +459,8 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        _release_freed_memory()
 
 
 if __name__ == "__main__":

@@ -125,6 +125,7 @@ def k_from_beta(beta, x):
     x = np.asarray(x, dtype=float)
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
+    _check_covariate(x)
     logits = beta * x
     logits = logits - logits.max()
     p = np.exp(logits)
@@ -281,9 +282,8 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5, model=None):
     )
     profile = calibration.profile
     lam = profile.t_bar
-    wa = run_procedure("WA", pvalues, weights=profile.weights, alpha=alpha,
-                       lam=lam, u=profile.u)
-    ua = run_procedure("UA", pvalues, alpha=alpha, lam=lam, u=1.0)
+    wa = run_procedure("WA", pvalues, weights=profile.weights, alpha=alpha, lam=lam)
+    ua = run_procedure("UA", pvalues, alpha=alpha, lam=lam)
 
     gamma = calibration.gamma
     table = {

@@ -134,7 +134,8 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
     alpha : float
         Nominal FDR level.
     lam : float, optional
-        Census level for the null-count estimate; required for UA/WA.
+        Census level for the null-count estimate; required for UA/WA,
+        where it must not exceed u.
     u : float, optional
         Upper bound for the selected threshold.  Defaults to
         ``1 / max(weights)`` (so unit weights give 1).
@@ -183,7 +184,7 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
         raise ValueError("u must be positive and finite")
     if u * w_max > 1.0 + 1e-9:
         raise ValueError("u * max(weights) must not exceed 1")
-    if lam is not None and lam > u + 1e-12:
+    if adaptive and lam > u + 1e-12:
         raise ValueError("lambda must not exceed u")
 
     m0_hat = estimate_m0(q, lam) if adaptive else float(q.size)

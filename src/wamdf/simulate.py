@@ -11,6 +11,7 @@ keyed by (seed, replication), so serial and parallel runs agree bitwise.
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtr
@@ -59,10 +60,14 @@ class SimConfig:
     preset: int | None = None
 
     def __post_init__(self):
-        if self.M < 1 or self.n_reps < 1:
-            raise ValueError("M and n_reps must be at least 1")
         if self.seed is None:
             raise ValueError("a seed is required; silent nondeterminism is not allowed")
+        for name in ("M", "n_reps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.M < 1 or self.n_reps < 1:
+            raise ValueError("M and n_reps must be at least 1")
         if not np.all((self.alpha > 0) & (self.alpha < 1)):
             raise ValueError("alpha must lie in (0, 1)")
         if not np.all((self.gamma_a >= 1) & (self.gamma_a < np.inf)):
@@ -123,15 +128,7 @@ class SimConfig:
                 raise ValueError(f"{path}: unknown config key {key!r}")
         preset = kwargs.pop("preset", None)
         if preset is not None:
-            base = simulation_preset(
-                preset,
-                a=kwargs.pop("gamma_a", 5.0),
-                M=kwargs.pop("M", 1000),
-                n_reps=kwargs.pop("n_reps", 1000),
-                seed=kwargs.pop("seed", 0),
-                alpha=kwargs.pop("alpha", 0.05),
-            )
-            return replace(base, **kwargs)
+            return replace(simulation_preset(preset), **kwargs)
         missing = [k for k in ("M", "n_reps", "seed") if k not in kwargs]
         if missing:
             raise ValueError(f"{path}: no preset, and missing {', '.join(missing)}")
@@ -218,58 +215,42 @@ def _draw_positive_uniform02(rng, size, limit=None):
 
 
 def _replicate(config, rep):
-    """One replication; returns (ok, warned, {variant: (fdp, cdp)}).
+    """One replication; returns None when skipped, else (warned, {variant: (fdp, cdp)}).
 
-    A replication whose weight solve has no solution is skipped (ok is
-    False).  Any other failure is re-raised with its type kept and
-    ``(seed, rep)`` in its message, so ``substream(seed, rep)`` can replay it.
+    A replication whose weight solve has no solution is skipped.  Any other
+    failure is re-raised with its type kept and ``(seed, rep)`` in its
+    message, so ``substream(seed, rep)`` can replay it.  ``run_procedure``
+    caps each threshold at ``1/max(w)`` and gives UU and UA unit weights.
     """
     try:
-        return _replicate_once(config, rep)
+        rng = substream(config.seed, rep)
+        theta, p, gamma, pvalues = generate_model1(config, rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                profile = asymptotically_optimal_weights(PriorSpec(p, gamma), config.alpha)
+            except NoSolutionError:
+                return None
+        warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+        lam = profile.t_bar if config.lambda_fixed is None else float(config.lambda_fixed)
+        if config.weight_mode == "optimal":
+            weights = profile.weights
+        elif config.weight_mode == "perturbed":
+            mult = _draw_positive_uniform02(rng, config.M, limit=profile.thresholds)
+            weights = perturb_weights(profile, mult).weights
+        elif config.weight_mode == "independent":
+            weights = _draw_positive_uniform02(rng, config.M)
+        else:
+            weights = np.ones(config.M)
+        return warned, {
+            variant: evaluate(theta, run_procedure(variant, pvalues, weights=weights,
+                                                   alpha=config.alpha, lam=lam))
+            for variant in config.variants
+        }
     except Exception as exc:
         exc.args = (f"replication (seed={config.seed}, rep={rep}): {exc}",)
         raise
-
-
-def _replicate_once(config, rep):
-    rng = substream(config.seed, rep)
-    theta, p, gamma, pvalues = generate_model1(config, rng)
-    prior = PriorSpec(p, gamma)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            profile = asymptotically_optimal_weights(prior, config.alpha)
-        except NoSolutionError:
-            return False, True, {}
-    warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
-
-    lam = profile.t_bar if config.lambda_fixed is None else float(config.lambda_fixed)
-    if config.weight_mode == "optimal":
-        weights, u = profile.weights, profile.u
-    elif config.weight_mode == "perturbed":
-        mult = _draw_positive_uniform02(rng, config.M, limit=profile.thresholds)
-        perturbed = perturb_weights(profile, mult)
-        weights, u = perturbed.weights, perturbed.u
-    elif config.weight_mode == "independent":
-        weights = _draw_positive_uniform02(rng, config.M)
-        u = 1.0 / float(weights.max())
-    else:
-        weights = np.ones(config.M)
-        u = 1.0
-
-    out = {}
-    for variant in config.variants:
-        weighted = variant in ("WU", "WA")
-        report = run_procedure(
-            variant,
-            pvalues,
-            weights=weights if weighted else None,
-            alpha=config.alpha,
-            lam=lam,
-            u=u if weighted else 1.0,
-        )
-        out[variant] = evaluate(theta, report)
-    return True, warned, out
 
 
 @dataclass
@@ -342,26 +323,14 @@ def run_simulation(config, threads=1):
     else:
         results = [_replicate(config, rep) for rep in reps]
 
-    fdp = {v: [] for v in config.variants}
-    cdp = {v: [] for v in config.variants}
-    n_skipped = n_warned = 0
-    for ok, warned, metrics in results:
-        if not ok:
-            n_skipped += 1
-            continue
-        if warned:
-            n_warned += 1
-        for v in config.variants:
-            fdp[v].append(metrics[v][0])
-            cdp[v].append(metrics[v][1])
-    n_completed = config.n_reps - n_skipped
-    if n_completed == 0:
+    done = [r for r in results if r is not None]
+    if not done:
         raise NoSolutionError("every replication failed the weight solve")
     return SimSummary(
         config=config,
-        n_completed=n_completed,
-        n_skipped=n_skipped,
-        n_warned=n_warned,
-        fdp={v: np.array(x) for v, x in fdp.items()},
-        cdp={v: np.array(x) for v, x in cdp.items()},
+        n_completed=len(done),
+        n_skipped=config.n_reps - len(done),
+        n_warned=sum(warned for warned, _ in done),
+        fdp={v: np.array([metrics[v][0] for _, metrics in done]) for v in config.variants},
+        cdp={v: np.array([metrics[v][1] for _, metrics in done]) for v in config.variants},
     )

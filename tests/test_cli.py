@@ -123,6 +123,17 @@ class TestWeightsCommand:
             == EXIT_INPUT
         )
 
+    @pytest.mark.parametrize("level, message", [
+        (["--alpha", "1.5"], "alpha must lie in (0, 1)"),
+        (["--t", "0"], "target mean threshold t must lie in (0, 1)"),
+    ], ids=["alpha-1.5", "t-0"])
+    def test_level_outside_unit_interval_exit_1(self, tmp_path, capsys, prior_file, level,
+                                                message):
+        out = tmp_path / "out"
+        assert main(["weights", str(prior_file), *level, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert (
             main(["weights", str(tmp_path / "nope.csv"), "--alpha", "0.05",
@@ -301,6 +312,47 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: lambda must lie in (0, 1)\n"
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("variant", ["WU", "WA"])
+    def test_weighted_variant_needs_weights_exit_1(self, tmp_path, capsys, variant):
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p\n0.01\n0.2\n")
+        assert main(["run", str(pvals), "--variant", variant, "--lambda", "0.1",
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: variant {variant} needs --weights, a weight column, or --unit\n")
+
+    @pytest.mark.parametrize("weighted, unweighted", [("WU", "UU"), ("WA", "UA")])
+    def test_unit_applies_to_every_variant(self, tmp_path, weighted, unweighted):
+        # --unit used to be ignored next to a weight column, and WU/WA
+        # exited 1 with only --unit
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text(WORKED_PVALUES)
+        reports = []
+        for variant in (weighted, unweighted):
+            out = tmp_path / variant
+            assert main(["run", str(pvals), "--unit", "--variant", variant, "--lambda", "0.5",
+                         "--out", str(out)]) == EXIT_OK
+            with open(out / "report.json") as fh:
+                reports.append(json.load(fh))
+            weights = np.loadtxt(out / "report.tsv", skiprows=1, usecols=2)
+            np.testing.assert_array_equal(weights, np.ones(10))
+        for report in reports:
+            del report["variant"]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("variant, code", [("UU", EXIT_OK), ("WU", EXIT_OK),
+                                               ("WA", EXIT_INPUT)])
+    def test_lambda_above_u_fails_only_adaptive_variants(self, tmp_path, capsys, variant,
+                                                         code):
+        # the largest weight 4 puts u at 0.25; WU used to exit 1 on a
+        # lambda it never uses
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p,weight\n0.001,4\n0.01,0.5\n0.2,0.5\n0.6,0.5\n")
+        assert main(["run", str(pvals), "--variant", variant, "--lambda", "0.5",
+                     "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == EXIT_OK else "error: lambda must not exceed u\n")
+
     def test_finite_fdr_flag(self, tmp_path):
         pvals = tmp_path / "pvals.csv"
         pvals.write_text(WORKED_PVALUES)
@@ -457,6 +509,23 @@ class TestSimulateCommand:
         assert main([
             "simulate", "--preset", "1", "--out", str(tmp_path / "o"),
         ]) == EXIT_INPUT
+
+    def test_needs_config_or_preset_exit_1(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "1", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: either --config or --preset is required\n"
+
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        summaries = []
+        for seed, flags in (("9", []), ("1", ["--seed", "9"])):
+            cfg = tmp_path / f"sim{seed}.cfg"
+            cfg.write_text(f"preset = 2\nM = 30\nn_reps = 2\nseed = {seed}\n")
+            out = tmp_path / f"out{seed}"
+            assert main(["simulate", "--config", str(cfg), *flags, "--threads", "1",
+                         "--out", str(out)]) == EXIT_OK
+            summaries.append((out / "summary_a5.json").read_text())
+            with open(out / "manifest.json") as fh:
+                assert json.load(fh)["seed"] == 9
+        assert summaries[0] == summaries[1]
 
     @pytest.mark.parametrize("flags, config, named", [
         (["--a", "nan"], None, "gamma_a"),
@@ -645,6 +714,12 @@ class TestBoundsCommand:
     def test_nothing_requested(self):
         assert main(["bounds", "--alpha", "0.05", "--lambda", "0.3"]) == EXIT_INPUT
 
+    def test_w0_bar_needs_m0(self, capsys):
+        assert main(["bounds", "--alpha", "0.05", "--lambda", "0.2", "--w0-bar", "0.9"]) == \
+            EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --m0 is required with --w0-bar\n")
+
     def test_domain_error_exit_1(self):
         assert main([
             "bounds", "--alpha", "0.05", "--lambda", "0.9", "--w-max", "2.0",
@@ -699,7 +774,10 @@ class TestExitMap:
          "argument --synthetic: invalid int value: 'ten'"),
         (["bounds", "--alpha", "0.05", "--lambda", "0.5", "--w0-bar", "1", "--m0", "2.5"],
          "argument --m0: invalid int value: '2.5'"),
-    ], ids=["no-subcommand", "weights", "run", "simulate", "analyze", "bounds"])
+        (["run", "p.csv", "--weights", "w.json", "--unit", "--out", "o"],
+         "argument --unit: not allowed with argument --weights"),
+    ], ids=["no-subcommand", "weights", "run", "simulate", "analyze", "bounds",
+            "run-unit-and-weights"])
     def test_usage_error_exit_1(self, capsys, argv, message):
         # argparse's own status 2 would read as "no solution"
         with pytest.raises(SystemExit) as exc:
@@ -991,3 +1069,15 @@ def test_startup_skips_scipy_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("text, code", [("p\n0.01\n0.5\n", EXIT_OK), ("p\nabc\n", EXIT_INPUT)],
+                         ids=["ok", "input-error"])
+def test_heap_trimmed_before_and_after_each_command(tmp_path, monkeypatch, text, code):
+    # a process running many commands holds only its live memory between them
+    calls = []
+    monkeypatch.setattr(cli, "_release_freed_memory", lambda: calls.append(None))
+    pvalues = tmp_path / "pv.csv"
+    pvalues.write_text(text)
+    assert main(["run", str(pvalues), "--variant", "UU", "--out", str(tmp_path / "o")]) == code
+    assert len(calls) == 2

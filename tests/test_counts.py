@@ -126,6 +126,14 @@ class TestKFromBeta:
         assert k_from_beta(beta, X) == pytest.approx(0.38207525895481903, rel=1e-10)
 
 
+    @pytest.mark.parametrize("x", [[1.0, np.nan, 2.0], [1.0, 1.0, 1.0], [1.0]],
+                             ids=["nan", "constant", "single"])
+    def test_rejects_bad_covariate(self, x):
+        # each used to return nan
+        with pytest.raises(ValueError, match="^covariate must be finite with at least two"):
+            k_from_beta(0.5, x)
+
+
 class TestCalibration:
     def test_single_feature_scalar_chain(self):
         # independent scalar oracle: bisect the information constant with a

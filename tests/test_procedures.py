@@ -243,6 +243,28 @@ class TestRunProcedure:
             run_procedure("WA", np.array([0.01, 0.5]), weights=np.array([1.0, np.inf]),
                           lam=0.1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(finite_fdr=True), "finite-FDR mode requires lambda"),
+        (dict(u=0.8), "u * max(weights) must not exceed 1"),
+    ], ids=["finite-fdr-without-lambda", "u-above-1-over-max-weight"])
+    def test_rejects_a_cap_it_cannot_set(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            run_procedure("WU", np.array([0.1, 0.2]), weights=np.array([2.0, 0.5]), **kwargs)
+        assert str(info.value) == message
+
+    def test_lambda_above_u_checked_only_for_adaptive_variants(self):
+        # an unadaptive variant never uses lambda; it used to fail for
+        # lambda > u all the same
+        p = np.array([0.001, 0.01, 0.2, 0.6])
+        w = np.array([4.0, 0.5, 0.5, 0.5])  # u = 1/max(w) = 0.25
+        for variant in ("UU", "WU"):
+            report = run_procedure(variant, p, weights=w, lam=0.5)
+            np.testing.assert_array_equal(report.rejected,
+                                          run_procedure(variant, p, weights=w).rejected)
+        for variant, u in (("UA", 0.25), ("WA", None)):
+            with pytest.raises(ValueError, match="^lambda must not exceed u$"):
+                run_procedure(variant, p, weights=w, lam=0.5, u=u)
+
     @pytest.mark.parametrize("alpha", [np.nan, 0.0, 1.0, 5.0, -0.1])
     def test_rejects_alpha_outside_unit_interval(self, alpha):
         # alpha = nan used to reject nothing and alpha = 5 everything
@@ -337,6 +359,11 @@ class TestAlphaStar:
         with pytest.raises(ValueError, match="alpha|w_max"):
             alpha_star(alpha, 0.2, w_max)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, float("nan")])
+    def test_rejects_lambda_outside_unit_interval(self, lam):
+        with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\)$"):
+            alpha_star(0.05, lam, 1.5)
+
 
 class TestFdrUpperBound:
     def test_unit_weights_recover_classic(self):
@@ -368,6 +395,11 @@ class TestFdrUpperBound:
         # nan used to return nan, and 2.5 was accepted
         with pytest.raises(ValueError, match="^m0 must be an integer of at least 1$"):
             fdr_upper_bound(0.05, 0.5, 1.0, m0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, float("nan")])
+    def test_rejects_lambda_outside_unit_interval(self, lam):
+        with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\)$"):
+            fdr_upper_bound(0.05, lam, 0.9, 5)
 
     def test_integral_float_m0(self):
         assert fdr_upper_bound(0.05, 0.3, 1.0, 7.0) == fdr_upper_bound(0.05, 0.3, 1.0, 7)

@@ -163,6 +163,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             SimConfig(M=1, n_reps=1, seed=1, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("M", 10.5), ("M", 10.0), ("n_reps", np.nan), ("seed", 0.5),
+    ])
+    def test_integer_fields_rejected_by_name(self, field, value):
+        # each used to construct, and run_simulation then raised a TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(**{"M": 10, "n_reps": 2, "seed": 0, field: value})
+
+    def test_from_file_variants_and_weight_mode(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("preset = 2\nvariants = WA, UA\nweight_mode = unit\n")
+        config = SimConfig.from_file(path)
+        assert config == replace(simulation_preset(2), variants=("WA", "UA"),
+                                 weight_mode="unit")
+
     def test_none_draws_the_law(self, tmp_path):
         # preset 1 fixes p at 0.5; None in the file draws it again
         path = tmp_path / "sim.cfg"
@@ -237,6 +252,24 @@ class TestRunSimulation:
         np.testing.assert_array_equal(summary.cdp["WA"], summary.cdp["UA"])
         np.testing.assert_array_equal(summary.fdp["WA"], summary.fdp["UA"])
         np.testing.assert_array_equal(summary.cdp["WU"], summary.cdp["UU"])
+
+    def test_unit_weights_make_weighted_equal_unweighted(self):
+        config = replace(simulation_preset(2, a=3, M=100, n_reps=6, seed=19),
+                         weight_mode="unit")
+        summary = run_simulation(config)
+        for weighted, unweighted in (("WU", "UU"), ("WA", "UA")):
+            np.testing.assert_array_equal(summary.fdp[weighted], summary.fdp[unweighted])
+            np.testing.assert_array_equal(summary.cdp[weighted], summary.cdp[unweighted])
+
+    def test_lambda_above_u_fails_only_adaptive_variants(self):
+        # perturbed weights put u below 0.3 here; UU and WU never use lambda
+        # and used to fail on it all the same
+        config = replace(simulation_preset(3, a=5, M=300, n_reps=2, seed=2),
+                         lambda_fixed=0.3, variants=("UU", "WU"))
+        assert run_simulation(config).n_completed == 2
+        with pytest.raises(ValueError,
+                           match=r"^replication \(seed=2, rep=0\): lambda must not exceed u$"):
+            run_simulation(replace(config, variants=("UU", "WA")))
 
     def test_smoke_ordering_and_control(self):
         # small version of the heterogeneous study: adaptive/weighted

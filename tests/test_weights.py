@@ -324,6 +324,17 @@ class TestPerturbWeights:
         with pytest.raises(ValueError, match="threshold above 1"):
             perturb_weights(profile, np.array([3.0, 1.0]))
 
+    @pytest.mark.parametrize("multipliers, message", [
+        ([1.0, 1.0, 1.0], "multipliers must match the weight vector length"),
+        ([1.0, 0.0], "multipliers must be positive and finite"),
+        ([1.0, -0.5], "multipliers must be positive and finite"),
+    ], ids=["wrong-length", "zero", "negative"])
+    def test_rejects_bad_multipliers(self, multipliers, message):
+        profile = WeightProfile(np.array([1.0, 1.0]), k_star=1.0, t_bar=0.01, u=1.0)
+        with pytest.raises(ValueError) as info:
+            perturb_weights(profile, np.array(multipliers))
+        assert str(info.value) == message
+
     def test_law_of_large_numbers(self):
         m = 400
         profile = WeightProfile(np.ones(m), k_star=1.0, t_bar=0.01, u=1.0)
