@@ -77,23 +77,6 @@ def _manifest(args, inputs, outputs, seed=None):
     })
 
 
-def _threads(args):
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get("WAMDF_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"WAMDF_THREADS={env!r} is not an integer")
-        if threads < 1:
-            raise ValueError(f"WAMDF_THREADS must be at least 1, got {threads}")
-        return threads
-    return os.cpu_count() or 1
-
-
 def _write_tsv(path, header, columns):
     """Write equal-length columns as a tab-separated table.
 
@@ -228,7 +211,9 @@ def cmd_simulate(args):
                               seed=args.seed, alpha=args.alpha)
             for a in a_values
         ]
-    threads = _threads(args)
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    threads = args.threads or os.cpu_count() or 1
     summaries = [run_simulation(c, threads=threads) for c in configs]
     outdir = _outdir(args)
     outputs = []
@@ -275,8 +260,8 @@ def _write_analysis(result, outdir):
         "achieved_avg_power": result.calibration.achieved_power,
         "lambda": result.calibration.profile.t_bar,
         "u": result.calibration.profile.u,
-        "rejected_wa": result.n_rejected_wa,
-        "rejected_ua": result.n_rejected_ua,
+        "rejected_wa": result.wa.n_rejected,
+        "rejected_ua": result.ua.n_rejected,
         "wa": result.wa.to_dict(),
         "ua": result.ua.to_dict(),
     })
@@ -328,7 +313,7 @@ def cmd_analyze(args):
         np.savetxt(truth_out, theta, fmt="%d", header="planted", comments="")
         outputs += [data_out, truth_out]
     _manifest(args, inputs, outputs, seed=args.seed)
-    print(f"WA rejected {result.n_rejected_wa}, UA rejected {result.n_rejected_ua} "
+    print(f"WA rejected {result.wa.n_rejected}, UA rejected {result.ua.n_rejected} "
           f"of {result.valid_indices.size} tested features "
           f"({result.excluded_indices.size} excluded)")
     return _exit_for(result.calibration.profile, caught)

@@ -30,7 +30,6 @@ __all__ = [
     "AnalysisResult",
     "CalibrationError",
     "score_statistic",
-    "k_from_beta",
     "calibrate_information",
     "analyze",
     "generate_synthetic_counts",
@@ -42,6 +41,11 @@ _POWER_TOL = 1e-6
 
 class CalibrationError(RuntimeError):
     """The average-power target cannot be bracketed in the information constant."""
+
+
+def _check_counts(counts):
+    if not np.all(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))):
+        raise ValueError("counts must be nonnegative integers")
 
 
 def _check_covariate(x):
@@ -63,8 +67,7 @@ class CountDataset:
             raise ValueError("counts must be a 2-d (features x groups) array")
         if self.x.ndim != 1 or self.x.size != self.counts.shape[1]:
             raise ValueError("covariate length must match the number of groups")
-        if np.any(self.counts < 0) or not np.all(self.counts == np.floor(self.counts)):
-            raise ValueError("counts must be nonnegative integers")
+        _check_counts(self.counts)
         _check_covariate(self.x)
         self.counts = self.counts.astype(np.int64)
 
@@ -98,11 +101,14 @@ def score_statistic(counts, x):
 
     Takes one feature's counts (a float Z) or a (features x groups) matrix
     (one Z per row).  Z is NaN for a zero total or all mass in one group.
+    Counts and covariate must pass the checks ``CountDataset`` makes.
     """
     y = np.asarray(counts, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != x.size:
         raise ValueError("counts must be a vector or matrix matching the covariate length")
+    _check_counts(y)
+    _check_covariate(x)
     n = y.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = y / n[..., None]
@@ -112,28 +118,6 @@ def score_statistic(counts, x):
     # a zero total makes q and var NaN, so it fails ``var > 0`` too
     z = np.where(var > 0, z, np.nan)
     return z if z.ndim else float(z)
-
-
-def k_from_beta(beta, x):
-    """Per-observation information constant of the log-linear trend model.
-
-    With group probabilities ``softmax(beta * x)``, returns the mean shift
-    of the score statistic contributed by one observation:
-    ``[sum_i x_i (p_i - 1/g)] / sqrt(x' (diag(p) - p p') x)``.  Zero at
-    ``beta = 0``; positive for positive association.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(beta):
-        raise ValueError("beta must be finite")
-    _check_covariate(x)
-    logits = beta * x
-    logits = logits - logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
-    num = x @ (p - 1.0 / x.size)
-    ex = p @ x
-    var = p @ (x * x) - ex * ex
-    return float(num / np.sqrt(var))
 
 
 @dataclass
@@ -163,8 +147,7 @@ def _average_power(k_info, totals, p_prior, alpha, model):
     return float(np.mean(power)), profile
 
 
-def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
-                          model=None):
+def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5):
     """Solve the information constant so posited average power hits a target.
 
     The solve brackets the target by doubling and halving the constant,
@@ -183,7 +166,7 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5,
         raise ValueError("every feature total must be finite and at least 1")
     if not 0 < target_avg_power < 1:
         raise ValueError("target average power must lie in (0, 1)")
-    model = model or default_model()
+    model = default_model()
 
     solved = {}  # constant -> (average power, profile), each solved once
 
@@ -246,16 +229,8 @@ class AnalysisResult:
     excluded_indices: np.ndarray
     table: dict                # per-feature columns, aligned with valid_indices
 
-    @property
-    def n_rejected_wa(self):
-        return self.wa.n_rejected
 
-    @property
-    def n_rejected_ua(self):
-        return self.ua.n_rejected
-
-
-def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5, model=None):
+def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
     """Full pipeline: score tests, power calibration, weighted + unweighted runs.
 
     Degenerate features (zero total or zero variance) are excluded from
@@ -265,7 +240,7 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5, model=None):
     the weighted run caps the threshold at ``1/max(w)`` and the
     unweighted at 1.
     """
-    model = model or default_model()
+    model = default_model()
     z = score_statistic(dataset.counts, dataset.x)
     degenerate = np.isnan(z)
     if degenerate.all():
@@ -278,7 +253,7 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5, model=None):
 
     calibration = calibrate_information(
         totals, p_prior=p_prior, alpha=alpha,
-        target_avg_power=target_avg_power, model=model,
+        target_avg_power=target_avg_power,
     )
     profile = calibration.profile
     lam = profile.t_bar

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "VARIANTS",
     "DecisionReport",
-    "weighted_pvalues",
     "estimate_m0",
     "step_up_threshold",
     "run_procedure",
@@ -27,23 +26,6 @@ __all__ = [
 ]
 
 VARIANTS = ("UU", "WU", "UA", "WA")
-
-
-def weighted_pvalues(pvalues, weights):
-    """Per-hypothesis weighted p-values ``Q_m = P_m / w_m``.
-
-    Values above 1 are legitimate (small weights); such hypotheses simply
-    can never be rejected because the selected threshold never exceeds 1.
-    """
-    p = np.asarray(pvalues, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if p.shape != w.shape:
-        raise ValueError("p-values and weights must have equal length")
-    if not np.all((p >= 0) & (p <= 1)):
-        raise ValueError("p-values must lie in [0, 1]")
-    if not np.all((w > 0) & (w < np.inf)):
-        raise ValueError("weights must be positive and finite")
-    return p / w
 
 
 @dataclass
@@ -91,6 +73,8 @@ def estimate_m0(q, lam):
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
     q = np.asarray(q, dtype=float)
+    if np.isnan(q).any():
+        raise ValueError("q must not contain NaN")
     r_lam = int(np.sum(q <= lam))
     return (q.size - r_lam + 1) / (1.0 - lam)
 
@@ -115,6 +99,8 @@ def step_up_threshold(q, m0_hat, alpha, u):
     q = np.asarray(q, dtype=float)
     m = q.size
     order = np.sort(q)
+    if m and np.isnan(order[-1]):   # NaN sorts last
+        raise ValueError("q must not contain NaN")
     passes = (order <= alpha * np.arange(1, m + 1) / m0_hat) & (order <= u)
     j = int(np.flatnonzero(passes)[-1] + 1) if passes.any() else 0
     return min(j * alpha / m0_hat, u) if j > 0 else 0.0
@@ -163,7 +149,12 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
         w = np.asarray(weights, dtype=float)
         if w.shape != p.shape:
             raise ValueError("weights must match the p-value vector length")
-    q = weighted_pvalues(p, w)
+    if not np.all((p >= 0) & (p <= 1)):
+        raise ValueError("p-values must lie in [0, 1]")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise ValueError("weights must be positive and finite")
+    # weighted p-values Q_m = P_m / w_m; values above 1 are never rejected
+    q = p / w
 
     adaptive = variant in ("UA", "WA")
     if adaptive and lam is None:

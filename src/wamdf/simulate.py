@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .procedures import VARIANTS, run_procedure
-from .weights import NoSolutionError, PriorSpec, asymptotically_optimal_weights, perturb_weights
+from .weights import NoSolutionError, PriorSpec, asymptotically_optimal_weights
 
 __all__ = [
     "SimConfig",
@@ -81,10 +81,15 @@ class SimConfig:
             raise ValueError("lambda_fixed must lie in (0, 1)")
         if self.weight_mode not in _WEIGHT_MODES:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
+        self.variants = tuple(self.variants)
+        if not self.variants:
+            raise ValueError("variants must name at least one variant")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
-        self.variants = tuple(self.variants)
+        if self.preset is not None and not (isinstance(self.preset, Integral)
+                                            and 1 <= self.preset <= 4):
+            raise ValueError(f"preset must be an integer from 1 to 4, got {self.preset!r}")
 
     @classmethod
     def from_file(cls, path):
@@ -238,7 +243,7 @@ def _replicate(config, rep):
             weights = profile.weights
         elif config.weight_mode == "perturbed":
             mult = _draw_positive_uniform02(rng, config.M, limit=profile.thresholds)
-            weights = perturb_weights(profile, mult).weights
+            weights = mult * profile.weights
         elif config.weight_mode == "independent":
             weights = _draw_positive_uniform02(rng, config.M)
         else:

@@ -25,7 +25,6 @@ __all__ = [
     "optimal_fixed_t_weights",
     "fdp_approximator",
     "asymptotically_optimal_weights",
-    "perturb_weights",
 ]
 
 # k spans orders of magnitude as the mean threshold varies, so searches run
@@ -97,11 +96,11 @@ class PriorSpec:
 class WeightProfile:
     """Solved weight vector with its multiplier and threshold context.
 
-    ``weights`` average to 1 unless the profile was perturbed; ``t_bar`` is
-    the mean per-test threshold at ``k_star`` (the recommended census
-    parameter lambda for the adaptive procedure) and ``u = 1/max(weights)``
-    is the largest admissible overall threshold.  ``k_star`` is
-    ``exp(log k*)``, which reads 0.0 once k* lies below the float range.
+    ``weights`` average to 1; ``t_bar`` is the mean per-test threshold at
+    ``k_star`` (the recommended census parameter lambda for the adaptive
+    procedure) and ``u = 1/max(weights)`` is the largest admissible overall
+    threshold.  ``k_star`` is ``exp(log k*)``, which reads 0.0 once k* lies
+    below the float range.
     """
 
     weights: np.ndarray
@@ -438,28 +437,3 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
         )
     return _profile(prior, log_k, model, out_of_regime)
 
-
-def perturb_weights(profile, multipliers):
-    """Multiply a profile's weights by positive noise factors.
-
-    Mirrors the perturbation used to study robustness: the factors are
-    meant to average 1 in expectation, so the product is deliberately left
-    unnormalized.  Each perturbed per-test threshold ``U_m * t_bar * w_m``
-    must stay within [0, 1].
-    """
-    u_m = np.asarray(multipliers, dtype=float)
-    if u_m.shape != profile.weights.shape:
-        raise ValueError("multipliers must match the weight vector length")
-    if np.any(u_m <= 0) or not np.all(np.isfinite(u_m)):
-        raise ValueError("multipliers must be positive and finite")
-    new_t = u_m * profile.thresholds
-    if np.any(new_t > 1.0):
-        raise ValueError("perturbation pushes a per-test threshold above 1")
-    w = u_m * profile.weights
-    return WeightProfile(
-        weights=w,
-        k_star=profile.k_star,
-        t_bar=profile.t_bar,
-        u=1.0 / float(w.max()),
-        warning=profile.warning,
-    )

@@ -270,7 +270,7 @@ def test_criterion_10_synthetic_count_benchmark():
         rng = substream(1000 + seed, 0)
         dataset, _ = generate_synthetic_counts(150, X5, rng)
         result = analyze(dataset)
-        wins += result.n_rejected_wa >= result.n_rejected_ua
+        wins += result.wa.n_rejected >= result.ua.n_rejected
     assert wins > 100
 
     # all-null arm on approximation-valid totals: with feature totals this
@@ -283,7 +283,7 @@ def test_criterion_10_synthetic_count_benchmark():
             150, X5, rng, positive_fraction=0.0, total_min=100, total_max=911
         )
         result = analyze(dataset)
-        hits[seed] = 1.0 if result.n_rejected_wa > 0 else 0.0
+        hits[seed] = 1.0 if result.wa.n_rejected > 0 else 0.0
     rate = hits.mean()
     se = hits.std(ddof=1) / np.sqrt(hits.size)
     assert rate <= 0.05 + 2 * se

@@ -956,30 +956,6 @@ class TestSimulateTablePins:
 
 
 class TestThreadsResolution:
-    def test_env_fallback(self, monkeypatch):
-        import argparse
-
-        from wamdf.cli import _threads
-
-        args = argparse.Namespace(threads=None)
-        monkeypatch.setenv("WAMDF_THREADS", "3")
-        assert _threads(args) == 3
-        monkeypatch.setenv("WAMDF_THREADS", "zebra")
-        with pytest.raises(ValueError):
-            _threads(args)
-        args.threads = 5
-        assert _threads(args) == 5
-
-    @pytest.mark.parametrize("threads", ["0", "-4"])
-    def test_env_threads_below_one_exit_1(self, tmp_path, capsys, monkeypatch, threads):
-        # these used to be mapped to 1 without a word
-        monkeypatch.setenv("WAMDF_THREADS", threads)
-        out = tmp_path / "o"
-        assert main(["simulate", "--preset", "1", "--a", "3", "--M", "20", "--K", "2",
-                     "--seed", "1", "--out", str(out)]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"error: WAMDF_THREADS must be at least 1, got {threads}\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_1(self, tmp_path, capsys, threads):
         # these used to run serially without a word

@@ -11,7 +11,6 @@ from wamdf.counts import (
     analyze,
     calibrate_information,
     generate_synthetic_counts,
-    k_from_beta,
     score_statistic,
 )
 from wamdf.power import NormalLocationModel
@@ -94,6 +93,21 @@ class TestScoreStatistic:
         with pytest.raises(ValueError, match="covariate length"):
             score_statistic(counts, x)
 
+    @pytest.mark.parametrize("counts, x, named", [
+        ([-1, 5, 5, 5, 5], [1, 2, 3, 4, 5], "counts"),
+        ([0, -2, 6, 3, 3], [1, 2, 3, 4, 5], "counts"),
+        ([0, 1.5, 1, 0, 5], X, "counts"),
+        ([[0, 1, 1, 0, 5], [0, np.inf, 1, 0, 5]], X, "counts"),
+        ([0, 1, 1, 0, 5], [0.86, np.nan, 1.81, 2.37, 3.00], "covariate"),
+        ([0, 1, 1, 0, 5], np.full(5, 1.34), "covariate"),
+    ], ids=["negative-first", "negative-second", "fractional", "inf", "nan-covariate",
+            "constant-covariate"])
+    def test_rejects_what_count_dataset_rejects(self, counts, x, named):
+        # each used to be scored: z = 2.80 and 11.6 for the negative counts,
+        # all-NaN for the NaN covariate
+        with pytest.raises(ValueError, match=f"^{named} must"):
+            score_statistic(counts, x)
+
     def test_affine_invariance(self):
         # replacing x by a + b*x with b > 0 leaves the standardized score
         # unchanged
@@ -105,33 +119,6 @@ class TestScoreStatistic:
             z = score_statistic(y, X)
             z_affine = score_statistic(y, 2.5 + 1.7 * X)
             assert z_affine == pytest.approx(z, abs=1e-9)
-
-
-class TestKFromBeta:
-    def test_zero_beta(self):
-        assert k_from_beta(0.0, X) == 0.0
-
-    def test_positive_beta_positive_k(self):
-        assert k_from_beta(0.5, X) > 0
-        assert k_from_beta(-0.5, X) < 0
-
-    def test_direct_numeric_oracle(self):
-        # independent evaluation with explicit probability vector algebra
-        beta = 0.5
-        e = np.exp(beta * X)
-        p = e / e.sum()
-        cov = np.diag(p) - np.outer(p, p)
-        expected = (X @ (p - 0.2)) / np.sqrt(X @ cov @ X)
-        assert k_from_beta(beta, X) == pytest.approx(expected, rel=1e-12)
-        assert k_from_beta(beta, X) == pytest.approx(0.38207525895481903, rel=1e-10)
-
-
-    @pytest.mark.parametrize("x", [[1.0, np.nan, 2.0], [1.0, 1.0, 1.0], [1.0]],
-                             ids=["nan", "constant", "single"])
-    def test_rejects_bad_covariate(self, x):
-        # each used to return nan
-        with pytest.raises(ValueError, match="^covariate must be finite with at least two"):
-            k_from_beta(0.5, x)
 
 
 class TestCalibration:
@@ -244,7 +231,7 @@ class TestAnalyze:
     def test_single_feature_wa_equals_ua(self):
         ds = CountDataset(np.array([[0, 1, 1, 0, 5]]), X)
         result = analyze(ds)
-        assert result.n_rejected_wa == result.n_rejected_ua
+        assert result.wa.n_rejected == result.ua.n_rejected
         assert result.calibration.profile.weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_features_excluded(self):
@@ -322,7 +309,7 @@ class TestAnalyze:
                 150, X, rng, positive_fraction=0.0, total_min=100, total_max=911
             )
             result = analyze(ds)
-            hits += result.n_rejected_wa > 0
+            hits += result.wa.n_rejected > 0
         se = np.sqrt(0.05 * 0.95 / n_seeds)
         assert hits / n_seeds <= 0.05 + 3 * se
 
@@ -333,6 +320,8 @@ class TestCountDataset:
             CountDataset(np.array([[1, -1, 0, 0, 0]]), X)
         with pytest.raises(ValueError):
             CountDataset(np.array([[1.5, 0, 0, 0, 0]]), X)
+        with pytest.raises(ValueError, match="^counts must be nonnegative integers"):
+            CountDataset(np.array([[np.inf, 0, 0, 0, 0]]), X)
         with pytest.raises(ValueError):
             CountDataset(np.array([[1, 2, 3]]), X)
         with pytest.raises(ValueError):

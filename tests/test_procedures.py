@@ -11,7 +11,6 @@ from wamdf.procedures import (
     fdr_upper_bound,
     run_procedure,
     step_up_threshold,
-    weighted_pvalues,
 )
 
 from oracles import adaptive_fdp_estimate
@@ -41,6 +40,11 @@ def sup_threshold_oracle(q, m0_hat, alpha, u):
         if adaptive_fdp_estimate(t, q, m0_hat) <= alpha:
             best = max(best, t)
     return q <= best
+
+
+def weighted_pvalues(pvalues, weights):
+    """``Q_m = P_m / w_m`` as the weighted procedures compute it."""
+    return run_procedure("WU", pvalues, weights=weights).q
 
 
 class TestWeightedPvalues:
@@ -93,6 +97,11 @@ class TestEstimateM0:
         with pytest.raises(ValueError):
             estimate_m0(WORKED_Q, 0.0)
 
+    def test_rejects_nan_q(self):
+        # used to count the NaN as a null: 6.0, as for [0.6, 0.001, 0.9]
+        with pytest.raises(ValueError, match="^q must not contain NaN"):
+            estimate_m0([np.nan, 0.001, 0.9], 0.5)
+
 
 class TestAdaptiveFdpEstimate:
     def test_zero_threshold(self):
@@ -128,6 +137,11 @@ class TestStepUpThreshold:
     def test_rejects_out_of_domain_arguments(self, m0_hat, alpha, u, named):
         with pytest.raises(ValueError, match=f"^{named} must"):
             step_up_threshold(WORKED_Q, m0_hat, alpha, u)
+
+    def test_rejects_nan_q(self):
+        # used to skip the NaN: 0.025, as for [0.5, 0.001]
+        with pytest.raises(ValueError, match="^q must not contain NaN"):
+            step_up_threshold([np.nan, 0.001], 2.0, 0.05, 1.0)
 
     def test_nothing_passes(self):
         q = np.ones(5)

@@ -171,6 +171,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SimConfig(**{"M": 10, "n_reps": 2, "seed": 0, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("preset", 7), ("preset", 0), ("preset", 2.0), ("variants", ()),
+    ], ids=["preset-7", "preset-0", "preset-2.0", "variants-empty"])
+    def test_preset_and_variants_rejected_by_name(self, field, value):
+        # each used to construct; an empty variants solved every replication
+        # and reported nothing
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SimConfig(M=20, n_reps=2, seed=1, **{field: value})
+
+    def test_float_preset_rejected(self):
+        # used to write "preset": 2.0 to summary_a*.json
+        with pytest.raises(ValueError, match="^preset must be an integer"):
+            simulation_preset(2.0, M=20, n_reps=2, seed=1)
+
     def test_from_file_variants_and_weight_mode(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("preset = 2\nvariants = WA, UA\nweight_mode = unit\n")

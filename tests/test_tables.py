@@ -27,6 +27,23 @@ def test_only_tables_imports_csv():
     assert importers == ["tables.py"]
 
 
+def test_no_module_reads_the_environment():
+    # configuration comes from flags and config files, never from the environment
+    readers = []
+    for path in sorted(Path(wamdf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {a.name for a in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "os"):
+                names = {node.attr}
+            else:
+                continue
+            if names & {"environ", "environb", "getenv", "getenvb"}:
+                readers.append(path.name)
+    assert readers == []
+
+
 @pytest.mark.parametrize("dtype, fields, convert", [
     (float, FLOAT_FIELDS, float), (np.int64, INT_FIELDS, int),
 ], ids=["float", "int"])

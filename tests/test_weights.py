@@ -12,7 +12,6 @@ from wamdf.weights import (
     asymptotically_optimal_weights,
     fdp_approximator,
     optimal_fixed_t_weights,
-    perturb_weights,
 )
 
 MODEL = NormalLocationModel()
@@ -303,44 +302,6 @@ class TestTabulatedModelSolves:
         prior = PriorSpec([0.3, 0.6, 0.5], [1.0, 2.0, 1.5])
         with pytest.raises(NoSolutionError):
             asymptotically_optimal_weights(prior, 0.05, model)
-
-
-class TestPerturbWeights:
-    def test_identity(self):
-        profile = asymptotically_optimal_weights(worked_prior(), 0.05)
-        same = perturb_weights(profile, np.ones(10))
-        np.testing.assert_array_equal(same.weights, profile.weights)
-        assert same.u == profile.u
-
-    def test_direct_product(self):
-        profile = WeightProfile(np.array([1.0, 1.0]), k_star=1.0, t_bar=0.01, u=1.0)
-        eps = 1e-6
-        tilted = perturb_weights(profile, np.array([2.0, eps]))
-        np.testing.assert_allclose(tilted.weights, [2.0, eps])
-        assert tilted.u == pytest.approx(0.5)
-
-    def test_constraint_violation(self):
-        profile = WeightProfile(np.array([1.0, 1.0]), k_star=1.0, t_bar=0.4, u=1.0)
-        with pytest.raises(ValueError, match="threshold above 1"):
-            perturb_weights(profile, np.array([3.0, 1.0]))
-
-    @pytest.mark.parametrize("multipliers, message", [
-        ([1.0, 1.0, 1.0], "multipliers must match the weight vector length"),
-        ([1.0, 0.0], "multipliers must be positive and finite"),
-        ([1.0, -0.5], "multipliers must be positive and finite"),
-    ], ids=["wrong-length", "zero", "negative"])
-    def test_rejects_bad_multipliers(self, multipliers, message):
-        profile = WeightProfile(np.array([1.0, 1.0]), k_star=1.0, t_bar=0.01, u=1.0)
-        with pytest.raises(ValueError) as info:
-            perturb_weights(profile, np.array(multipliers))
-        assert str(info.value) == message
-
-    def test_law_of_large_numbers(self):
-        m = 400
-        profile = WeightProfile(np.ones(m), k_star=1.0, t_bar=0.01, u=1.0)
-        rng = np.random.default_rng(5)
-        tilted = perturb_weights(profile, rng.uniform(1e-9, 2.0, m))
-        assert abs(tilted.weights.mean() - 1.0) <= 3.0 / np.sqrt(m)
 
 
 class TestWeightProfileSerialization:
