@@ -12,8 +12,8 @@ calibrated so the posited average power across features hits a target.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import power
 from ._brent import brentq
 from .power import default_model
 from .procedures import run_procedure
@@ -143,8 +143,7 @@ def _average_power(k_info, totals, p_prior, alpha, model):
     gamma = np.sqrt(totals) * k_info
     prior = PriorSpec(_broadcast_prior(p_prior, totals.size), gamma)
     profile = asymptotically_optimal_weights(prior, alpha, model)
-    power = model.power(gamma, profile.thresholds)
-    return float(np.mean(power)), profile
+    return float(np.mean(model.power(gamma, profile.thresholds))), profile
 
 
 def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5):
@@ -247,7 +246,7 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
         raise ValueError("no testable features (all degenerate)")
     valid = np.flatnonzero(~degenerate)
     z = z[valid]
-    pvalues = ndtr(-z)
+    pvalues = power.ndtr(-z)
     totals = dataset.totals[valid]
     p_prior = _broadcast_prior(p_prior, dataset.n_features)[valid]
 

@@ -10,7 +10,6 @@ the limits at t = 0 and t = 1.
 """
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .tables import read_table
 
@@ -33,6 +32,28 @@ def _check_log_slope(log_slope):
     if np.any(np.isnan(s)):
         raise ValueError("log slope must not be NaN")
     return s
+
+
+def _load_special():
+    """Rebind ``ndtr`` and ``ndtri`` to scipy's ufuncs.
+
+    ``scipy.special`` takes most of the package's import time, and ``run``
+    and ``bounds`` never evaluate a normal tail, so it loads at first use.
+    """
+    global ndtr, ndtri
+    from scipy.special import ndtr, ndtri
+
+
+def ndtr(x):
+    """Standard normal CDF (``scipy.special.ndtr``, loaded at the first call)."""
+    _load_special()
+    return ndtr(x)
+
+
+def ndtri(p):
+    """Standard normal quantile (``scipy.special.ndtri``, loaded at the first call)."""
+    _load_special()
+    return ndtri(p)
 
 
 def _float_if_scalar(out):

@@ -75,6 +75,10 @@ def estimate_m0(q, lam):
     q = np.asarray(q, dtype=float)
     if np.isnan(q).any():
         raise ValueError("q must not contain NaN")
+    return _estimate_m0(q, lam)
+
+
+def _estimate_m0(q, lam):
     r_lam = int(np.sum(q <= lam))
     return (q.size - r_lam + 1) / (1.0 - lam)
 
@@ -97,10 +101,14 @@ def step_up_threshold(q, m0_hat, alpha, u):
     if not np.all((u > 0) & (u < np.inf)):
         raise ValueError("u must be positive and finite")
     q = np.asarray(q, dtype=float)
+    if np.isnan(q).any():
+        raise ValueError("q must not contain NaN")
+    return _step_up_threshold(q, m0_hat, alpha, u)
+
+
+def _step_up_threshold(q, m0_hat, alpha, u):
     m = q.size
     order = np.sort(q)
-    if m and np.isnan(order[-1]):   # NaN sorts last
-        raise ValueError("q must not contain NaN")
     passes = (order <= alpha * np.arange(1, m + 1) / m0_hat) & (order <= u)
     j = int(np.flatnonzero(passes)[-1] + 1) if passes.any() else 0
     return min(j * alpha / m0_hat, u) if j > 0 else 0.0
@@ -168,6 +176,8 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
         if lam is None:
             raise ValueError("finite-FDR mode requires lambda")
         level = alpha_star(alpha, lam, w_max)
+        if not level < 1:   # alpha_star reaches 1 only when every weight is below 1
+            raise ValueError("alpha must lie in (0, 1)")
         u = lam
     elif u is None:
         u = 1.0 / w_max
@@ -178,8 +188,9 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
     if adaptive and lam > u + 1e-12:
         raise ValueError("lambda must not exceed u")
 
-    m0_hat = estimate_m0(q, lam) if adaptive else float(q.size)
-    t_hat = step_up_threshold(q, m0_hat, level, u)
+    # every argument is checked above, so the unchecked cores run
+    m0_hat = _estimate_m0(q, lam) if adaptive else float(q.size)
+    t_hat = _step_up_threshold(q, m0_hat, level, u)
     return DecisionReport(
         variant=variant,
         alpha=alpha,

@@ -9,13 +9,12 @@ keyed by (seed, replication), so serial and parallel runs agree bitwise.
 """
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import power
 from .procedures import VARIANTS, run_procedure
 from .weights import NoSolutionError, PriorSpec, asymptotically_optimal_weights
 
@@ -33,6 +32,11 @@ _WEIGHT_MODES = ("optimal", "perturbed", "independent", "unit")
 _MASK64 = (1 << 64) - 1
 # resampling rounds _draw_positive_uniform02 makes before it gives up
 _DRAW_TRIES = 100
+
+
+def _is_int(value):
+    # bool is an Integral, but True is no count, seed or preset number
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -64,7 +68,7 @@ class SimConfig:
             raise ValueError("a seed is required; silent nondeterminism is not allowed")
         for name in ("M", "n_reps", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, Integral):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.M < 1 or self.n_reps < 1:
             raise ValueError("M and n_reps must be at least 1")
@@ -87,8 +91,7 @@ class SimConfig:
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
-        if self.preset is not None and not (isinstance(self.preset, Integral)
-                                            and 1 <= self.preset <= 4):
+        if self.preset is not None and not (_is_int(self.preset) and 1 <= self.preset <= 4):
             raise ValueError(f"preset must be an integer from 1 to 4, got {self.preset!r}")
 
     @classmethod
@@ -180,7 +183,7 @@ def generate_model1(config, rng):
         gamma = np.full(m, float(config.gamma_fixed))
     theta = rng.random(m) < p
     z = rng.standard_normal(m) + np.where(theta, gamma, 0.0)
-    pvalues = ndtr(-z)
+    pvalues = power.ndtr(-z)
     return theta, p, gamma, pvalues
 
 
@@ -322,6 +325,8 @@ def run_simulation(config, threads=1):
     reps = range(config.n_reps)
     workers = min(threads, config.n_reps)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        power._load_special()   # forked workers inherit scipy instead of each importing it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, config.n_reps // (workers * 8))
             results = list(pool.map(_replicate, [config] * config.n_reps, reps, chunksize=chunk))

@@ -1037,14 +1037,24 @@ class TestManifest:
         assert manifest["timestamp"]
 
 
-def test_startup_skips_scipy_optimize():
-    # the package's own Brent solver keeps scipy.optimize out of every CLI call
-    code = ("import sys, wamdf.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+def test_startup_skips_scipy_optimize(tmp_path):
+    # the package's own Brent solver keeps scipy.optimize out of every CLI
+    # call; scipy.special loads at the first normal tail, which run and bounds
+    # never evaluate, and the process pool only where simulate starts one
+    pvalues = tmp_path / "pv.csv"
+    pvalues.write_text("p\n0.01\n0.5\n")
+    calls = [[], ["run", str(pvalues), "--unit", "--lambda", "0.5", "--out", str(tmp_path / "run")],
+             ["bounds", "--alpha", "0.05", "--lambda", "0.2", "--w-max", "1.5"]]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wamdf.__file__)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "[]\n"
+    for argv in calls:
+        code = (f"import sys, wamdf.cli\nargv = {argv!r}\n"
+                "rc = wamdf.cli.main(argv) if argv else 0\n"
+                "loaded = sorted(m for m in sys.modules if m.split('.')[0] in\n"
+                "                ('scipy', 'multiprocessing') or m == 'concurrent.futures.process')\n"
+                "print(rc, loaded)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []", argv
 
 
 @pytest.mark.parametrize("text, code", [("p\n0.01\n0.5\n", EXIT_OK), ("p\nabc\n", EXIT_INPUT)],

@@ -1,11 +1,16 @@
 """Power-curve model: frozen values, derivative checks, inversion properties."""
 
 import bisect
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import wamdf
 from wamdf.power import NormalLocationModel, TabulatedPowerModel
 
 from oracles import bisect_decreasing, four_ndtr_split
@@ -56,6 +61,33 @@ class TestFrozenValues:
             assert MODEL.threshold_for_log_slope(gamma, 0.0) == pytest.approx(
                 ndtr(-gamma / 2.0), rel=1e-14
             )
+
+
+@pytest.mark.parametrize("first", ["ndtr", "ndtri"])
+def test_deferred_kernels_match_scipy_bitwise(first):
+    # a fresh process, so the first call is the one that loads scipy.special
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from wamdf import power
+        x = np.concatenate([np.linspace(-40, 40, 2001), [-np.inf, np.inf, np.nan, -0.0]])
+        p = np.concatenate([np.linspace(0, 1, 2001), [5e-324, 1e-300, 1 - 2**-53, np.nan]])
+        args = {{"ndtr": x, "ndtri": p}}
+        calls = [("{first}", args["{first}"])]
+        calls += [(name, args[name]) for name in ("ndtr", "ndtri", "ndtr", "ndtri")]
+        calls += [(name, args[name][7]) for name in ("ndtr", "ndtri")]
+        assert "scipy" not in sys.modules
+        outs = [getattr(power, name)(arg) for name, arg in calls]
+        import scipy.special
+        for (name, arg), out in zip(calls, outs):
+            want = getattr(scipy.special, name)(arg)
+            assert type(out) is type(want) and out.tobytes() == want.tobytes(), name
+        print(len(calls))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wamdf.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "7\n"
 
 
 class TestDomainErrors:

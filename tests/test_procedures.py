@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from wamdf import procedures
 from wamdf.procedures import (
+    VARIANTS,
     alpha_star,
     estimate_m0,
     fdr_upper_bound,
@@ -265,6 +267,43 @@ class TestRunProcedure:
         with pytest.raises(ValueError) as info:
             run_procedure("WU", np.array([0.1, 0.2]), weights=np.array([2.0, 0.5]), **kwargs)
         assert str(info.value) == message
+
+    def test_finite_fdr_level_at_or_above_one_rejected(self):
+        # with every weight below 1, alpha_star exceeds alpha: here 2.7
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            run_procedure("WA", np.array([0.1, 0.2]), weights=np.array([0.5, 0.5]),
+                          alpha=0.9, lam=0.5, finite_fdr=True)
+
+    def test_checks_its_arguments_once(self, monkeypatch):
+        # run_procedure validates everything up front and runs the unchecked
+        # cores, which give what the checked public names give
+        rng = np.random.default_rng(41)
+        runs = []
+        for variant in VARIANTS * 25:
+            m = int(rng.integers(1, 60))
+            p = rng.uniform(0, 1, m) ** 2
+            w = rng.uniform(0.3, 2.0, m)
+            w /= w.mean()
+            lam = rng.uniform(0.05, 0.9) / w.max()
+            runs.append((variant, p, w, rng.uniform(0.01, 0.3), lam, bool(rng.integers(2))))
+        expected = []
+        for variant, p, w, alpha, lam, finite in runs:
+            w_used = w if variant in ("WU", "WA") else np.ones_like(p)
+            q = p / w_used
+            u = lam if finite else 1.0 / w_used.max()
+            level = alpha_star(alpha, lam, w_used.max()) if finite else alpha
+            m0 = estimate_m0(q, lam) if variant in ("UA", "WA") else float(q.size)
+            expected.append((m0, step_up_threshold(q, m0, level, u)))
+
+        def unexpected(*args):
+            raise AssertionError("run_procedure called a checked public name")
+
+        monkeypatch.setattr(procedures, "estimate_m0", unexpected)
+        monkeypatch.setattr(procedures, "step_up_threshold", unexpected)
+        for (variant, p, w, alpha, lam, finite), (m0, t_hat) in zip(runs, expected):
+            report = run_procedure(variant, p, weights=w, alpha=alpha, lam=lam,
+                                   finite_fdr=finite)
+            assert (report.m0_hat, report.t_hat) == (m0, t_hat)
 
     def test_lambda_above_u_checked_only_for_adaptive_variants(self):
         # an unadaptive variant never uses lambda; it used to fail for

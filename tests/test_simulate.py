@@ -1,11 +1,16 @@
 """Monte Carlo harness: generation laws, evaluation, reproducibility."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import wamdf
 from wamdf.procedures import run_procedure
 from wamdf.simulate import (
     SimConfig,
@@ -165,6 +170,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("M", 10.5), ("M", 10.0), ("n_reps", np.nan), ("seed", 0.5),
+        ("M", True), ("n_reps", True), ("seed", False),
     ])
     def test_integer_fields_rejected_by_name(self, field, value):
         # each used to construct, and run_simulation then raised a TypeError
@@ -179,6 +185,14 @@ class TestConfig:
         # and reported nothing
         with pytest.raises(ValueError, match=f"^{field} must"):
             SimConfig(M=20, n_reps=2, seed=1, **{field: value})
+
+    def test_bool_preset_rejected(self):
+        # bool is an Integral: True used to stand for preset 1, and the
+        # summary wrote "preset": true
+        with pytest.raises(ValueError, match="^preset must be an integer"):
+            SimConfig(M=20, n_reps=2, seed=1, preset=True)
+        with pytest.raises(ValueError, match="^preset must be an integer"):
+            simulation_preset(True, M=20, n_reps=2, seed=1)
 
     def test_float_preset_rejected(self):
         # used to write "preset": 2.0 to summary_a*.json
@@ -243,7 +257,7 @@ class TestRunSimulation:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("wamdf.simulate.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         config = simulation_preset(1, a=3, M=30, n_reps=2, seed=24)
         serial = run_simulation(config, threads=1)
         assert started == []
@@ -253,6 +267,30 @@ class TestRunSimulation:
         assert started == [2]
         for v in config.variants:
             np.testing.assert_array_equal(serial.fdp[v], pooled.fdp[v])
+
+    def test_scipy_loaded_before_the_pool_starts(self):
+        # a worker started by fork inherits the loaded scipy.special; one
+        # started before it loaded would import it again at its first tail
+        code = textwrap.dedent("""
+            import concurrent.futures, sys
+            from wamdf import power
+            from wamdf.simulate import run_simulation, simulation_preset
+
+            class Pool(concurrent.futures.ProcessPoolExecutor):
+                def __init__(self, max_workers):
+                    special = sys.modules.get("scipy.special")
+                    print(special is not None and power.ndtr is special.ndtr
+                          and power.ndtri is special.ndtri)
+                    super().__init__(max_workers)
+
+            concurrent.futures.ProcessPoolExecutor = Pool
+            print("scipy" in sys.modules)
+            run_simulation(simulation_preset(1, a=3, M=30, n_reps=2, seed=24), threads=2)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wamdf.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.split() == ["False", "True"]
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):
