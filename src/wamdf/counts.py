@@ -17,6 +17,7 @@ from . import power
 from ._brent import brentq
 from .power import default_model
 from .procedures import run_procedure
+from .simulate import _is_int
 from .tables import read_table
 from .weights import (
     NoSolutionError,
@@ -149,9 +150,13 @@ def _average_power(k_info, totals, p_prior, alpha, model):
 def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5):
     """Solve the information constant so posited average power hits a target.
 
-    The solve brackets the target by doubling and halving the constant,
-    then runs brentq on average power (at the solved per-feature
-    thresholds) minus the target, wrapping the inner weight solve.
+    The solve doubles the constant from 1 until average power reaches the
+    target, then halves it until power falls short, keeping the last
+    constant that reached it as the upper end: the bracket is [K/2, K] for
+    the smallest tried K that reaches the target.  brentq then runs on
+    average power (at the solved per-feature thresholds) minus the
+    target, wrapping the inner weight solve; every constant is solved
+    once, so the bracket's ends cost nothing more.
     Average power need not be continuous or increasing in the constant:
     the smallest crossing ``k*`` of the inner solve can jump, and power
     jumps with it.  The achieved power is certified to within 1e-6 of
@@ -181,9 +186,11 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
         hi *= 2.0
     else:
         raise CalibrationError(f"target {target_avg_power} not reached by K = {hi}")
+    # halve down to the first constant that falls short; each one that
+    # still reaches the target becomes the upper end
     lo = hi
     for _ in range(60):
-        lo /= 2.0
+        hi, lo = lo, lo / 2.0
         try:
             if power_at(lo) < target_avg_power:
                 break
@@ -193,7 +200,7 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
                 f"(weight solve failed at K = {lo:g}: {exc})"
             ) from exc
     else:
-        raise CalibrationError(f"could not bracket the target below K = {hi}")
+        raise CalibrationError(f"could not bracket the target: power reaches it down to K = {lo}")
 
     k_info = brentq(lambda k: power_at(k) - target_avg_power, lo, hi,
                     xtol=1e-12, rtol=8.9e-16, maxiter=200)
@@ -297,7 +304,11 @@ def generate_synthetic_counts(n_features, x, rng, beta=0.35, positive_fraction=0
     exploit.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(n_features >= 1):
+    for name, value in (("n_features", n_features), ("total_min", total_min),
+                        ("total_max", total_max)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n_features < 1:
         raise ValueError(f"n_features must be at least 1, got {n_features}")
     if not np.all(np.isfinite(beta)):
         raise ValueError(f"beta must be finite, got {beta}")

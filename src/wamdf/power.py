@@ -139,12 +139,15 @@ class NormalLocationModel(_PowerModel):
         return ndtr(-(0.5 * g + s / g))
 
     def _split(self, g, s):
-        z = 0.5 * g + s / g
-        d = g - z
-        a = ndtr(-np.abs(z))
-        b = ndtr(-np.abs(d))
-        ca, cb = 1.0 - a, 1.0 - b
+        # z and d are fresh arrays (asarray keeps a 0-d result an array), and
+        # each is reused in place once its sign is taken
+        z = np.asarray(s / g)
+        z += 0.5 * g
+        d = np.asarray(g - z)
         t_small, pi_large = z >= 0, d >= 0
+        a = ndtr(np.negative(np.abs(z, out=z), out=z))
+        b = ndtr(np.negative(np.abs(d, out=d), out=d))
+        ca, cb = np.subtract(1.0, a, out=z), np.subtract(1.0, b, out=d)
         return (np.where(t_small, a, ca), np.where(t_small, ca, a),
                 np.where(pi_large, cb, b), np.where(pi_large, b, cb))
 

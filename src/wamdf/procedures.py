@@ -177,7 +177,8 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
             raise ValueError("finite-FDR mode requires lambda")
         level = alpha_star(alpha, lam, w_max)
         if not level < 1:   # alpha_star reaches 1 only when every weight is below 1
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ValueError(f"alpha_star must lie in (0, 1): alpha {alpha:g}, lambda "
+                             f"{lam:g} and max weight {w_max:g} give {level:g}")
         u = lam
     elif u is None:
         u = 1.0 / w_max

@@ -190,6 +190,9 @@ def generate_model1(config, rng):
 def generate_du(m0, m1, rng):
     """Least-favorable p-value configuration: m0 Uniform(0, 1) nulls first,
     then m1 exact zeros for the false nulls."""
+    for name, value in (("m0", m0), ("m1", m1)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if m0 < 0 or m1 < 0 or m0 + m1 < 1:
         raise ValueError("need m0, m1 >= 0 with m0 + m1 >= 1")
     return np.concatenate([rng.uniform(0.0, 1.0, m0), np.zeros(m1)])

@@ -163,9 +163,10 @@ def _thresholds(prior, log_k, model):
 @dataclass
 class _Pairs:
     """A prior's distinct (p, gamma) pairs in first-occurrence order, with
-    log p, their multiplicities, the battery size and max(p)."""
+    1 - p, log p, their multiplicities, the battery size and max(p)."""
 
     p: np.ndarray
+    q: np.ndarray
     log_p: np.ndarray
     gamma: np.ndarray
     count: np.ndarray
@@ -181,32 +182,46 @@ def _collapse(prior):
                                 return_counts=True)
     order = np.argsort(first)
     keep = first[order]
-    return _Pairs(prior.p[keep], np.log(prior.p[keep]), prior.gamma[keep],
-                  count[order].astype(float), prior.M, prior.p_max)
+    p = prior.p[keep]
+    return _Pairs(p, 1.0 - p, np.log(p), prior.gamma[keep], count[order].astype(float),
+                  prior.M, prior.p_max)
 
 
 def _fdp_values(pairs, log_ks, model):
     """FDP approximator and means t_bar, g_bar, 1 - t_bar, 1 - g_bar at each ``log_ks``.
 
-    Means over the battery weight each distinct pair by its multiplicity
+    Returns the values and a (4, rows) array of the means.  Means over the
+    battery weight each distinct pair by its multiplicity
     (``sum(x * count) / M``), so unit counts give the bits of a plain mean.
-    Each row is reduced on its own, so splitting ``ks`` into blocks leaves
-    every value bitwise unchanged; callers scanning many multipliers go
-    through ``_fdp_scan``.  Works with the survival masses 1 - t and
-    1 - G directly: near k = 0 every threshold sits within float rounding
-    of 1 and the leading ratio would otherwise be pure cancellation noise.
+    The four per-pair quantities fill one (4, rows, pairs) buffer, scaled by
+    the counts and summed along its last axis in one call each; the sum
+    still reduces every row on its own, as a per-row sum does, so
+    splitting ``ks`` into blocks leaves every value bitwise unchanged.
+    Callers scanning many multipliers go through ``_fdp_scan``.  Works with
+    the survival masses 1 - t and 1 - G directly: near k = 0 every
+    threshold sits within float rounding of 1 and the leading ratio would
+    otherwise be pure cancellation noise.
     """
     t, tc, pi, pic = model._split(pairs.gamma[None, :], log_ks[:, None] - pairs.log_p[None, :])
-    g = (1.0 - pairs.p) * t + pairs.p * pi
-    gc = (1.0 - pairs.p) * tc + pairs.p * pic
-    t_bar, g_bar, tc_bar, gc_bar = means = [(x * pairs.count).sum(axis=1) / pairs.M
-                                            for x in (t, g, tc, gc)]
+    # rows t, G = (1 - p) t + p pi, 1 - t, 1 - G = (1 - p)(1 - t) + p (1 - pi);
+    # the row of each mass holds the p-scaled power term until the mass goes in
+    x = np.empty((4,) + t.shape)
+    for i, mass, power in ((0, t, pi), (2, tc, pic)):
+        np.multiply(pairs.p, power, out=x[i])
+        np.multiply(pairs.q, mass, out=x[i + 1])
+        x[i + 1] += x[i]
+        x[i] = mass
+    x *= pairs.count
+    means = np.add.reduce(x, axis=-1)
+    means /= pairs.M
+    t_bar, g_bar, tc_bar, gc_bar = means
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (gc_bar / tc_bar) * (t_bar / g_bar)
+        vals = gc_bar / tc_bar
+        vals *= t_bar / g_bar
     # k -> infinity: all thresholds underflow, the estimator vanishes
-    vals = np.where((t_bar == 0.0) | (g_bar == 0.0), 0.0, vals)
+    vals[(t_bar == 0.0) | (g_bar == 0.0)] = 0.0
     # k -> 0: survival masses underflow; use the limiting lower bound
-    vals = np.where(tc_bar == 0.0, 1.0 - pairs.p_max, vals)
+    vals[tc_bar == 0.0] = 1.0 - pairs.p_max
     return vals, means
 
 
@@ -214,14 +229,22 @@ def _fdp_scan(pairs, log_ks, model):
     """``_fdp_values`` over all of ``log_ks``, in ascending row blocks of at most
     ``_BLOCK_ELEMENTS`` elements, so memory is O(block), not O(len(log_ks) * M).
     The blocks are as few as that allows and differ in size by at most one
-    row, so no call is left with a short tail.  Returns rows: ``log_ks``, the
-    values, and the logs of the values and means."""
-    rows = max(1, _BLOCK_ELEMENTS // pairs.p.size)
-    vals, means = (np.concatenate(part, axis=-1) for part in
-                   zip(*(_fdp_values(pairs, block, model)
-                         for block in np.array_split(log_ks, -(-log_ks.size // rows)))))
+    row (the first ``n % blocks`` are one row longer), so no call is left
+    with a short tail.  Returns rows: ``log_ks``, the values, and the logs of
+    the values and means."""
+    n = log_ks.size
+    blocks = -(-n // max(1, _BLOCK_ELEMENTS // pairs.p.size))
+    out = np.empty((7, n))
+    out[0] = log_ks
+    start = 0
+    for j in range(blocks):
+        stop = start + n // blocks + (j < n % blocks)
+        out[1, start:stop], out[3:, start:stop] = _fdp_values(pairs, log_ks[start:stop], model)
+        start = stop
     with np.errstate(divide="ignore"):
-        return np.vstack([log_ks, vals, np.log(vals), np.log(means)])
+        np.log(out[1], out=out[2])
+        np.log(out[3:], out=out[3:])
+    return out
 
 
 def _fdp_at(pairs, log_k, model):

@@ -207,6 +207,31 @@ class TestCalibration:
             assert p_prior == 0.95
         assert seen and len(seen) == len(set(seen))
 
+    @pytest.mark.parametrize("seed, target, solves", [(2, 0.5, 10), (1, 0.999, 12)],
+                             ids=["halving", "doubling"])
+    def test_never_solves_above_its_bracket(self, monkeypatch, seed, target, solves):
+        # a constant whose power reaches the target caps every later trial,
+        # so brentq starts on [K/2, K] for the smallest such K
+        import wamdf.counts as counts
+
+        solve = counts._average_power
+        trials = []
+
+        def recording_power(k_info, *args):
+            power, profile = solve(k_info, *args)
+            trials.append((k_info, power))
+            return power, profile
+
+        monkeypatch.setattr(counts, "_average_power", recording_power)
+        ds, _ = generate_synthetic_counts(60, X, substream(seed, 0))
+        calibrate_information(ds.totals, target_avg_power=target)
+        cap = np.inf
+        for k, power in trials:
+            assert k <= cap
+            if power >= target:
+                cap = min(cap, k)
+        assert len(trials) == solves
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
     def test_totals_not_finite_named(self, bad):
         with pytest.raises(ValueError, match="^every feature total must be finite"):
@@ -383,6 +408,9 @@ class TestSyntheticGenerator:
         (dict(positive_fraction=np.nan), "positive_fraction"),
         (dict(positive_fraction=2.0), "positive_fraction"),
         (dict(positive_fraction=-0.1), "positive_fraction"),
+        # each of these used to raise numpy's OverflowError or TypeError
+        (dict(total_min=np.nan), "total_min"), (dict(total_max=np.inf), "total_max"),
+        (dict(total_min=1.5), "total_min"), (dict(n_features=2.5), "n_features"),
     ])
     def test_rejects_bad_arguments(self, kwargs, named):
         kwargs = {"n_features": 10, **kwargs}

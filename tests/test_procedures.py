@@ -270,7 +270,8 @@ class TestRunProcedure:
 
     def test_finite_fdr_level_at_or_above_one_rejected(self):
         # with every weight below 1, alpha_star exceeds alpha: here 2.7
-        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+        with pytest.raises(ValueError, match=r"^alpha_star must lie in \(0, 1\): alpha 0\.9, "
+                           r"lambda 0\.5 and max weight 0\.5 give 2\.7$"):
             run_procedure("WA", np.array([0.1, 0.2]), weights=np.array([0.5, 0.5]),
                           alpha=0.9, lam=0.5, finite_fdr=True)
 

@@ -77,6 +77,14 @@ class TestGenerateDu:
         with pytest.raises(ValueError):
             generate_du(0, 0, substream(8, 0))
 
+    @pytest.mark.parametrize("m0, m1, named", [
+        (np.nan, 3, "m0"), (2.5, 3, "m0"), (3, np.inf, "m1"), (True, 3, "m0"),
+    ], ids=["nan", "fractional", "inf", "bool"])
+    def test_non_integer_counts_named(self, m0, m1, named):
+        # NaN and 2.5 used to raise numpy's TypeError from the draw
+        with pytest.raises(ValueError, match=f"^{named} must be an integer, got "):
+            generate_du(m0, m1, substream(8, 0))
+
 
 class TestEvaluate:
     def _report(self, rejected):

@@ -451,6 +451,29 @@ class TestScanPieces:
         np.testing.assert_array_equal(weights._fdp_scan(pairs, log_ks[:9], MODEL), want[:, :9])
         assert rows == [5, 4]
 
+    def test_tied_means_are_bitwise_per_mean(self):
+        # the fused reduction gives each mean the bits of its own
+        # (x * count).sum(axis=1) / M, at both degenerate limits too
+        sizes = [10, 3, 1, 6]
+        prior = PriorSpec(np.repeat([0.4, 0.2, 0.4, 0.7], sizes),
+                          np.repeat([1.0, 2.5, 4.0, 2.5], sizes))
+        pairs = weights._collapse(prior)
+        log_ks = np.r_[-400.0, np.linspace(-30, 30, 41), 400.0]
+        vals, means = weights._fdp_values(pairs, log_ks, MODEL)
+        t, tc, pi, pic = MODEL.threshold_power_split(pairs.gamma[None, :],
+                                                     log_ks[:, None] - pairs.log_p[None, :])
+        g = (1.0 - pairs.p) * t + pairs.p * pi
+        gc = (1.0 - pairs.p) * tc + pairs.p * pic
+        want = [(x * pairs.count).sum(axis=1) / prior.M for x in (t, g, tc, gc)]
+        np.testing.assert_array_equal(means, want)
+        t_bar, g_bar, tc_bar, gc_bar = want
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fdp = (gc_bar / tc_bar) * (t_bar / g_bar)
+        fdp = np.where((t_bar == 0.0) | (g_bar == 0.0), 0.0, fdp)
+        fdp = np.where(tc_bar == 0.0, 1.0 - prior.p_max, fdp)
+        np.testing.assert_array_equal(vals, fdp)
+        assert pairs.count.max() == 10 and vals[0] == 1.0 - prior.p_max and vals[-1] == 0.0
+
     def test_fdp_approximator_matches_dense_on_ties(self):
         prior = PriorSpec(np.full(30, 0.4), np.repeat([1.0, 2.5, 4.0], 10))
         for k in (1e-6, 0.3, 2.0, 40.0):
