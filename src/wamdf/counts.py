@@ -308,6 +308,8 @@ def generate_synthetic_counts(n_features, x, rng, beta=0.35, positive_fraction=0
                         ("total_max", total_max)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value > np.iinfo(np.int64).max:   # counts are int64
+            raise ValueError(f"{name} must fit in int64, got {value}")
     if n_features < 1:
         raise ValueError(f"n_features must be at least 1, got {n_features}")
     if not np.all(np.isfinite(beta)):

@@ -323,7 +323,9 @@ def run_simulation(config, threads=1):
     mean, so results do not depend on ``threads``.  At most one worker
     process per replication is started.
     """
-    if not threads >= 1:
+    if not _is_int(threads):
+        raise ValueError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
         raise ValueError("threads must be at least 1")
     reps = range(config.n_reps)
     workers = min(threads, config.n_reps)

@@ -411,6 +411,8 @@ class TestSyntheticGenerator:
         # each of these used to raise numpy's OverflowError or TypeError
         (dict(total_min=np.nan), "total_min"), (dict(total_max=np.inf), "total_max"),
         (dict(total_min=1.5), "total_min"), (dict(n_features=2.5), "n_features"),
+        # past the int64 counts: numpy's TypeError from np.log
+        (dict(total_max=2**70), "total_max"), (dict(total_min=2**64, total_max=2**65), "total_min"),
     ])
     def test_rejects_bad_arguments(self, kwargs, named):
         kwargs = {"n_features": 10, **kwargs}

@@ -306,6 +306,13 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="^threads must be at least 1"):
             run_simulation(config, threads=threads)
 
+    @pytest.mark.parametrize("threads", [1.5, True, None])
+    def test_non_integer_threads_rejected(self, threads):
+        # 1.5 reached ProcessPoolExecutor's TypeError and True ran as 1
+        config = simulation_preset(1, a=3, M=30, n_reps=2, seed=24)
+        with pytest.raises(ValueError, match=f"^threads must be an integer, got {threads!r}$"):
+            run_simulation(config, threads=threads)
+
     def test_homogeneous_weights_make_wa_equal_ua(self):
         config = simulation_preset(1, a=1, M=150, n_reps=12, seed=23)
         summary = run_simulation(config)
