@@ -1,0 +1,43 @@
+"""The argument checks every public entry point runs at its boundary.
+
+Each check raises ``ValueError`` with a message that starts with the name it
+is given.  NaN fails every check, and so does anything that is not a number:
+a string, ``None`` or a bool.  A scalar argument given an array fails with
+the same message as an out-of-range value.
+"""
+
+from numbers import Integral
+
+import numpy as np
+
+
+def is_int(x):
+    """True for an integer; bool is an Integral, but True is no count, seed or preset."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def check_int(name, x):
+    """``x`` an integer (see ``is_int``)."""
+    if not is_int(x):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
+def _numbers(x, scalar):
+    """``x`` as an array, or None when it holds anything but integers and
+    floats, or when a scalar argument is given an array."""
+    a = np.asarray(x)
+    return a if a.dtype.kind in "iuf" and not (scalar and a.ndim) else None
+
+
+def check_unit(name, x, closed=False, scalar=True):
+    """Every value of ``x`` in (0, 1), or in [0, 1] when ``closed``."""
+    a = _numbers(x, scalar)
+    if a is None or not ((a >= 0) & (a <= 1) if closed else (a > 0) & (a < 1)).all():
+        raise ValueError(f"{name} must lie in [0, 1]" if closed else f"{name} must lie in (0, 1)")
+
+
+def check_positive(name, x, scalar=True):
+    """Every value of ``x`` positive and finite."""
+    a = _numbers(x, scalar)
+    if a is None or not ((a > 0) & (a < np.inf)).all():
+        raise ValueError(f"{name} must be positive and finite")

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import power
 from ._brent import brentq
+from ._checks import check_int, check_unit
 from .power import default_model
 from .procedures import run_procedure
-from .simulate import _is_int
 from .tables import read_table
 from .weights import (
     NoSolutionError,
@@ -168,8 +168,7 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
     totals = np.asarray(totals, dtype=float)
     if not np.all((totals >= 1) & (totals < np.inf)):
         raise ValueError("every feature total must be finite and at least 1")
-    if not 0 < target_avg_power < 1:
-        raise ValueError("target average power must lie in (0, 1)")
+    check_unit("target average power", target_avg_power)
     model = default_model()
 
     solved = {}  # constant -> (average power, profile), each solved once
@@ -306,16 +305,14 @@ def generate_synthetic_counts(n_features, x, rng, beta=0.35, positive_fraction=0
     x = np.asarray(x, dtype=float)
     for name, value in (("n_features", n_features), ("total_min", total_min),
                         ("total_max", total_max)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_int(name, value)
         if value > np.iinfo(np.int64).max:   # counts are int64
             raise ValueError(f"{name} must fit in int64, got {value}")
     if n_features < 1:
         raise ValueError(f"n_features must be at least 1, got {n_features}")
-    if not np.all(np.isfinite(beta)):
+    if np.ndim(beta) or not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    if not np.all((positive_fraction >= 0) & (positive_fraction <= 1)):
-        raise ValueError(f"positive_fraction must lie in [0, 1], got {positive_fraction}")
+    check_unit("positive_fraction", positive_fraction, closed=True)
     if total_min < 1 or total_max < total_min:
         raise ValueError("need 1 <= total_min <= total_max")
     _check_covariate(x)   # before the draw, which a non-finite x turns into NaN

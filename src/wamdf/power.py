@@ -11,6 +11,7 @@ the limits at t = 0 and t = 1.
 
 import numpy as np
 
+from ._checks import check_positive, check_unit
 from .tables import read_table
 
 __all__ = [
@@ -22,8 +23,7 @@ __all__ = [
 
 def _check_gamma(gamma):
     g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)) or np.any(g <= 0):
-        raise ValueError("effect size gamma must be positive and finite")
+    check_positive("effect size gamma", g, scalar=False)
     return g
 
 
@@ -73,8 +73,7 @@ class _PowerModel:
         """Power ``pi_gamma(t)`` for t in [0, 1], on scalars or arrays (broadcast)."""
         g = _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
-        if not np.all((tt >= 0) & (tt <= 1)):
-            raise ValueError("size threshold t must lie in [0, 1]")
+        check_unit("size threshold t", tt, closed=True, scalar=False)
         return _float_if_scalar(self._power(g, tt))
 
     def log_power_slope(self, gamma, t):
@@ -82,8 +81,7 @@ class _PowerModel:
         interval (0, 1): the slope diverges at 0 and vanishes at 1."""
         g = _check_gamma(gamma)
         tt = np.asarray(t, dtype=float)
-        if not np.all((tt > 0) & (tt < 1)):
-            raise ValueError("slope is defined only for t in (0, 1)")
+        check_unit("size threshold t", tt, scalar=False)
         return _float_if_scalar(self._log_slope(g, tt))
 
     def threshold_for_log_slope(self, gamma, log_slope):
@@ -174,7 +172,7 @@ class TabulatedPowerModel(_PowerModel):
         if np.any(np.diff(t) <= 0):
             raise ValueError("t column must be strictly increasing")
         if t[0] != 0.0 or t[-1] != 1.0 or p[0] != 0.0 or p[-1] != 1.0:
-            raise ValueError("table must span (0, 0) to (1, 1)")
+            raise ValueError("t and power knots must span (0, 0) to (1, 1)")
         if np.any(np.diff(p) <= 0):
             raise ValueError("power column must be strictly increasing")
         secants = np.diff(p) / np.diff(t)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int, check_positive, check_unit
+
 __all__ = [
     "VARIANTS",
     "DecisionReport",
@@ -70,12 +72,17 @@ def estimate_m0(q, lam):
     ``(M - #{Q_m <= lambda} + 1) / (1 - lambda)``; the +1 keeps the
     estimate strictly positive, and the value may exceed M.
     """
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
+    check_unit("lambda", lam)
+    return _estimate_m0(_check_q(q), lam)
+
+
+def _check_q(q):
+    """``q`` as a float array of weighted p-values ``p / w``: finite and at least 0."""
     q = np.asarray(q, dtype=float)
-    if np.isnan(q).any():
-        raise ValueError("q must not contain NaN")
-    return _estimate_m0(q, lam)
+    if not ((q >= 0) & (q < np.inf)).all():
+        raise ValueError("q must not contain NaN" if np.isnan(q).any() else
+                         "q must be finite and at least 0")
+    return q
 
 
 def _estimate_m0(q, lam):
@@ -94,16 +101,10 @@ def step_up_threshold(q, m0_hat, alpha, u):
     rejected together.  A p-value above u never counts toward j: at
     ``t = u`` it is not rejected, so it cannot lower the estimated FDP.
     """
-    if not np.all((m0_hat > 0) & (m0_hat < np.inf)):
-        raise ValueError("m0_hat must be positive and finite")
-    if not np.all((alpha > 0) & (alpha < 1)):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not np.all((u > 0) & (u < np.inf)):
-        raise ValueError("u must be positive and finite")
-    q = np.asarray(q, dtype=float)
-    if np.isnan(q).any():
-        raise ValueError("q must not contain NaN")
-    return _step_up_threshold(q, m0_hat, alpha, u)
+    check_positive("m0_hat", m0_hat)
+    check_unit("alpha", alpha)
+    check_positive("u", u)
+    return _step_up_threshold(_check_q(q), m0_hat, alpha, u)
 
 
 def _step_up_threshold(q, m0_hat, alpha, u):
@@ -144,8 +145,7 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not np.all((alpha > 0) & (alpha < 1)):
-        raise ValueError("alpha must lie in (0, 1)")
+    check_unit("alpha", alpha)
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p-values must be a nonempty 1-d vector")
@@ -157,18 +157,16 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
         w = np.asarray(weights, dtype=float)
         if w.shape != p.shape:
             raise ValueError("weights must match the p-value vector length")
-    if not np.all((p >= 0) & (p <= 1)):
-        raise ValueError("p-values must lie in [0, 1]")
-    if not np.all((w > 0) & (w < np.inf)):
-        raise ValueError("weights must be positive and finite")
+    check_unit("p-values", p, closed=True, scalar=False)
+    check_positive("weights", w, scalar=False)
     # weighted p-values Q_m = P_m / w_m; values above 1 are never rejected
     q = p / w
 
     adaptive = variant in ("UA", "WA")
     if adaptive and lam is None:
         raise ValueError(f"variant {variant} requires lambda")
-    if lam is not None and not np.all((lam > 0) & (lam < 1)):
-        raise ValueError("lambda must lie in (0, 1)")
+    if lam is not None:
+        check_unit("lambda", lam)
 
     level = alpha
     w_max = float(w.max())
@@ -177,13 +175,12 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
             raise ValueError("finite-FDR mode requires lambda")
         level = alpha_star(alpha, lam, w_max)
         if not level < 1:   # alpha_star reaches 1 only when every weight is below 1
-            raise ValueError(f"alpha_star must lie in (0, 1): alpha {alpha:g}, lambda "
+            raise ValueError(f"alpha_star must be below 1: alpha {alpha:g}, lambda "
                              f"{lam:g} and max weight {w_max:g} give {level:g}")
         u = lam
     elif u is None:
         u = 1.0 / w_max
-    if not np.all((u > 0) & (u < np.inf)):
-        raise ValueError("u must be positive and finite")
+    check_positive("u", u)
     if u * w_max > 1.0 + 1e-9:
         raise ValueError("u * max(weights) must not exceed 1")
     if adaptive and lam > u + 1e-12:
@@ -214,12 +211,9 @@ def alpha_star(alpha, lam, w_max):
     below alpha for any fixed weights with maximum ``w_max``, under
     independence of the null statistics.
     """
-    if not np.all((alpha > 0) & (alpha < 1)):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not np.all((w_max > 0) & (w_max < np.inf)):
-        raise ValueError("w_max must be positive and finite")
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
+    check_unit("alpha", alpha)
+    check_positive("w_max", w_max)
+    check_unit("lambda", lam)
     if lam * w_max >= 1.0:
         raise ValueError("lambda * w_max must be below 1")
     return alpha * (1.0 / w_max) * (1.0 - lam * w_max) / (1.0 - lam)
@@ -232,14 +226,13 @@ def fdr_upper_bound(alpha, lam, w0_bar, m0):
     where ``w0_bar`` is the mean weight over true nulls.  Unit weights
     recover the classic adaptive bound ``alpha * (1 - lam^m0)``.
     """
-    if not np.all((alpha > 0) & (alpha < 1)):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not np.all(np.isfinite(m0) & (m0 >= 1) & (np.floor(m0) == m0)):
-        raise ValueError("m0 must be an integer of at least 1")
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
-    if not np.all((w0_bar > 0) & (w0_bar < np.inf)):
-        raise ValueError("w0_bar must be positive and finite")
+    check_unit("alpha", alpha)
+    # a count may come as an integral float
+    check_int("m0", int(m0) if isinstance(m0, (float, np.floating)) and m0.is_integer() else m0)
+    if m0 < 1:
+        raise ValueError(f"m0 must be at least 1, got {m0!r}")
+    check_unit("lambda", lam)
+    check_positive("w0_bar", w0_bar)
     if lam * w0_bar >= 1.0:
         raise ValueError("lambda * w0_bar must be below 1")
     geom = 1.0 - (lam * w0_bar) ** m0

@@ -10,11 +10,11 @@ keyed by (seed, replication), so serial and parallel runs agree bitwise.
 
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral
 
 import numpy as np
 
 from . import power
+from ._checks import check_int, check_positive, check_unit
 from .procedures import VARIANTS, run_procedure
 from .weights import NoSolutionError, PriorSpec, asymptotically_optimal_weights
 
@@ -32,11 +32,6 @@ _WEIGHT_MODES = ("optimal", "perturbed", "independent", "unit")
 _MASK64 = (1 << 64) - 1
 # resampling rounds _draw_positive_uniform02 makes before it gives up
 _DRAW_TRIES = 100
-
-
-def _is_int(value):
-    # bool is an Integral, but True is no count, seed or preset number
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -64,25 +59,20 @@ class SimConfig:
     preset: int | None = None
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ValueError("a seed is required; silent nondeterminism is not allowed")
         for name in ("M", "n_reps", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_int(name, getattr(self, name))
         if self.M < 1 or self.n_reps < 1:
             raise ValueError("M and n_reps must be at least 1")
-        if not np.all((self.alpha > 0) & (self.alpha < 1)):
-            raise ValueError("alpha must lie in (0, 1)")
-        if not np.all((self.gamma_a >= 1) & (self.gamma_a < np.inf)):
+        check_unit("alpha", self.alpha)
+        check_positive("gamma_a", self.gamma_a)
+        if self.gamma_a < 1:
             raise ValueError("gamma_a must be finite and at least 1")
-        p, gamma, lam = self.p_fixed, self.gamma_fixed, self.lambda_fixed
-        if p is not None and not np.all((p >= 0) & (p <= 1)):
-            raise ValueError("p_fixed must lie in [0, 1]")
-        if gamma is not None and not np.all((gamma > 0) & (gamma < np.inf)):
-            raise ValueError("gamma_fixed must be positive and finite")
-        if lam is not None and not np.all((lam > 0) & (lam < 1)):
-            raise ValueError("lambda_fixed must lie in (0, 1)")
+        if self.p_fixed is not None:
+            check_unit("p_fixed", self.p_fixed, closed=True)
+        if self.gamma_fixed is not None:
+            check_positive("gamma_fixed", self.gamma_fixed)
+        if self.lambda_fixed is not None:
+            check_unit("lambda_fixed", self.lambda_fixed)
         if self.weight_mode not in _WEIGHT_MODES:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
         self.variants = tuple(self.variants)
@@ -91,8 +81,10 @@ class SimConfig:
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
-        if self.preset is not None and not (_is_int(self.preset) and 1 <= self.preset <= 4):
-            raise ValueError(f"preset must be an integer from 1 to 4, got {self.preset!r}")
+        if self.preset is not None:
+            check_int("preset", self.preset)
+            if not 1 <= self.preset <= 4:
+                raise ValueError(f"preset must be from 1 to 4, got {self.preset!r}")
 
     @classmethod
     def from_file(cls, path):
@@ -152,6 +144,8 @@ def simulation_preset(preset, a=5.0, M=1000, n_reps=1000, seed=0, alpha=0.05):
     4. Uniform(0, 1) priors, weights drawn Uniform(0, 2) independent of the data
     """
     modes = {1: "optimal", 2: "optimal", 3: "perturbed", 4: "independent"}
+    check_int("preset", preset)
+    check_positive("gamma_a", a)   # before float(), which raises TypeError on an array
     if preset not in modes:
         raise ValueError(f"unknown preset {preset!r}; expected 1-4")
     return SimConfig(M=M, n_reps=n_reps, seed=seed, alpha=alpha, gamma_a=float(a),
@@ -191,8 +185,7 @@ def generate_du(m0, m1, rng):
     """Least-favorable p-value configuration: m0 Uniform(0, 1) nulls first,
     then m1 exact zeros for the false nulls."""
     for name, value in (("m0", m0), ("m1", m1)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_int(name, value)
     if m0 < 0 or m1 < 0 or m0 + m1 < 1:
         raise ValueError("need m0, m1 >= 0 with m0 + m1 >= 1")
     return np.concatenate([rng.uniform(0.0, 1.0, m0), np.zeros(m1)])
@@ -323,8 +316,7 @@ def run_simulation(config, threads=1):
     mean, so results do not depend on ``threads``.  At most one worker
     process per replication is started.
     """
-    if not _is_int(threads):
-        raise ValueError(f"threads must be an integer, got {threads!r}")
+    check_int("threads", threads)
     if threads < 1:
         raise ValueError("threads must be at least 1")
     reps = range(config.n_reps)

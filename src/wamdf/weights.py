@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._brent import brentq
+from ._checks import check_positive, check_unit
 from .power import default_model
 from .tables import read_table
 
@@ -73,10 +74,8 @@ class PriorSpec:
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         if self.p.shape != self.gamma.shape or self.p.ndim != 1 or self.p.size < 1:
             raise ValueError("p and gamma must be 1-d vectors of equal length >= 1")
-        if not np.all((self.p > 0) & (self.p < 1)):
-            raise ValueError("prior probabilities p must lie strictly in (0, 1)")
-        if not np.all((self.gamma > 0) & (self.gamma < np.inf)):
-            raise ValueError("effect sizes gamma must be positive and finite")
+        check_unit("prior probabilities p", self.p, scalar=False)
+        check_positive("effect sizes gamma", self.gamma, scalar=False)
 
     @property
     def M(self):
@@ -132,18 +131,27 @@ class WeightProfile:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of ``to_dict``; ``warning`` is optional."""
+        """Inverse of ``to_dict``; ``warning`` is optional.  Every value is
+        checked, as the dict comes from a file: ``k_star`` may read 0.0 (k*
+        below the float range), but not less."""
         keys = ("weights", "k_star", "t_bar", "u")
         missing = [k for k in keys if k not in d] if isinstance(d, dict) else list(keys)
         if missing:
             raise ValueError(f"weight profile is missing {', '.join(missing)}")
-        try:
-            w = np.asarray(d["weights"], dtype=float)
-            k_star, t_bar, u = (float(d[k]) for k in keys[1:])
-        except TypeError as exc:
-            raise ValueError(f"weight profile values must be numbers ({exc})") from None
-        if w.ndim != 1 or w.size == 0 or not np.all((w > 0) & (w < np.inf)):
-            raise ValueError("weights must be a nonempty vector of positive finite numbers")
+        values = []
+        for k in keys:
+            try:
+                values.append(np.asarray(d[k], dtype=float) if k == "weights" else float(d[k]))
+            except TypeError as exc:
+                raise ValueError(f"weight profile values must be numbers ({k}: {exc})") from None
+        w, k_star, t_bar, u = values
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("weights must be a nonempty vector")
+        check_positive("weights", w, scalar=False)
+        if not k_star >= 0:
+            raise ValueError(f"k_star must be at least 0, got {k_star!r}")
+        check_unit("t_bar", t_bar)
+        check_positive("u", u)
         return cls(
             weights=w,
             k_star=k_star,
@@ -263,8 +271,7 @@ def fdp_approximator(prior, k, model=None):
     Degenerates to 0 (with a warning) when k is so large every threshold
     underflows.
     """
-    if not np.all((k > 0) & (k < np.inf)):
-        raise ValueError("multiplier k must be positive and finite")
+    check_positive("multiplier k", k)
     return _fdp_at(_collapse(prior), np.log(k), model or default_model())
 
 
@@ -339,8 +346,7 @@ def optimal_fixed_t_weights(prior, t, model=None):
     -------
     WeightProfile
     """
-    if not 0 < t < 1:
-        raise ValueError("target mean threshold t must lie in (0, 1)")
+    check_unit("target mean threshold t", t)
     model = model or default_model()
 
     def resid(log_k):
@@ -434,8 +440,7 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     the profile carries ``warning=True``; with no crossing, NoSolutionError
     is raised.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_unit("alpha", alpha)
     model = model or default_model()
     out_of_regime = bool(alpha > 1.0 - prior.p_max)
 

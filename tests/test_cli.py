@@ -615,9 +615,9 @@ class TestAnalyzeCommand:
         (["--synthetic", "20", "--beta", "nan"], "beta must be finite, got nan"),
         (["--synthetic", "20", "--beta", "inf"], "beta must be finite, got inf"),
         (["--synthetic", "20", "--positive-fraction", "nan"],
-         "positive_fraction must lie in [0, 1], got nan"),
+         "positive_fraction must lie in [0, 1]"),
         (["--synthetic", "20", "--positive-fraction", "2"],
-         "positive_fraction must lie in [0, 1], got 2.0"),
+         "positive_fraction must lie in [0, 1]"),
         (["--synthetic", "10", "--x", "1,inf"],
          "covariate must be finite with at least two distinct values"),
         (["--synthetic", "10", "--x", "1,nan"],
@@ -811,8 +811,8 @@ class TestExitMap:
     @pytest.mark.parametrize("profile, named", [
         ('{"weights": [1, 1], "t_bar": 0.1, "u": 1}', "k_star"),
         ('[1, 1]', "weights"),
-        ('{"weights": [1, -1], "k_star": 1, "t_bar": 0.1, "u": 1}', "positive finite"),
-        ('{"weights": [1, NaN], "k_star": 1, "t_bar": 0.1, "u": 1}', "positive finite"),
+        ('{"weights": [1, -1], "k_star": 1, "t_bar": 0.1, "u": 1}', "positive and finite"),
+        ('{"weights": [1, NaN], "k_star": 1, "t_bar": 0.1, "u": 1}', "positive and finite"),
         ('{"weights": [1, 1], "k_star": null, "t_bar": 0.1, "u": 1}', "numbers"),
         ('{"weights": {"a": 1}, "k_star": 1, "t_bar": 0.1, "u": 1}', "numbers"),
     ], ids=["no-k_star", "not-an-object", "negative", "nan", "null", "object-weights"])
@@ -825,6 +825,23 @@ class TestExitMap:
                      "--lambda", "0.1", "--out", str(tmp_path / "o")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("key, value", [("t_bar", "NaN"), ("u", "-1"), ("k_star", "-5")])
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "0.2", "--u", "0.9"]],
+                             ids=["from-file", "from-flags"])
+    def test_bad_profile_value_exit_1(self, tmp_path, capsys, key, value, flags):
+        # t_bar NaN used to exit 1 blaming lambda, a flag never given; with
+        # --lambda and --u given, each of these files used to run
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p\n0.01\n0.2\n")
+        profile = {"weights": "[1, 1]", "k_star": "1", "t_bar": "0.1", "u": "1", key: value}
+        wjson = tmp_path / "w.json"
+        wjson.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in profile.items()) + "}")
+        out = tmp_path / "o"
+        assert main(["run", str(pvals), "--weights", str(wjson), "--variant", "WA", *flags,
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {key} must ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("prior, table", [
         ("p,gamma\n0.5\n", None),

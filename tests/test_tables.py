@@ -54,6 +54,16 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
+def test_only_checks_spells_the_range_messages():
+    # range and integer checks go through wamdf._checks, so a hand-written
+    # one cannot grow back in another module
+    phrases = ("must lie in (0, 1)", "must lie in [0, 1]", "must be positive and finite",
+               "must be an integer")
+    spellers = [path.name for path in sorted(Path(wamdf.__file__).parent.glob("*.py"))
+                if any(phrase in path.read_text() for phrase in phrases)]
+    assert spellers == ["_checks.py"]
+
+
 @pytest.mark.parametrize("dtype, fields, convert, extras", [
     (float, FLOAT_FIELDS, float, [()]), (np.int64, INT_FIELDS, int, [()]),
     (float, FLOAT_FIELDS, float, [(f,) for f in PYTHON_ONLY[float]]),
