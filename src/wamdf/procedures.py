@@ -77,8 +77,11 @@ def estimate_m0(q, lam):
 
 
 def _check_q(q):
-    """``q`` as a float array of weighted p-values ``p / w``: finite and at least 0."""
+    """``q`` as a nonempty 1-d float array of weighted p-values ``p / w``:
+    finite and at least 0."""
     q = np.asarray(q, dtype=float)
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("q must be a nonempty 1-d vector")
     if not ((q >= 0) & (q < np.inf)).all():
         raise ValueError("q must not contain NaN" if np.isnan(q).any() else
                          "q must be finite and at least 0")

@@ -44,6 +44,10 @@ _BRENTQ = dict(xtol=1e-13, rtol=8.9e-16, maxiter=1100)
 _SPLIT_CAP = 8
 _CELL_WIDTH = 0.01
 _BLOCK_ELEMENTS = 1 << 13
+# The monotonicity certificate's margin in log: the logs of the means carry
+# rounding errors near 1e-14 at most.
+_CERT_MARGIN = 1e-9
+_LOG_HALF = np.log(0.5)
 
 
 class NoSolutionError(ValueError):
@@ -360,6 +364,20 @@ def optimal_fixed_t_weights(prior, t, model=None):
     return _profile(prior, log_k, model)
 
 
+def _fdp_cannot_rise(pairs, pts):
+    """Whether each cell between adjacent columns of the ``_fdp_scan`` rows
+    ``pts`` passes the monotonicity certificate of
+    ``_smallest_downward_crossing``, so the FDP cannot rise on it."""
+    log_k, _, _, lt, lg, ltc, lgc = pts
+    lgg, ltt = lg + lgc, lt + ltc
+    peak = np.where((lt[1:] <= _LOG_HALF) & (lt[:-1] >= _LOG_HALF), 2 * _LOG_HALF,
+                    np.fmax(ltt[:-1], ltt[1:]))
+    finite = np.isfinite(pts[3:]).all(axis=0)
+    with np.errstate(invalid="ignore"):
+        return finite[:-1] & finite[1:] & (np.logaddexp(log_k[1:], np.log(pairs.q.max()))
+                                           + _CERT_MARGIN < np.fmin(lgg[:-1], lgg[1:]) - peak)
+
+
 def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     """Smallest log k in [lo, hi] where the FDP approximator crosses alpha from above.
 
@@ -370,13 +388,39 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     on a cell [a, b], and the FDP lies in ``[FDP(a) / e^V, FDP(b) e^V]`` and
     in ``[FDP(b) / e^W, FDP(a) e^W]``, V and W being the rises of
     ``log(1 - t_bar) - log(t_bar)`` and ``log(1 - g_bar) - log(g_bar)`` across
-    the cell.  Each round drops every cell after the first whose ends go from
-    >= alpha to < alpha, and splits each cell wider than ``_CELL_WIDTH`` whose
-    bounds hold alpha: in 4 when its ends straddle alpha, else in
+    the cell.
+
+    A cell can also be certified monotone, so that the FDP lies in
+    [FDP(b), FDP(a)].  On the solution path ``p_m pi'(t_m) = k``, so
+    ``dG_m = (1 - p_m + k) dt_m`` and ``c = dg_bar / dt_bar`` is k plus a
+    mean of 1 - p_m weighted by |dt_m|: at most ``e^b + 1 - min(p)`` on
+    [a, b].  The log-derivative of ``FDP = (1 - g_bar) t_bar / ((1 - t_bar) g_bar)``
+    is ``dt_bar [1 / (t_bar (1 - t_bar)) - c / (g_bar (1 - g_bar))]`` with
+    dt_bar <= 0, so the FDP cannot rise on the cell when
+
+        log(e^b + 1 - min p) < min over the two ends of log(g_bar (1 - g_bar))
+                               - max over [t_bar(b), t_bar(a)] of log(t (1 - t)).
+
+    ``G (1 - G)`` is concave, so its least value on [g_bar(b), g_bar(a)] is
+    at an end; ``t (1 - t)`` peaks at 1/4 when [t_bar(b), t_bar(a)] holds 1/2,
+    else at an end.  A tabulated model has no derivative, but its threshold
+    m jumps from one knot to the next at ``k = p_m * secant_j``, where
+    ``dG_m = (1 - p_m + k) dt_m`` holds exactly for the jump; the path of
+    (t_bar, g_bar) is then piecewise linear with slopes in the same range,
+    and the same bound holds along each piece.  The test asks for a margin
+    of ``_CERT_MARGIN``, far above the rounding of the logs of the means,
+    and is made only where all four logs are finite at both ends.
+
+    Each round drops every cell after the first whose ends go from >= alpha
+    to < alpha, and splits each uncertified cell wider than ``_CELL_WIDTH``
+    whose bounds hold alpha: in 4 when its ends straddle alpha, else in
     ``ceil(min(V, W) / margin) + 1`` (2 to ``_SPLIT_CAP``), margin being the
-    log distance to alpha of the nearer end.  Then brentq refines the
-    crossing cell.  A bump above or a dip below alpha is missed only when it
-    fits inside one cell.  Returns None when no cell crosses.
+    log distance to alpha of the nearer end.  A certified cell is never
+    split: with both ends at least alpha it is clear, and a certified
+    crossing cell holds exactly one crossing.  Then brentq refines the
+    crossing cell: down to 0.01 wide unless it is certified.  A bump above
+    or a dip below alpha is missed only when it fits inside one uncertified
+    cell.  Returns None when no cell crosses.
     """
     log_alpha, log_floor = np.log(alpha), np.log(1.0 - pairs.p_max)
     # rows: log k, FDP, then the logs of FDP, t_bar, g_bar, 1 - t_bar, 1 - g_bar
@@ -395,10 +439,15 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
             lower = np.fmax(np.fmax(lf[:-1] - var, lf[1:] - gvar), log_floor + lt[1:] - lg[:-1])
             upper = np.fmin(np.fmin(lf[1:] + var, lf[:-1] + gvar),
                             np.fmin(lgc[1:] - ltc[:-1], lt[:-1] - lg[1:]))
+            # on a certified cell FDP(b) <= FDP <= FDP(a)
+            cert = _fdp_cannot_rise(pairs, pts)
+            lower = np.where(cert, lf[1:], lower)
+            upper = np.where(cert, lf[:-1], upper)
             # 1 - t_bar(b), t_bar(a) or g_bar(a) underflowed: the FDP is constant
             flat = np.isneginf(np.fmin(np.fmin(lt[:-1], lg[:-1]), ltc[1:]))
-            # split cells that may cross, are wide, and have a float strictly inside
-            cells = np.flatnonzero((lower < log_alpha) & (upper >= log_alpha) & ~flat
+            # split uncertified cells that may cross, are wide, and have a float
+            # strictly inside
+            cells = np.flatnonzero((lower < log_alpha) & (upper >= log_alpha) & ~flat & ~cert
                                    & (width > _CELL_WIDTH) & (np.nextafter(a, b) < b))
             if not cells.size:
                 break
@@ -430,8 +479,10 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     data-dependent threshold chosen later) and returns the weight profile
     there, with ``t_bar`` doubling as the recommended lambda and
     ``u = 1/max(w)``.  The crossing is found by a search that bounds the
-    FDP on cells of log k down to 0.01 wide, so it is missed only where
-    the FDP's stretch above alpha before it fits inside one such cell.
+    FDP on cells of log k, and splits them down to 0.01 wide unless it can
+    certify that the FDP does not rise on them.  It is missed only where
+    the FDP's stretch above alpha before it fits inside one uncertified
+    0.01-wide cell.
 
     A solution is guaranteed when ``alpha <= 1 - max(p)``, unless its
     thresholds lie where floats cannot hold them: every one below the float

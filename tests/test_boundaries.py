@@ -23,6 +23,7 @@ MODELS = {"NormalLocationModel": NormalLocationModel(),
 CONFIG = SimConfig(M=10, n_reps=1, seed=1)
 DATASET = CountDataset([[0, 1, 1, 0, 5], [3, 1, 2, 4, 1], [1, 1, 1, 1, 9]], X)
 Q = [0.001, 0.2, 0.9]
+Q_SHAPES = [np.array([]), np.full((2, 2), 0.01)]
 
 
 def _from_dict(**d):
@@ -40,12 +41,12 @@ def _row(arg, named=None, out=None, shape="scalar", infs=(INF, -INF), extra=()):
 
 TABLE = {
     "estimate_m0": (procedures.estimate_m0, dict(q=Q, lam=0.5), [
-        _row("q", out=-1.0, shape="vector"),
+        _row("q", out=-1.0, shape="vector", extra=Q_SHAPES),
         _row("lam", "lambda", out=1.0),
     ]),
     "step_up_threshold": (procedures.step_up_threshold,
                           dict(q=Q, m0_hat=3.0, alpha=0.05, u=1.0), [
-        _row("q", out=-1.0, shape="vector"),
+        _row("q", out=-1.0, shape="vector", extra=Q_SHAPES),
         _row("m0_hat", out=0.0),
         _row("alpha", out=1.0),
         _row("u", out=0.0),

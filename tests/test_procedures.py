@@ -105,6 +105,12 @@ class TestEstimateM0:
         with pytest.raises(ValueError, match="^q must not contain NaN"):
             estimate_m0([np.nan, 0.001, 0.9], 0.5)
 
+    @pytest.mark.parametrize("q", [[], np.full((2, 2), 0.01)], ids=["empty", "2-d"])
+    def test_rejects_empty_or_2d_q(self, q):
+        # an empty q used to give 2.0, an estimated two nulls among none
+        with pytest.raises(ValueError, match="^q must be a nonempty 1-d vector$"):
+            estimate_m0(q, 0.5)
+
 
 class TestAdaptiveFdpEstimate:
     def test_zero_threshold(self):
@@ -145,6 +151,12 @@ class TestStepUpThreshold:
         # used to skip the NaN: 0.025, as for [0.5, 0.001]
         with pytest.raises(ValueError, match="^q must not contain NaN"):
             step_up_threshold([np.nan, 0.001], 2.0, 0.05, 1.0)
+
+    @pytest.mark.parametrize("q", [[], np.full((2, 2), 0.01)], ids=["empty", "2-d"])
+    def test_rejects_empty_or_2d_q(self, q):
+        # an empty q used to give 0.0, and a 2-d one numpy's broadcast error
+        with pytest.raises(ValueError, match="^q must be a nonempty 1-d vector$"):
+            step_up_threshold(q, 2.0, 0.05, 1.0)
 
     def test_nothing_passes(self):
         q = np.ones(5)

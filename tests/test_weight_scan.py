@@ -382,26 +382,33 @@ def count_prior(k_info):
 
 
 class TestSearchCost:
-    # (prior, alpha, most FDP evaluations): scan points plus brentq steps
-    @pytest.mark.parametrize("case, budget", [
-        ((PriorSpec(np.full(10, 0.5), np.r_[np.full(5, 2.0), np.full(5, 3.0)]), 0.05), 50),
-        (preset_prior(1), 35),
-        (preset_prior(2), 75),
-        (count_prior(0.05), 70),
-        (count_prior(0.4), 40),
+    # (prior, alpha, most FDP evaluations, most scan calls): scan points plus
+    # brentq steps, and the search rounds.  Without the monotonicity
+    # certificate these solves took 38, 28, 57, 55 and 30 evaluations in 6,
+    # 6, 7, 6 and 7 rounds; with it, 27, 21, 38, 38 and 23 in 3, 3, 3, 4
+    # and 4.
+    @pytest.mark.parametrize("case, budget, rounds", [
+        ((PriorSpec(np.full(10, 0.5), np.r_[np.full(5, 2.0), np.full(5, 3.0)]), 0.05), 32, 4),
+        (preset_prior(1), 24, 4),
+        (preset_prior(2), 45, 4),
+        (count_prior(0.05), 45, 5),
+        (count_prior(0.4), 27, 5),
     ], ids=["worked", "preset-1", "preset-2", "count-0.05", "count-0.4"])
-    def test_fdp_evaluations_are_bounded(self, case, budget, monkeypatch):
+    def test_fdp_evaluations_are_bounded(self, case, budget, rounds, monkeypatch):
         prior, alpha = case
         scans, refined, log_k = evaluations(prior, alpha, monkeypatch)
         assert log_k == pytest.approx(oracle_log_k(prior, alpha), abs=1e-12)
         assert sum(s.size for s in scans) + len(refined) <= budget
+        assert len(scans) <= rounds
 
     @pytest.mark.parametrize("case", [preset_prior(1), preset_prior(2), count_prior(0.4)],
                              ids=["preset-1", "preset-2", "count-0.4"])
     def test_nothing_past_the_first_crossing_cell(self, case, monkeypatch):
         # after the first split, the search looks only at or before the first
         # cell whose ends cross downward, and no point twice; brentq stays
-        # inside the last such cell, at most _CELL_WIDTH wide
+        # inside the last such cell, which is at most _CELL_WIDTH wide or
+        # passes the monotonicity certificate, and then a dense grid finds no
+        # crossing in it before log k*
         prior, alpha = case
         scans, refined, log_k = evaluations(prior, alpha, monkeypatch)
         first = weights._fdp_values(weights._collapse(prior), scans[0], MODEL)[0]
@@ -412,7 +419,10 @@ class TestSearchCost:
         assert np.all(np.diff(points) > 0)
         below = points[points <= log_k].max()
         above = points[points > log_k].min()
-        assert above - below <= weights._CELL_WIDTH
+        if above - below > weights._CELL_WIDTH:
+            assert certified_cells(prior, MODEL, [below, above])[1][0]
+            grid = np.linspace(below, log_k, 10_001)
+            assert np.all(dense_fdp_values(prior, grid[grid < log_k - 1e-9], MODEL) >= alpha)
         assert np.all((np.array(refined) > below) & (np.array(refined) < above))
 
 
@@ -479,6 +489,61 @@ class TestScanPieces:
         for k in (1e-6, 0.3, 2.0, 40.0):
             dense = float(dense_fdp_values(prior, [np.log(k)], MODEL)[0])
             assert weights.fdp_approximator(prior, k) == pytest.approx(dense, rel=1e-14)
+
+
+def certified_cells(prior, model, log_ks):
+    """(cell ends, whether each cell passes the monotonicity certificate)
+    over the cells between adjacent ``log_ks``."""
+    pairs = weights._collapse(prior)
+    pts = weights._fdp_scan(pairs, np.asarray(log_ks, dtype=float), model)
+    return np.c_[pts[0, :-1], pts[0, 1:]], weights._fdp_cannot_rise(pairs, pts)
+
+
+def fdp_rises(prior, model, cells, points=41):
+    """The largest relative rise of the dense FDP between adjacent points of
+    an even grid inside each cell."""
+    out = []
+    for start in range(0, len(cells), 50):
+        chunk = cells[start:start + 50]
+        grid = chunk[:, :1] + (chunk[:, 1:] - chunk[:, :1]) * np.linspace(0, 1, points)
+        vals = dense_fdp_values(prior, grid.ravel(), model).reshape(grid.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out.append(np.nanmax(np.diff(vals, axis=1) / vals[:, :-1], axis=1, initial=-np.inf))
+    return np.concatenate(out)
+
+
+class TestMonotoneCertificate:
+    def test_certified_cells_never_rise(self):
+        # every cell the certificate accepts, on grids of 8, 64 and 256 cells
+        # over the solver's bracket, holds an FDP that does not rise on a
+        # dense grid inside it, up to rounding
+        rng = np.random.default_rng(31)
+        cases = [(prior, MODEL) for prior, _ in random_priors(60, seed=31)]
+        cases += [(prior, random_table(rng)) for prior, _ in random_priors(60, seed=32)]
+        for k_info in (0.02, 0.1, 0.4):      # tied p = 0.5 count priors
+            cases += [(count_prior(k_info)[0], MODEL), (count_prior(k_info)[0], random_table(rng))]
+        seen = {}
+        for prior, model in cases:
+            lo, hi = weights._k_bracket(weights._collapse(prior), model,
+                                        log_k_hi=np.log(2.0 / 0.01))
+            for n in (9, 65, 257):
+                cells, cert = certified_cells(prior, model, np.linspace(lo, hi, n))
+                if cert.any():
+                    worst = fdp_rises(prior, model, cells[cert]).max()
+                    assert worst <= 1e-12, (prior, n, worst)
+                key = "normal" if model is MODEL else "table"
+                seen[key] = seen.get(key, 0) + int(cert.sum())
+        assert min(seen.values()) > 1000, seen
+
+    def test_a_rising_fdp_is_refused(self):
+        # the dip prior's FDP climbs from about 0.065 to 0.17 on [-3.5, -1.5]:
+        # the certificate refuses the cell, and every piece of it that rises
+        prior = NARROW["dip"][0]
+        cells, cert = certified_cells(prior, MODEL, [-3.5, -1.5])
+        assert fdp_rises(prior, MODEL, cells)[0] > 0.01 and not cert[0]
+        cells, cert = certified_cells(prior, MODEL, np.linspace(-3.5, -1.5, 41))
+        rising = fdp_rises(prior, MODEL, cells) > 1e-12
+        assert rising.sum() > 30 and not cert[rising].any()
 
 
 def test_memory_stays_bounded_at_large_m():
