@@ -16,7 +16,6 @@ import datetime
 import json
 import os
 import sys
-import warnings
 from dataclasses import replace
 from itertools import chain
 
@@ -94,14 +93,12 @@ def _write_tsv(path, header, columns):
             fh.write(line * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
-def _exit_for(profile, caught):
-    """Exit 3 with one ``warning:`` line per distinct caught warning when the
-    solved profile carries a warning, else exit 0."""
-    if not profile.warning:
-        return EXIT_OK
-    for message in dict.fromkeys(str(w.message) for w in caught):
+def _exit_for(profile):
+    """Exit 3 with one ``warning:`` line per message of the solved profile's
+    warning, or exit 0 when it has none."""
+    for message in profile.warning:
         print(f"warning: {message}", file=sys.stderr)
-    return EXIT_WARNING
+    return EXIT_WARNING if profile.warning else EXIT_OK
 
 
 # ---------------------------------------------------------------- weights
@@ -111,12 +108,10 @@ def cmd_weights(args):
         raise ValueError("exactly one of --alpha / --t is required")
     prior = PriorSpec.from_csv(args.prior)
     model = TabulatedPowerModel.from_csv(args.power_table) if args.power_table else None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if args.alpha is not None:
-            profile = asymptotically_optimal_weights(prior, args.alpha, model)
-        else:
-            profile = optimal_fixed_t_weights(prior, args.t, model)
+    if args.alpha is not None:
+        profile = asymptotically_optimal_weights(prior, args.alpha, model)
+    else:
+        profile = optimal_fixed_t_weights(prior, args.t, model)
     outdir = _outdir(args)
     out = os.path.join(outdir, "weights.json")
     _write_json(out, profile.to_dict())
@@ -124,7 +119,7 @@ def cmd_weights(args):
     _write_tsv(tsv, ["index", "p", "gamma", "weight", "threshold"],
                [np.arange(prior.M), prior.p, prior.gamma, profile.weights, profile.thresholds])
     _manifest(args, [f for f in (args.prior, args.power_table) if f], [out, tsv])
-    return _exit_for(profile, caught)
+    return _exit_for(profile)
 
 
 # ---------------------------------------------------------------- run
@@ -134,21 +129,20 @@ def cmd_run(args):
     pvalues = table[:, 0]
     weights = None
     inputs = [args.pvalues]
-    if args.unit:
-        weights = np.ones_like(pvalues)
-    elif args.weights:
+    if args.weights:
         inputs.append(args.weights)
         with open(args.weights) as fh:
             profile = WeightProfile.from_dict(json.load(fh))
         weights = profile.weights
         if args.lam is None and args.variant in ("UA", "WA"):
             args.lam = profile.t_bar
-        if args.u is None and args.variant in ("WU", "WA"):
+        # finite-FDR mode sets u = lambda itself
+        if args.u is None and args.variant in ("WU", "WA") and not args.finite_fdr:
             args.u = profile.u
     elif header == ("p", "weight"):
         weights = table[:, 1]
     if args.variant in ("WU", "WA") and weights is None:
-        raise ValueError(f"variant {args.variant} needs --weights, a weight column, or --unit")
+        raise ValueError(f"variant {args.variant} needs --weights or a weight column")
     if weights is not None and weights.size != pvalues.size:
         raise ValueError("weights and p-values differ in length")
     report = run_procedure(args.variant, pvalues, weights=weights, alpha=args.alpha,
@@ -298,10 +292,8 @@ def cmd_analyze(args):
     if args.p_prior_file:
         inputs.append(args.p_prior_file)
         p_prior = _read_column(args.p_prior_file)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = analyze(dataset, alpha=args.alpha, p_prior=p_prior,
-                         target_avg_power=args.target_power)
+    result = analyze(dataset, alpha=args.alpha, p_prior=p_prior,
+                     target_avg_power=args.target_power)
     outdir = _outdir(args)
     outputs = _write_analysis(result, outdir)
     if theta is not None:
@@ -316,7 +308,7 @@ def cmd_analyze(args):
     print(f"WA rejected {result.wa.n_rejected}, UA rejected {result.ua.n_rejected} "
           f"of {result.valid_indices.size} tested features "
           f"({result.excluded_indices.size} excluded)")
-    return _exit_for(result.calibration.profile, caught)
+    return _exit_for(result.calibration.profile)
 
 
 # ---------------------------------------------------------------- bounds
@@ -355,9 +347,7 @@ def build_parser():
 
     r = sub.add_parser("run", help="run a procedure on a p-value file")
     r.add_argument("pvalues", help="CSV with header p or p,weight")
-    source = r.add_mutually_exclusive_group()
-    source.add_argument("--weights", help="weights JSON produced by the weights subcommand")
-    source.add_argument("--unit", action="store_true", help="force unit weights")
+    r.add_argument("--weights", help="weights JSON produced by the weights subcommand")
     r.add_argument("--variant", default="WA", choices=["UU", "WU", "UA", "WA"])
     r.add_argument("--alpha", type=float, default=0.05)
     r.add_argument("--lambda", dest="lam", type=float, help="census level for adaptive variants")
@@ -381,16 +371,17 @@ def build_parser():
     s.set_defaults(func=cmd_simulate)
 
     a = sub.add_parser("analyze", help="count-data association pipeline")
-    a.add_argument("counts", nargs="?", help="CSV of count columns, one row per feature")
-    a.add_argument("--x", help="comma-separated group covariate")
-    a.add_argument("--x-file", help="covariate vector file (one value per line)")
+    # each input has two sources, of which at most one may be given
+    data, x, prior = (a.add_mutually_exclusive_group() for _ in range(3))
+    data.add_argument("counts", nargs="?", help="CSV of count columns, one row per feature")
+    x.add_argument("--x", help="comma-separated group covariate")
+    x.add_argument("--x-file", help="covariate vector file (one value per line)")
     a.add_argument("--alpha", type=float, default=0.05)
-    a.add_argument("--p-prior", type=float, default=0.5)
-    a.add_argument("--p-prior-file",
-                   help="per-feature priors, one value per dataset row")
+    prior.add_argument("--p-prior", type=float, default=0.5)
+    prior.add_argument("--p-prior-file", help="per-feature priors, one value per dataset row")
     a.add_argument("--target-power", type=float, default=0.5)
-    a.add_argument("--synthetic", type=int, metavar="M",
-                   help="generate M synthetic features instead of reading a file")
+    data.add_argument("--synthetic", type=int, metavar="M",
+                      help="generate M synthetic features instead of reading a file")
     a.add_argument("--beta", type=float, default=0.35, help="synthetic trend strength")
     a.add_argument("--positive-fraction", type=float, default=0.5)
     a.add_argument("--seed", type=int)

@@ -136,9 +136,10 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
         where it must not exceed u.
     u : float, optional
         Upper bound for the selected threshold.  Defaults to
-        ``1 / max(weights)`` (so unit weights give 1).
+        ``1 / max(weights)`` (so unit weights give 1).  Must not be given
+        with ``finite_fdr``.
     finite_fdr : bool
-        Finite-sample FDR mode: forces ``u = lam`` and shrinks the level
+        Finite-sample FDR mode: sets ``u = lam`` and shrinks the level
         to ``alpha_star(alpha, lam, max(weights))`` so the FDR is at most
         alpha for arbitrary fixed weights under independence.
 
@@ -174,6 +175,8 @@ def run_procedure(variant, pvalues, weights=None, alpha=0.05, lam=None, u=None,
     level = alpha
     w_max = float(w.max())
     if finite_fdr:
+        if u is not None:
+            raise ValueError("u must not be given in finite-FDR mode, which sets u = lambda")
         if lam is None:
             raise ValueError("finite-FDR mode requires lambda")
         level = alpha_star(alpha, lam, w_max)

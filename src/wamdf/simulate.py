@@ -8,7 +8,6 @@ proportions.  Replications use independent counter-based RNG substreams
 keyed by (seed, replication), so serial and parallel runs agree bitwise.
 """
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ __all__ = [
     "run_simulation",
 ]
 
-_WEIGHT_MODES = ("optimal", "perturbed", "independent", "unit")
+_WEIGHT_MODES = ("optimal", "perturbed", "independent")
 _MASK64 = (1 << 64) - 1
 # resampling rounds _draw_positive_uniform02 makes before it gives up
 _DRAW_TRIES = 100
@@ -221,7 +220,8 @@ def _draw_positive_uniform02(rng, size, limit=None):
 def _replicate(config, rep):
     """One replication; returns None when skipped, else (warned, {variant: (fdp, cdp)}).
 
-    A replication whose weight solve has no solution is skipped.  Any other
+    A replication whose weight solve has no solution is skipped, and one
+    whose solved profile carries a warning is warned.  Any other
     failure is re-raised with its type kept and ``(seed, rep)`` in its
     message, so ``substream(seed, rep)`` can replay it.  ``run_procedure``
     caps each threshold at ``1/max(w)`` and gives UU and UA unit weights.
@@ -229,13 +229,10 @@ def _replicate(config, rep):
     try:
         rng = substream(config.seed, rep)
         theta, p, gamma, pvalues = generate_model1(config, rng)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                profile = asymptotically_optimal_weights(PriorSpec(p, gamma), config.alpha)
-            except NoSolutionError:
-                return None
-        warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
+        try:
+            profile = asymptotically_optimal_weights(PriorSpec(p, gamma), config.alpha)
+        except NoSolutionError:
+            return None
 
         lam = profile.t_bar if config.lambda_fixed is None else float(config.lambda_fixed)
         if config.weight_mode == "optimal":
@@ -243,11 +240,9 @@ def _replicate(config, rep):
         elif config.weight_mode == "perturbed":
             mult = _draw_positive_uniform02(rng, config.M, limit=profile.thresholds)
             weights = mult * profile.weights
-        elif config.weight_mode == "independent":
-            weights = _draw_positive_uniform02(rng, config.M)
         else:
-            weights = np.ones(config.M)
-        return warned, {
+            weights = _draw_positive_uniform02(rng, config.M)
+        return bool(profile.warning), {
             variant: evaluate(theta, run_procedure(variant, pvalues, weights=weights,
                                                    alpha=config.alpha, lam=lam))
             for variant in config.variants
@@ -310,11 +305,12 @@ class SimSummary:
 def run_simulation(config, threads=1):
     """Run all replications of a configuration and aggregate.
 
-    Replications failing the weight solve are skipped and counted;
-    out-of-regime weight solves are counted as warnings.  Per-rep metrics
-    are collected in replication order and reduced with numpy's pairwise
-    mean, so results do not depend on ``threads``.  At most one worker
-    process per replication is started.
+    Replications failing the weight solve are skipped and counted; those
+    whose solved profile carries a warning (out of regime, or a weight
+    raised to the smallest normal float) are counted as warned.  Per-rep
+    metrics are collected in replication order and reduced with numpy's
+    pairwise mean, so results do not depend on ``threads``.  At most one
+    worker process per replication is started.
     """
     check_int("threads", threads)
     if threads < 1:

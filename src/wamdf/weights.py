@@ -103,14 +103,16 @@ class WeightProfile:
     ``k_star`` (the recommended census parameter lambda for the adaptive
     procedure) and ``u = 1/max(weights)`` is the largest admissible overall
     threshold.  ``k_star`` is ``exp(log k*)``, which reads 0.0 once k* lies
-    below the float range.
+    below the float range.  ``warning`` holds the solve's warning messages,
+    empty when it has none; the solvers put them there and emit no Python
+    warning.
     """
 
     weights: np.ndarray
     k_star: float
     t_bar: float
     u: float
-    warning: bool = False
+    warning: tuple = ()
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -130,14 +132,15 @@ class WeightProfile:
             "t_bar": self.t_bar,
             "u": self.u,
             "weights": self.weights.tolist(),
-            "warning": self.warning,
+            "warning": bool(self.warning),
         }
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of ``to_dict``; ``warning`` is optional.  Every value is
-        checked, as the dict comes from a file: ``k_star`` may read 0.0 (k*
-        below the float range), but not less."""
+        """Inverse of ``to_dict``; ``warning`` is optional, and a true flag
+        becomes one fixed message, as the file keeps no message.  Every
+        value is checked, as the dict comes from a file: ``k_star`` may read
+        0.0 (k* below the float range), but not less."""
         keys = ("weights", "k_star", "t_bar", "u")
         missing = [k for k in keys if k not in d] if isinstance(d, dict) else list(keys)
         if missing:
@@ -161,7 +164,7 @@ class WeightProfile:
             k_star=k_star,
             t_bar=t_bar,
             u=u,
-            warning=bool(d.get("warning", False)),
+            warning=("the weight profile was written with a warning",) if d.get("warning") else (),
         )
 
 
@@ -260,11 +263,8 @@ def _fdp_scan(pairs, log_ks, model):
 
 
 def _fdp_at(pairs, log_k, model):
-    """FDP approximator at one log multiplier; warns when it degenerates to 0."""
-    value = float(_fdp_values(pairs, np.array([float(log_k)]), model)[0][0])
-    if value == 0.0:
-        warnings.warn("all thresholds underflowed to 0; FDP approximator degenerate", RuntimeWarning)
-    return value
+    """FDP approximator at one log multiplier."""
+    return float(_fdp_values(pairs, np.array([float(log_k)]), model)[0][0])
 
 
 def fdp_approximator(prior, k, model=None):
@@ -276,7 +276,10 @@ def fdp_approximator(prior, k, model=None):
     underflows.
     """
     check_positive("multiplier k", k)
-    return _fdp_at(_collapse(prior), np.log(k), model or default_model())
+    value = _fdp_at(_collapse(prior), np.log(k), model or default_model())
+    if value == 0.0:
+        warnings.warn("all thresholds underflowed to 0; FDP approximator degenerate", RuntimeWarning)
+    return value
 
 
 def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI):
@@ -296,8 +299,9 @@ def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI)
     has reached its constant limit there.
     """
     log_p = np.log(prior.p)
-    lo = float(np.min(model.log_power_slope(prior.gamma, t_hi) + log_p))
-    hi = float(np.max(model.log_power_slope(prior.gamma, t_lo) + log_p))
+    with np.errstate(over="ignore"):   # an overflow leaves the width not finite, checked below
+        lo = float(np.min(model.log_power_slope(prior.gamma, t_hi) + log_p))
+        hi = float(np.max(model.log_power_slope(prior.gamma, t_lo) + log_p))
     lo = min(lo - np.log(2.0) if t_hi > 1.0 - _T_EPS else lo, _LOG_K_LO)
     hi = max(hi + np.log(2.0) if t_lo < _T_EPS else hi, log_k_hi)
     if not np.isfinite(hi - lo):
@@ -308,11 +312,12 @@ def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI)
     return lo, hi
 
 
-def _profile(prior, log_k, model, warning=False):
+def _profile(prior, log_k, model, warning=()):
     """Weight profile at multiplier exp(log_k): ``w_m = t_m / t_bar``, ``u = 1/max(w)``.
 
-    A weight below the smallest normal float (a threshold that underflowed)
-    is raised to it, with a warning, so every weight stays positive.  When
+    The profile's warning is ``warning`` (the caller's messages), plus one
+    message when a weight below the smallest normal float (a threshold that
+    underflowed) is raised to it, so every weight stays positive.  When
     every threshold underflowed there is no weight to form, and
     NoSolutionError is raised.
     """
@@ -324,9 +329,9 @@ def _profile(prior, log_k, model, warning=False):
     w = thresholds / t_bar
     tiny = np.finfo(float).tiny
     if w.min() < tiny:
-        warnings.warn(f"weights below the smallest normal float {tiny:g} (thresholds "
-                      "that underflowed) were raised to it", RuntimeWarning)
-        w, warning = np.maximum(w, tiny), True
+        w = np.maximum(w, tiny)
+        warning += (f"weights below the smallest normal float {tiny:g} (thresholds "
+                    "that underflowed) were raised to it",)
     return WeightProfile(weights=w, k_star=float(np.exp(log_k)), t_bar=t_bar,
                          u=1.0 / float(w.max()), warning=warning)
 
@@ -349,6 +354,7 @@ def optimal_fixed_t_weights(prior, t, model=None):
     Returns
     -------
     WeightProfile
+        Its ``warning`` names any weight raised to the smallest normal float.
     """
     check_unit("target mean threshold t", t)
     model = model or default_model()
@@ -487,9 +493,10 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     A solution is guaranteed when ``alpha <= 1 - max(p)``, unless its
     thresholds lie where floats cannot hold them: every one below the float
     range, or (alpha within rounding of 1 - max(p)) every one within 1e-15
-    of 1.  Outside that regime the solve proceeds if a crossing exists but
-    the profile carries ``warning=True``; with no crossing, NoSolutionError
-    is raised.
+    of 1.  Outside that regime the solve proceeds if a crossing exists,
+    and ``profile.warning`` says that existence is not guaranteed; with no
+    crossing, NoSolutionError is raised.  ``profile.warning`` also names
+    any weight raised to the smallest normal float.
     """
     check_unit("alpha", alpha)
     model = model or default_model()
@@ -508,11 +515,9 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
         )
         raise NoSolutionError(f"no multiplier attains FDP level alpha={alpha:g} ({detail})",
                               out_of_regime)
+    warning = ()
     if out_of_regime:
-        warnings.warn(
-            f"alpha={alpha:g} exceeds 1 - max(p) = {1.0 - prior.p_max:g}; "
-            "a crossing was found but existence is not guaranteed in this regime",
-            RuntimeWarning,
-        )
-    return _profile(prior, log_k, model, out_of_regime)
+        warning = (f"alpha={alpha:g} exceeds 1 - max(p) = {1.0 - prior.p_max:g}; "
+                   "a crossing was found but existence is not guaranteed in this regime",)
+    return _profile(prior, log_k, model, warning)
 

@@ -6,7 +6,6 @@ runtime; the whole suite targets well under ten minutes on two cores.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -136,9 +135,7 @@ def test_criterion_5_simulations_2_to_4():
     for preset, target in targets.items():
         t0 = time.time()
         config = simulation_preset(preset, a=5, M=1000, n_reps=1000, seed=1, alpha=0.05)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            summary = run_simulation(config, threads=THREADS)
+        summary = run_simulation(config, threads=THREADS)
         wa_cdp = summary.mean("WA", "cdp")
         wa_fdp = summary.mean("WA", "fdp")
         assert wa_cdp == pytest.approx(target, abs=0.02), f"study {preset}"

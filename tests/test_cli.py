@@ -1,7 +1,9 @@
 """CLI: exit-code contract, file formats, manifests, round trips."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -262,7 +264,7 @@ class TestRunCommand:
         pvals.write_text("p\n0.01\n0.02\n0.5\n0.9\n")
         out = tmp_path / "out"
         assert main(["run", str(pvals), "--variant", "UU", "--alpha", "0.2",
-                     "--unit", "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_OK
         with open(out / "report.json") as fh:
             assert json.load(fh)["R"] == 2
 
@@ -319,26 +321,7 @@ class TestRunCommand:
         assert main(["run", str(pvals), "--variant", variant, "--lambda", "0.1",
                      "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"error: variant {variant} needs --weights, a weight column, or --unit\n")
-
-    @pytest.mark.parametrize("weighted, unweighted", [("WU", "UU"), ("WA", "UA")])
-    def test_unit_applies_to_every_variant(self, tmp_path, weighted, unweighted):
-        # --unit used to be ignored next to a weight column, and WU/WA
-        # exited 1 with only --unit
-        pvals = tmp_path / "pvals.csv"
-        pvals.write_text(WORKED_PVALUES)
-        reports = []
-        for variant in (weighted, unweighted):
-            out = tmp_path / variant
-            assert main(["run", str(pvals), "--unit", "--variant", variant, "--lambda", "0.5",
-                         "--out", str(out)]) == EXIT_OK
-            with open(out / "report.json") as fh:
-                reports.append(json.load(fh))
-            weights = np.loadtxt(out / "report.tsv", skiprows=1, usecols=2)
-            np.testing.assert_array_equal(weights, np.ones(10))
-        for report in reports:
-            del report["variant"]
-        assert reports[0] == reports[1]
+            f"error: variant {variant} needs --weights or a weight column\n")
 
     @pytest.mark.parametrize("variant, code", [("UU", EXIT_OK), ("WU", EXIT_OK),
                                                ("WA", EXIT_INPUT)])
@@ -352,6 +335,21 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert err == ("" if code == EXIT_OK else "error: lambda must not exceed u\n")
+
+    def test_finite_fdr_takes_no_u(self, tmp_path, capsys):
+        # --u was replaced by lambda without a word; the u of a weights.json
+        # no longer fills it either
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text("p\n0.01\n0.2\n")
+        wjson = tmp_path / "w.json"
+        wjson.write_text('{"weights": [1.5, 0.5], "k_star": 1, "t_bar": 0.2, "u": 0.6}')
+        argv = ["run", str(pvals), "--weights", str(wjson), "--finite-fdr"]
+        assert main(argv + ["--u", "0.5", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: u must not be given in finite-FDR mode, which sets u = lambda\n")
+        assert not (tmp_path / "o").exists()
+        assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_OK
+        assert json.loads((tmp_path / "r" / "report.json").read_text())["u"] == 0.2
 
     def test_finite_fdr_flag(self, tmp_path):
         pvals = tmp_path / "pvals.csv"
@@ -622,6 +620,8 @@ class TestAnalyzeCommand:
          "covariate must be finite with at least two distinct values"),
         (["--synthetic", "10", "--x", "1,nan"],
          "covariate must be finite with at least two distinct values"),
+        (["--synthetic", "10", "--x", "1,two"], "--x must be comma-separated numbers, got '1,two'"),
+        ([], "either a counts file or --synthetic is required"),
     ])
     def test_bad_synthetic_arguments_exit_1(self, tmp_path, capsys, flags, message):
         # these used to be misreported, leak numpy's message and a warning,
@@ -634,6 +634,15 @@ class TestAnalyzeCommand:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("counts", ["0,0,0,0,0\n", "0,0,0,0,0\n0,0,7,0,0\n"],
+                             ids=["zero-total", "one-cell"])
+    def test_no_testable_feature_exit_1(self, tmp_path, capsys, counts):
+        path = tmp_path / "counts.csv"
+        path.write_text(counts)
+        assert main(["analyze", str(path), "--x", "1,2,3,4,5",
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: no testable features (all degenerate)\n"
 
     def test_synthetic_counts_analyse_again(self, tmp_path):
         # the counts file holds the counts alone; the planted truth has its own file
@@ -774,10 +783,15 @@ class TestExitMap:
          "argument --synthetic: invalid int value: 'ten'"),
         (["bounds", "--alpha", "0.05", "--lambda", "0.5", "--w0-bar", "1", "--m0", "2.5"],
          "argument --m0: invalid int value: '2.5'"),
-        (["run", "p.csv", "--weights", "w.json", "--unit", "--out", "o"],
-         "argument --unit: not allowed with argument --weights"),
+        (["analyze", "c.csv", "--synthetic", "5", "--seed", "1", "--x", "1,2", "--out", "o"],
+         "argument --synthetic: not allowed with argument counts"),
+        (["analyze", "c.csv", "--x", "1,2", "--x-file", "x.txt", "--out", "o"],
+         "argument --x-file: not allowed with argument --x"),
+        (["analyze", "c.csv", "--x", "1,2", "--p-prior", "0.5", "--p-prior-file", "p.txt",
+          "--out", "o"], "argument --p-prior-file: not allowed with argument --p-prior"),
     ], ids=["no-subcommand", "weights", "run", "simulate", "analyze", "bounds",
-            "run-unit-and-weights"])
+            "analyze-counts-and-synthetic", "analyze-x-and-x-file",
+            "analyze-p-prior-and-p-prior-file"])
     def test_usage_error_exit_1(self, capsys, argv, message):
         # argparse's own status 2 would read as "no solution"
         with pytest.raises(SystemExit) as exc:
@@ -815,7 +829,11 @@ class TestExitMap:
         ('{"weights": [1, NaN], "k_star": 1, "t_bar": 0.1, "u": 1}', "positive and finite"),
         ('{"weights": [1, 1], "k_star": null, "t_bar": 0.1, "u": 1}', "numbers"),
         ('{"weights": {"a": 1}, "k_star": 1, "t_bar": 0.1, "u": 1}', "numbers"),
-    ], ids=["no-k_star", "not-an-object", "negative", "nan", "null", "object-weights"])
+        ('{"weights": [], "k_star": 1, "t_bar": 0.1, "u": 1}', "nonempty vector"),
+        ('{"weights": 1, "k_star": 1, "t_bar": 0.1, "u": 1}', "nonempty vector"),
+        ('{"weights": [1, 1, 1], "k_star": 1, "t_bar": 0.1, "u": 1}', "differ in length"),
+    ], ids=["no-k_star", "not-an-object", "negative", "nan", "null", "object-weights",
+            "empty-weights", "scalar-weights", "three-weights-two-p-values"])
     def test_bad_weights_json_exit_1(self, tmp_path, capsys, profile, named):
         pvals = tmp_path / "pvals.csv"
         pvals.write_text("p\n0.01\n0.2\n")
@@ -1060,7 +1078,8 @@ def test_startup_skips_scipy_optimize(tmp_path):
     # never evaluate, and the process pool only where simulate starts one
     pvalues = tmp_path / "pv.csv"
     pvalues.write_text("p\n0.01\n0.5\n")
-    calls = [[], ["run", str(pvalues), "--unit", "--lambda", "0.5", "--out", str(tmp_path / "run")],
+    calls = [[], ["run", str(pvalues), "--variant", "UA", "--lambda", "0.5",
+                  "--out", str(tmp_path / "run")],
              ["bounds", "--alpha", "0.05", "--lambda", "0.2", "--w-max", "1.5"]]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wamdf.__file__)))
     for argv in calls:
@@ -1084,3 +1103,19 @@ def test_heap_trimmed_before_and_after_each_command(tmp_path, monkeypatch, text,
     pvalues.write_text(text)
     assert main(["run", str(pvalues), "--variant", "UU", "--out", str(tmp_path / "o")]) == code
     assert len(calls) == 2
+
+
+def test_readme_names_every_flag_and_no_other():
+    # README's "Command line" section and the parser name the same long
+    # flags, so a flag added or removed on one side shows on the other
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    parser = cli.build_parser()
+    parsers = [parser] + [sub for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for sub in action.choices.values()]
+    flags = {flag for p in parsers for action in p._actions for flag in action.option_strings
+             if flag.startswith("--")}
+    assert "--finite-fdr" in flags and "--power-table" in flags
+    assert sorted(documented - flags) == [] and sorted(flags - documented) == []

@@ -237,6 +237,27 @@ class TestCalibration:
         with pytest.raises(ValueError, match="^every feature total must be finite"):
             calibrate_information(np.array([20.0, bad]))
 
+    def test_target_below_the_floor_named(self):
+        # halving K until power falls short, the weight solve fails first
+        with pytest.raises(CalibrationError, match=r"^target 1e-300 is below the attainable "
+                           r"floor \(weight solve failed at K = 0\.0625: every threshold"):
+            calibrate_information(np.array([1.0]), target_avg_power=1e-300)
+
+    @pytest.mark.parametrize("power, message", [
+        (0.0, "target 0.5 not reached by K = 1099511627776.0"),
+        (1.0, "could not bracket the target: power reaches it down to K = 8.673617379884035e-19"),
+    ], ids=["doubling", "halving"])
+    def test_bracketing_gives_up(self, monkeypatch, power, message):
+        # no input reaches these guards: average power tends to 1 as K grows,
+        # and the weight solve fails long before K reaches 2^-60; a stub
+        # power holds still instead
+        import wamdf.counts as counts
+
+        monkeypatch.setattr(counts, "_average_power", lambda k, *args: (power, None))
+        with pytest.raises(CalibrationError) as info:
+            calibrate_information(np.array([10.0]))
+        assert str(info.value) == message
+
     def test_unreachable_target(self):
         with pytest.raises((CalibrationError, ValueError)):
             calibrate_information(np.array([10.0]), target_avg_power=1.5)

@@ -302,6 +302,16 @@ class TestTabulatedModel:
         with pytest.raises(ValueError, match="finite"):
             TabulatedPowerModel(t, power)
 
+    @pytest.mark.parametrize("t, power, message", [
+        ([0.0, 1.0], [0.0, 1.0], "need matching 1-d t/power columns with >= 3 rows"),
+        ([0.0, 0.5, 1.0], [0.0, 1.0], "need matching 1-d t/power columns with >= 3 rows"),
+        ([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.5, 1.0], "power column must be strictly increasing"),
+    ], ids=["two-knots", "unequal-columns", "flat-power"])
+    def test_rejects_bad_knots_by_message(self, t, power, message):
+        with pytest.raises(ValueError) as info:
+            TabulatedPowerModel(t, power)
+        assert str(info.value) == message
+
     def test_csv_roundtrip(self, tmp_path):
         t, p = _concave_table(9)
         path = tmp_path / "curve.csv"

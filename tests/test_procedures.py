@@ -275,7 +275,10 @@ class TestRunProcedure:
     @pytest.mark.parametrize("kwargs, message", [
         (dict(finite_fdr=True), "finite-FDR mode requires lambda"),
         (dict(u=0.8), "u * max(weights) must not exceed 1"),
-    ], ids=["finite-fdr-without-lambda", "u-above-1-over-max-weight"])
+        # u used to be replaced by lambda without a word
+        (dict(finite_fdr=True, lam=0.2, u=0.2),
+         "u must not be given in finite-FDR mode, which sets u = lambda"),
+    ], ids=["finite-fdr-without-lambda", "u-above-1-over-max-weight", "finite-fdr-with-u"])
     def test_rejects_a_cap_it_cannot_set(self, kwargs, message):
         with pytest.raises(ValueError) as info:
             run_procedure("WU", np.array([0.1, 0.2]), weights=np.array([2.0, 0.5]), **kwargs)

@@ -111,7 +111,6 @@ def _table_model(table):
     return TabulatedPowerModel(knots, knots ** a)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # out of regime, clamped weights
 @given(bracket_cases())
 # a table whose p * secant_0 = 0.9 * 10^(0.7 * 13) exceeds 1e8: at that k the
 # first pair still sits on the knot 1e-13, so the mean threshold reaches
@@ -165,7 +164,6 @@ def in_regime_priors(draw):
     return p, gamma, float(u * (1.0 - p.max()))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # clamped weights
 @given(in_regime_priors())
 @example(([0.5, 0.5, 0.5], [45.0, 46.0, 47.0], 0.05))   # k* below the float range
 @example(([0.5, 0.3, 0.2], [60.0, 45.0, 50.0], 0.05))

@@ -209,10 +209,10 @@ class TestConfig:
 
     def test_from_file_variants_and_weight_mode(self, tmp_path):
         path = tmp_path / "sim.cfg"
-        path.write_text("preset = 2\nvariants = WA, UA\nweight_mode = unit\n")
+        path.write_text("preset = 2\nvariants = WA, UA\nweight_mode = independent\n")
         config = SimConfig.from_file(path)
         assert config == replace(simulation_preset(2), variants=("WA", "UA"),
-                                 weight_mode="unit")
+                                 weight_mode="independent")
 
     def test_none_draws_the_law(self, tmp_path):
         # preset 1 fixes p at 0.5; None in the file draws it again
@@ -223,6 +223,13 @@ class TestConfig:
         assert (config.p_fixed, config.gamma_fixed, config.lambda_fixed) == (None, None, None)
         _, p, _, _ = generate_model1(config, substream(3, 0))
         assert np.unique(p).size == 20
+
+    def test_from_file_names_a_line_without_equals(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("# sizes\nM = 10\nn_reps 2\n")
+        with pytest.raises(ValueError) as info:
+            SimConfig.from_file(path)
+        assert str(info.value) == f"{path}:3: expected 'key = value'"
 
     def test_from_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -320,14 +327,6 @@ class TestRunSimulation:
         np.testing.assert_array_equal(summary.fdp["WA"], summary.fdp["UA"])
         np.testing.assert_array_equal(summary.cdp["WU"], summary.cdp["UU"])
 
-    def test_unit_weights_make_weighted_equal_unweighted(self):
-        config = replace(simulation_preset(2, a=3, M=100, n_reps=6, seed=19),
-                         weight_mode="unit")
-        summary = run_simulation(config)
-        for weighted, unweighted in (("WU", "UU"), ("WA", "UA")):
-            np.testing.assert_array_equal(summary.fdp[weighted], summary.fdp[unweighted])
-            np.testing.assert_array_equal(summary.cdp[weighted], summary.cdp[unweighted])
-
     def test_lambda_above_u_fails_only_adaptive_variants(self):
         # perturbed weights put u below 0.3 here; UU and WU never use lambda
         # and used to fail on it all the same
@@ -354,8 +353,6 @@ class TestRunSimulation:
     def test_less_conservative_per_replication(self):
         # with the null-count estimate at or below M, the adaptive variant
         # rejects at least as much as its unadaptive counterpart
-        import warnings
-
         from wamdf.weights import asymptotically_optimal_weights, PriorSpec
 
         config = simulation_preset(2, a=5, M=120, n_reps=30, seed=31)
@@ -363,9 +360,7 @@ class TestRunSimulation:
         for rep in range(config.n_reps):
             rng = substream(config.seed, rep)
             theta, p, gamma, pvalues = generate_model1(config, rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                profile = asymptotically_optimal_weights(PriorSpec(p, gamma), 0.05)
+            profile = asymptotically_optimal_weights(PriorSpec(p, gamma), 0.05)
             lam, w, u = profile.t_bar, profile.weights, profile.u
             wa = run_procedure("WA", pvalues, weights=w, alpha=0.05, lam=lam, u=u)
             wu = run_procedure("WU", pvalues, weights=w, alpha=0.05, u=u)
@@ -383,11 +378,7 @@ class TestRunSimulation:
         # variants order by power and every variant holds the level
         for preset in (2, 3):
             config = simulation_preset(preset, a=3, M=200, n_reps=60, seed=13)
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                summary = run_simulation(config, threads=2)
+            summary = run_simulation(config, threads=2)
             cdp = {v: summary.mean(v, "cdp") for v in config.variants}
             se = {v: summary.se(v, "cdp") for v in config.variants}
             assert cdp["WA"] >= cdp["UA"] - 2 * (se["WA"] + se["UA"])
@@ -402,11 +393,7 @@ class TestRunSimulation:
         config = SimConfig(
             M=1, n_reps=40, seed=30, p_fixed=None, gamma_fixed=2.5,
         )
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            summary = run_simulation(config)
+        summary = run_simulation(config)
         assert summary.n_skipped > 0
         assert summary.n_completed == config.n_reps - summary.n_skipped
         for v in config.variants:

@@ -108,10 +108,11 @@ def test_header_rules(tmp_path):
     ("a\n1,2\n", "ragged"),
     ("a,b\n1,x\n", "non-numeric"),
     ("a,b\n1," + "2" * 200_000 + "\n", "field limit"),
+    ("a,b\n1," + "2" * 200_000, "field limit"),
     ('a,b\n1,"2\n', "unexpected end of data"),
     ("a,b\n1,2\x1c\n", "non-numeric"),
-], ids=["empty", "header-only", "short-row", "narrow-header", "text", "huge-field", "open-quote",
-        "file-separator"])
+], ids=["empty", "header-only", "short-row", "narrow-header", "text", "huge-field",
+        "huge-last-field", "open-quote", "file-separator"])
 def test_format_errors_name_the_file(tmp_path, text, named):
     path = tmp_path / "t.csv"
     path.write_text(text)
