@@ -104,8 +104,6 @@ def _exit_for(profile):
 # ---------------------------------------------------------------- weights
 
 def cmd_weights(args):
-    if (args.alpha is None) == (args.t is None):
-        raise ValueError("exactly one of --alpha / --t is required")
     prior = PriorSpec.from_csv(args.prior)
     model = TabulatedPowerModel.from_csv(args.power_table) if args.power_table else None
     if args.alpha is not None:
@@ -187,24 +185,21 @@ def _write_summary_tables(summaries, outdir):
 
 
 def cmd_simulate(args):
-    inputs = []
     if args.config:
+        given = [f"--{n}" for n in ("a", "M", "K", "alpha") if getattr(args, n) is not None]
+        if given:
+            raise ValueError(f"--config sets the study, so {', '.join(given)} cannot be given")
         config = SimConfig.from_file(args.config)
-        inputs.append(args.config)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         configs = [config]
     else:
-        if args.preset is None:
-            raise ValueError("either --config or --preset is required")
         if args.seed is None:
             raise ValueError("--seed is required (no silent nondeterminism)")
-        a_values = args.a if args.a else [1.0, 3.0, 5.0]
-        configs = [
-            simulation_preset(args.preset, a=a, M=args.M, n_reps=args.K,
-                              seed=args.seed, alpha=args.alpha)
-            for a in a_values
-        ]
+        kwargs = {"M": args.M, "n_reps": args.K, "alpha": args.alpha}
+        kwargs = {key: value for key, value in kwargs.items() if value is not None}
+        configs = [simulation_preset(args.preset, a=a, seed=args.seed, **kwargs)
+                   for a in args.a or [1.0, 3.0, 5.0]]
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     threads = args.threads or os.cpu_count() or 1
@@ -216,7 +211,7 @@ def cmd_simulate(args):
         _write_json(out, s.to_dict())
         outputs.append(out)
     outputs += _write_summary_tables(summaries, outdir)
-    _manifest(args, inputs, outputs, seed=configs[0].seed)
+    _manifest(args, [args.config] if args.config else [], outputs, seed=configs[0].seed)
     for s in summaries:
         skipped = f", skipped {s.n_skipped}" if s.n_skipped else ""
         print(f"a={s.config.gamma_a:g}: "
@@ -317,9 +312,10 @@ def cmd_bounds(args):
     out = {"alpha": args.alpha, "lambda": args.lam}
     if args.w_max is not None:
         out["alpha_star"] = alpha_star(args.alpha, args.lam, args.w_max)
+    if (args.w0_bar is None) != (args.m0 is None):
+        raise ValueError("--m0 is required with --w0-bar" if args.m0 is None
+                         else "--w0-bar is required with --m0")
     if args.w0_bar is not None:
-        if args.m0 is None:
-            raise ValueError("--m0 is required with --w0-bar")
         out["fdr_upper_bound"] = fdr_upper_bound(args.alpha, args.lam, args.w0_bar, args.m0)
     if len(out) == 2:
         raise ValueError("nothing to compute: give --w-max and/or --w0-bar")
@@ -339,8 +335,9 @@ def build_parser():
 
     w = sub.add_parser("weights", help="compute optimal weights from a prior file")
     w.add_argument("prior", help="CSV with header p,gamma")
-    w.add_argument("--alpha", type=float, help="target FDP level (pre-data weights)")
-    w.add_argument("--t", type=float, help="fixed mean threshold (fixed-t weights)")
+    level = w.add_mutually_exclusive_group(required=True)
+    level.add_argument("--alpha", type=float, help="target FDP level (pre-data weights)")
+    level.add_argument("--t", type=float, help="fixed mean threshold (fixed-t weights)")
     w.add_argument("--power-table", help="CSV t,power for a tabulated power curve")
     w.add_argument("--out", required=True, help="output directory")
     w.set_defaults(func=cmd_weights)
@@ -358,15 +355,16 @@ def build_parser():
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("simulate", help="run a canned Monte Carlo study")
-    s.add_argument("--preset", type=int, help="study 1-4")
+    study = s.add_mutually_exclusive_group(required=True)
+    study.add_argument("--preset", type=int, help="study 1-4")
+    study.add_argument("--config", help="key = value config file, in place of the preset flags")
     s.add_argument("--a", type=float, action="append",
                    help="effect-size upper bound; repeatable (default 1, 3 and 5)")
-    s.add_argument("--M", type=int, default=1000, help="hypotheses per replication")
-    s.add_argument("--K", type=int, default=1000, help="replications")
-    s.add_argument("--alpha", type=float, default=0.05)
+    s.add_argument("--M", type=int, help="hypotheses per replication")
+    s.add_argument("--K", type=int, help="replications")
+    s.add_argument("--alpha", type=float)
     s.add_argument("--seed", type=int)
     s.add_argument("--threads", type=int, help="worker processes (default: all cores)")
-    s.add_argument("--config", help="key = value config file (overrides preset flags)")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
 

@@ -384,17 +384,27 @@ def _fdp_cannot_rise(pairs, pts):
                                            + _CERT_MARGIN < np.fmin(lgg[:-1], lgg[1:]) - peak)
 
 
+def _log_fdp_bounds(pairs, pts):
+    """``_smallest_downward_crossing``'s (lower, upper, min(V, W)) on each cell of ``pts``."""
+    _, _, lf, lt, lg, ltc, lgc = pts
+    with np.errstate(invalid="ignore"):
+        var = ltc[1:] - ltc[:-1] + lt[:-1] - lt[1:]
+        gvar = lgc[1:] - lgc[:-1] + lg[:-1] - lg[1:]
+        lower = np.fmax(lf[1:] - gvar, np.log(1.0 - pairs.p_max) + lt[1:] - lg[:-1])
+        return lower, lf[:-1] + gvar, np.fmin(var, gvar)
+
+
 def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     """Smallest log k in [lo, hi] where the FDP approximator crosses alpha from above.
 
     The approximator need not be monotone in k, so the search bounds it on
-    cells of [lo, hi] from the means at their ends.  As t_bar and g_bar fall
-    in k and ``pi(t) >= t``, ``FDP = A * B`` with ``A = (1 - g_bar) / (1 - t_bar)``
-    in [1 - max(p), 1] and ``B = t_bar / g_bar`` in [t_bar(b) / g_bar(a), 1]
-    on a cell [a, b], and the FDP lies in ``[FDP(a) / e^V, FDP(b) e^V]`` and
-    in ``[FDP(b) / e^W, FDP(a) e^W]``, V and W being the rises of
-    ``log(1 - t_bar) - log(t_bar)`` and ``log(1 - g_bar) - log(g_bar)`` across
-    the cell.
+    cells of [lo, hi] from the means at their ends.  The log odds
+    ``og = log((1 - g_bar) / g_bar)`` and ``ot = log((1 - t_bar) / t_bar)``
+    rise in k, and ``log FDP = og - ot``, so on a cell [a, b] log FDP lies in
+    ``[og(a) - ot(b), og(b) - ot(a)] = [log FDP(b) - W, log FDP(a) + W]``,
+    W and V being the rises of og and ot across the cell.  As
+    ``1 - g_bar >= (1 - max(p)) (1 - t_bar)``, log FDP is also at least
+    ``log((1 - max(p)) t_bar(b) / g_bar(a))``.
 
     A cell can also be certified monotone, so that the FDP lies in
     [FDP(b), FDP(a)].  On the solution path ``p_m pi'(t_m) = k``, so
@@ -428,7 +438,7 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     or a dip below alpha is missed only when it fits inside one uncertified
     cell.  Returns None when no cell crosses.
     """
-    log_alpha, log_floor = np.log(alpha), np.log(1.0 - pairs.p_max)
+    log_alpha = np.log(alpha)
     # rows: log k, FDP, then the logs of FDP, t_bar, g_bar, 1 - t_bar, 1 - g_bar
     pts = _fdp_scan(pairs, np.linspace(lo, hi, _SPLIT_CAP + 1), model)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -438,17 +448,10 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
             down = np.flatnonzero(above[:-1] > above[1:])
             if down.size:
                 pts, above = pts[:, :down[0] + 2], above[:down[0] + 2]
-            x, f, lf, lt, lg, ltc, lgc = pts
+            x, f, lf, lt, lg, ltc, _ = pts
             a, b, width = x[:-1], x[1:], np.diff(x)
-            var = ltc[1:] - ltc[:-1] + lt[:-1] - lt[1:]
-            gvar = lgc[1:] - lgc[:-1] + lg[:-1] - lg[1:]
-            lower = np.fmax(np.fmax(lf[:-1] - var, lf[1:] - gvar), log_floor + lt[1:] - lg[:-1])
-            upper = np.fmin(np.fmin(lf[1:] + var, lf[:-1] + gvar),
-                            np.fmin(lgc[1:] - ltc[:-1], lt[:-1] - lg[1:]))
-            # on a certified cell FDP(b) <= FDP <= FDP(a)
+            lower, upper, rise = _log_fdp_bounds(pairs, pts)
             cert = _fdp_cannot_rise(pairs, pts)
-            lower = np.where(cert, lf[1:], lower)
-            upper = np.where(cert, lf[:-1], upper)
             # 1 - t_bar(b), t_bar(a) or g_bar(a) underflowed: the FDP is constant
             flat = np.isneginf(np.fmin(np.fmin(lt[:-1], lg[:-1]), ltc[1:]))
             # split uncertified cells that may cross, are wide, and have a float
@@ -458,7 +461,7 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
             if not cells.size:
                 break
             margin = np.fmin(*np.abs(lf[np.array([cells, cells + 1])] - log_alpha))
-            pieces = np.ceil(np.fmin(var, gvar)[cells] / margin) + 1
+            pieces = np.ceil(rise[cells] / margin) + 1
             pieces = np.fmax(np.fmin(pieces, _SPLIT_CAP), 2)
             pieces[above[cells] != above[cells + 1]] = _SPLIT_CAP // 2
             # the points a + (b - a) j / n of each cell cut into n pieces, 0 < j < n
@@ -469,9 +472,7 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
     if not down.size:
         return None
     i = down[0]
-    if f[i] == alpha:
-        return float(x[i])
-    # brentq first evaluates the cell's ends, which the search already has
+    # brentq first evaluates the cell's ends, which the search has, and returns an end at alpha
     ends = {x[i]: f[i], x[i + 1]: f[i + 1]}
     return brentq(lambda lk: (ends[lk] if lk in ends else _fdp_at(pairs, lk, model)) - alpha,
                   x[i], x[i + 1], **_BRENTQ)

@@ -116,15 +116,6 @@ class TestWeightsCommand:
         assert capsys.readouterr().err.startswith("error: every threshold underflowed to 0")
         assert not (out / "weights.json").exists()
 
-    def test_requires_exactly_one_target(self, tmp_path, prior_file):
-        out = tmp_path / "out"
-        assert main(["weights", str(prior_file), "--out", str(out)]) == EXIT_INPUT
-        assert (
-            main(["weights", str(prior_file), "--alpha", "0.05", "--t", "0.05",
-                  "--out", str(out)])
-            == EXIT_INPUT
-        )
-
     @pytest.mark.parametrize("level, message", [
         (["--alpha", "1.5"], "alpha must lie in (0, 1)"),
         (["--t", "0"], "target mean threshold t must lie in (0, 1)"),
@@ -509,8 +500,22 @@ class TestSimulateCommand:
         ]) == EXIT_INPUT
 
     def test_needs_config_or_preset_exit_1(self, tmp_path, capsys):
-        assert main(["simulate", "--seed", "1", "--out", str(tmp_path / "o")]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: either --config or --preset is required\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_INPUT
+        assert capsys.readouterr().err.endswith(
+            "error: one of the arguments --preset --config is required\n")
+
+    def test_config_takes_no_preset_flags(self, tmp_path, capsys):
+        # these flags were dropped without a word, and the file's study ran
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("preset = 2\nM = 50\nn_reps = 3\nseed = 1\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--M", "7", "--K", "2", "--a", "1",
+                     "--alpha", "0.2", "--threads", "1", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: --config sets the study, so --a, --M, --K, --alpha cannot be given\n")
+        assert not out.exists()
 
     def test_seed_flag_overrides_config_seed(self, tmp_path):
         summaries = []
@@ -542,9 +547,9 @@ class TestSimulateCommand:
             "p_fixed-negative", "p_fixed-above-1", "gamma_fixed-nan", "gamma_fixed-inf",
             "gamma_fixed-0"])
     def test_bad_config_value_exit_1(self, tmp_path, capsys, flags, config, named):
-        argv = ["simulate", "--M", "20", "--K", "1", "--seed", "1", "--threads", "1"]
+        argv = ["simulate", "--seed", "1", "--threads", "1"]
         if config is None:
-            argv += ["--preset", "2", *flags]
+            argv += ["--preset", "2", "--M", "20", "--K", "1", *flags]
         else:
             cfg = tmp_path / "sim.cfg"
             cfg.write_text(f"M = 20\nn_reps = 1\nseed = 1\n{config}\n")
@@ -729,6 +734,13 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --m0 is required with --w0-bar\n")
 
+    def test_m0_needs_w0_bar(self, capsys):
+        # --m0 alone was ignored, even at -3
+        assert main(["bounds", "--alpha", "0.05", "--lambda", "0.2", "--w-max", "1.5",
+                     "--m0", "-3"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --w0-bar is required with --m0\n")
+
     def test_domain_error_exit_1(self):
         assert main([
             "bounds", "--alpha", "0.05", "--lambda", "0.9", "--w-max", "2.0",
@@ -789,9 +801,15 @@ class TestExitMap:
          "argument --x-file: not allowed with argument --x"),
         (["analyze", "c.csv", "--x", "1,2", "--p-prior", "0.5", "--p-prior-file", "p.txt",
           "--out", "o"], "argument --p-prior-file: not allowed with argument --p-prior"),
+        (["weights", "prior.csv", "--out", "o"], "one of the arguments --alpha --t is required"),
+        (["weights", "prior.csv", "--alpha", "0.05", "--t", "0.05", "--out", "o"],
+         "argument --t: not allowed with argument --alpha"),
+        (["simulate", "--config", "c.cfg", "--preset", "4", "--out", "o"],
+         "argument --preset: not allowed with argument --config"),
     ], ids=["no-subcommand", "weights", "run", "simulate", "analyze", "bounds",
             "analyze-counts-and-synthetic", "analyze-x-and-x-file",
-            "analyze-p-prior-and-p-prior-file"])
+            "analyze-p-prior-and-p-prior-file", "weights-no-level", "weights-alpha-and-t",
+            "simulate-config-and-preset"])
     def test_usage_error_exit_1(self, capsys, argv, message):
         # argparse's own status 2 would read as "no solution"
         with pytest.raises(SystemExit) as exc:

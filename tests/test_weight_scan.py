@@ -535,6 +535,30 @@ class TestMonotoneCertificate:
         assert rising.sum() > 30 and not cert[rising].any()
 
 
+def test_cell_bounds_hold_the_fdp():
+    # on grids of 8 and 64 cells over the solver's bracket, the dense log FDP
+    # at 41 points of every cell whose four means have finite logs at both
+    # ends lies within the bounds the search tests against alpha
+    rng = np.random.default_rng(41)
+    cases = [(prior, MODEL) for prior, _ in random_priors(30, seed=41)]
+    cases += [(prior, random_table(rng)) for prior, _ in random_priors(30, seed=42)]
+    checked = 0
+    for prior, model in cases:
+        pairs = weights._collapse(prior)
+        lo, hi = weights._k_bracket(pairs, model, log_k_hi=np.log(2.0 / 0.01))
+        for n in (9, 65):
+            pts = weights._fdp_scan(pairs, np.linspace(lo, hi, n), model)
+            lower, upper, _ = weights._log_fdp_bounds(pairs, pts)
+            finite = np.isfinite(pts[3:]).all(axis=0)
+            cells = np.flatnonzero(finite[:-1] & finite[1:])
+            grid = pts[0, cells, None] + np.diff(pts[0])[cells, None] * np.linspace(0, 1, 41)
+            log_fdp = np.log(dense_fdp_values(prior, grid.ravel(), model)).reshape(grid.shape)
+            assert np.all(log_fdp >= lower[cells, None] - 1e-9), (prior, n)
+            assert np.all(log_fdp <= upper[cells, None] + 1e-9), (prior, n)
+            checked += cells.size
+    assert checked > 3000, checked
+
+
 def test_memory_stays_bounded_at_large_m():
     rng = np.random.default_rng(11)
     m = 20_000
