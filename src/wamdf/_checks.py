@@ -16,10 +16,12 @@ def is_int(x):
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
-def check_int(name, x):
-    """``x`` an integer (see ``is_int``)."""
+def check_int(name, x, low=None):
+    """``x`` an integer (see ``is_int``), and at least ``low`` when it is given."""
     if not is_int(x):
         raise ValueError(f"{name} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise ValueError(f"{name} must be at least {low}, got {x}")
 
 
 def _numbers(x, scalar):

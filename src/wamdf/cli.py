@@ -59,7 +59,7 @@ def _outdir(args):
 def _write_json(path, obj):
     """Write ``obj`` as indented JSON with a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, default=str)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
@@ -91,6 +91,11 @@ def _write_tsv(path, header, columns):
         for start in range(0, columns[0].size, _TSV_BLOCK):
             block = [c[start:start + _TSV_BLOCK].tolist() for c in columns]
             fh.write(line * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+
+
+def _given(**kwargs):
+    """The keyword arguments whose flag was given; the library's defaults fill the rest."""
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def _exit_for(profile):
@@ -139,12 +144,10 @@ def cmd_run(args):
             args.u = profile.u
     elif header == ("p", "weight"):
         weights = table[:, 1]
-    if args.variant in ("WU", "WA") and weights is None:
-        raise ValueError(f"variant {args.variant} needs --weights or a weight column")
     if weights is not None and weights.size != pvalues.size:
         raise ValueError("weights and p-values differ in length")
-    report = run_procedure(args.variant, pvalues, weights=weights, alpha=args.alpha,
-                           lam=args.lam, u=args.u, finite_fdr=args.finite_fdr)
+    report = run_procedure(args.variant, pvalues, weights=weights, finite_fdr=args.finite_fdr,
+                           **_given(alpha=args.alpha, lam=args.lam, u=args.u))
     outdir = _outdir(args)
     out_json = os.path.join(outdir, "report.json")
     out_tsv = os.path.join(outdir, "report.tsv")
@@ -160,18 +163,18 @@ def cmd_run(args):
 
 # ---------------------------------------------------------------- simulate
 
-def _write_summary_tables(summaries, outdir):
+def _write_summary_tables(summaries, labels, outdir):
     """``table.tsv`` (one row per variant; CDP, FDP and their SEs per a
     value, to 4 places) and ``long.tsv`` (one row per a value, variant and
-    metric, to 6 places).  A missing SE is an empty cell."""
+    metric, to 6 places).  Each a value is written as its label.  A missing
+    SE is an empty cell."""
     def cell(x, places):
         return "" if x is None else f"{x:.{places}f}"
 
     variants = summaries[0].config.variants
     metrics = ("cdp", "fdp")
     header, columns, rows = ["variant"], [variants], []
-    for s in summaries:
-        a = f"{s.config.gamma_a:g}"
+    for s, a in zip(summaries, labels):
         header += [f"{m}_a{a}" for m in metrics] + [f"{m}_se_a{a}" for m in metrics]
         columns += [[cell(s.mean(v, m), 4) for v in variants] for m in metrics]
         columns += [[cell(s.se(v, m), 4) for v in variants] for m in metrics]
@@ -196,25 +199,28 @@ def cmd_simulate(args):
     else:
         if args.seed is None:
             raise ValueError("--seed is required (no silent nondeterminism)")
-        kwargs = {"M": args.M, "n_reps": args.K, "alpha": args.alpha}
-        kwargs = {key: value for key, value in kwargs.items() if value is not None}
+        kwargs = _given(M=args.M, n_reps=args.K, alpha=args.alpha)
         configs = [simulation_preset(args.preset, a=a, seed=args.seed, **kwargs)
                    for a in args.a or [1.0, 3.0, 5.0]]
-    if args.threads is not None and args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    threads = args.threads or os.cpu_count() or 1
+    # each a value names its outputs, so two that print alike would share them
+    labels = [f"{c.gamma_a:g}" for c in configs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"--a values {configs[labels.index(label)].gamma_a!r} and "
+                             f"{configs[i].gamma_a!r} share the output label a{label}")
+    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
     summaries = [run_simulation(c, threads=threads) for c in configs]
     outdir = _outdir(args)
     outputs = []
-    for s in summaries:
-        out = os.path.join(outdir, f"summary_a{s.config.gamma_a:g}.json")
+    for s, label in zip(summaries, labels):
+        out = os.path.join(outdir, f"summary_a{label}.json")
         _write_json(out, s.to_dict())
         outputs.append(out)
-    outputs += _write_summary_tables(summaries, outdir)
+    outputs += _write_summary_tables(summaries, labels, outdir)
     _manifest(args, [args.config] if args.config else [], outputs, seed=configs[0].seed)
-    for s in summaries:
+    for s, label in zip(summaries, labels):
         skipped = f", skipped {s.n_skipped}" if s.n_skipped else ""
-        print(f"a={s.config.gamma_a:g}: "
+        print(f"a={label}: "
               + "  ".join(f"{v} CDP={s.mean(v, 'cdp'):.3f} FDP={s.mean(v, 'fdp'):.3f}"
                           for v in s.config.variants)
               + skipped)
@@ -259,27 +265,23 @@ def _write_analysis(result, outdir):
 
 def cmd_analyze(args):
     inputs = []
-    if args.x:
+    if args.x is not None:
         try:
             x = np.array([float(v) for v in args.x.split(",")])
         except ValueError:
             raise ValueError(f"--x must be comma-separated numbers, got {args.x!r}")
-    elif args.x_file:
+    else:
         x = _read_column(args.x_file)
         inputs.append(args.x_file)
-    else:
-        raise ValueError("a covariate is required: --x or --x-file")
     if args.synthetic is not None:
         if args.seed is None:
             raise ValueError("--seed is required with --synthetic")
         rng = substream(args.seed, 0)
         dataset, theta = generate_synthetic_counts(
-            args.synthetic, x, rng, beta=args.beta,
-            positive_fraction=args.positive_fraction,
+            args.synthetic, x, rng,
+            **_given(beta=args.beta, positive_fraction=args.positive_fraction),
         )
     else:
-        if not args.counts:
-            raise ValueError("either a counts file or --synthetic is required")
         dataset = CountDataset.from_csv(args.counts, x)
         theta = None
         inputs.append(args.counts)
@@ -287,8 +289,8 @@ def cmd_analyze(args):
     if args.p_prior_file:
         inputs.append(args.p_prior_file)
         p_prior = _read_column(args.p_prior_file)
-    result = analyze(dataset, alpha=args.alpha, p_prior=p_prior,
-                     target_avg_power=args.target_power)
+    result = analyze(dataset, **_given(alpha=args.alpha, p_prior=p_prior,
+                                       target_avg_power=args.target_power))
     outdir = _outdir(args)
     outputs = _write_analysis(result, outdir)
     if theta is not None:
@@ -346,7 +348,7 @@ def build_parser():
     r.add_argument("pvalues", help="CSV with header p or p,weight")
     r.add_argument("--weights", help="weights JSON produced by the weights subcommand")
     r.add_argument("--variant", default="WA", choices=["UU", "WU", "UA", "WA"])
-    r.add_argument("--alpha", type=float, default=0.05)
+    r.add_argument("--alpha", type=float)
     r.add_argument("--lambda", dest="lam", type=float, help="census level for adaptive variants")
     r.add_argument("--u", type=float, help="upper threshold bound (default 1/max weight)")
     r.add_argument("--finite-fdr", action="store_true",
@@ -369,19 +371,21 @@ def build_parser():
     s.set_defaults(func=cmd_simulate)
 
     a = sub.add_parser("analyze", help="count-data association pipeline")
-    # each input has two sources, of which at most one may be given
-    data, x, prior = (a.add_mutually_exclusive_group() for _ in range(3))
+    # each input has two sources, of which at most one may be given; the
+    # data and the covariate need one
+    data, x = (a.add_mutually_exclusive_group(required=True) for _ in range(2))
+    prior = a.add_mutually_exclusive_group()
     data.add_argument("counts", nargs="?", help="CSV of count columns, one row per feature")
     x.add_argument("--x", help="comma-separated group covariate")
     x.add_argument("--x-file", help="covariate vector file (one value per line)")
-    a.add_argument("--alpha", type=float, default=0.05)
-    prior.add_argument("--p-prior", type=float, default=0.5)
+    a.add_argument("--alpha", type=float)
+    prior.add_argument("--p-prior", type=float)
     prior.add_argument("--p-prior-file", help="per-feature priors, one value per dataset row")
-    a.add_argument("--target-power", type=float, default=0.5)
+    a.add_argument("--target-power", type=float)
     data.add_argument("--synthetic", type=int, metavar="M",
                       help="generate M synthetic features instead of reading a file")
-    a.add_argument("--beta", type=float, default=0.35, help="synthetic trend strength")
-    a.add_argument("--positive-fraction", type=float, default=0.5)
+    a.add_argument("--beta", type=float, help="synthetic trend strength")
+    a.add_argument("--positive-fraction", type=float)
     a.add_argument("--seed", type=int)
     a.add_argument("--out", required=True)
     a.set_defaults(func=cmd_analyze)

@@ -303,18 +303,14 @@ def generate_synthetic_counts(n_features, x, rng, beta=0.35, positive_fraction=0
     exploit.
     """
     x = np.asarray(x, dtype=float)
-    for name, value in (("n_features", n_features), ("total_min", total_min),
-                        ("total_max", total_max)):
-        check_int(name, value)
+    for name, value, low in (("n_features", n_features, 1), ("total_min", total_min, 1),
+                             ("total_max", total_max, total_min)):
+        check_int(name, value, low)
         if value > np.iinfo(np.int64).max:   # counts are int64
             raise ValueError(f"{name} must fit in int64, got {value}")
-    if n_features < 1:
-        raise ValueError(f"n_features must be at least 1, got {n_features}")
     if np.ndim(beta) or not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
     check_unit("positive_fraction", positive_fraction, closed=True)
-    if total_min < 1 or total_max < total_min:
-        raise ValueError("need 1 <= total_min <= total_max")
     _check_covariate(x)   # before the draw, which a non-finite x turns into NaN
     g = x.size
     totals = np.exp(rng.uniform(np.log(total_min), np.log(total_max + 1), n_features))

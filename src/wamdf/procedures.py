@@ -234,9 +234,8 @@ def fdr_upper_bound(alpha, lam, w0_bar, m0):
     """
     check_unit("alpha", alpha)
     # a count may come as an integral float
-    check_int("m0", int(m0) if isinstance(m0, (float, np.floating)) and m0.is_integer() else m0)
-    if m0 < 1:
-        raise ValueError(f"m0 must be at least 1, got {m0!r}")
+    check_int("m0", int(m0) if isinstance(m0, (float, np.floating)) and m0.is_integer() else m0,
+              low=1)
     check_unit("lambda", lam)
     check_positive("w0_bar", w0_bar)
     if lam * w0_bar >= 1.0:

@@ -58,10 +58,9 @@ class SimConfig:
     preset: int | None = None
 
     def __post_init__(self):
-        for name in ("M", "n_reps", "seed"):
-            check_int(name, getattr(self, name))
-        if self.M < 1 or self.n_reps < 1:
-            raise ValueError("M and n_reps must be at least 1")
+        check_int("M", self.M, low=1)
+        check_int("n_reps", self.n_reps, low=1)
+        check_int("seed", self.seed)
         check_unit("alpha", self.alpha)
         check_positive("gamma_a", self.gamma_a)
         if self.gamma_a < 1:
@@ -142,14 +141,11 @@ def simulation_preset(preset, a=5.0, M=1000, n_reps=1000, seed=0, alpha=0.05):
     3. Uniform(0, 1) priors, solved weights perturbed by Uniform(0, 2) noise
     4. Uniform(0, 1) priors, weights drawn Uniform(0, 2) independent of the data
     """
+    # the config checks preset and a before they are looked up or converted
+    config = SimConfig(M=M, n_reps=n_reps, seed=seed, alpha=alpha, gamma_a=a, preset=preset)
     modes = {1: "optimal", 2: "optimal", 3: "perturbed", 4: "independent"}
-    check_int("preset", preset)
-    check_positive("gamma_a", a)   # before float(), which raises TypeError on an array
-    if preset not in modes:
-        raise ValueError(f"unknown preset {preset!r}; expected 1-4")
-    return SimConfig(M=M, n_reps=n_reps, seed=seed, alpha=alpha, gamma_a=float(a),
-                     p_fixed=0.5 if preset == 1 else None, weight_mode=modes[preset],
-                     preset=preset)
+    return replace(config, gamma_a=float(a), p_fixed=0.5 if preset == 1 else None,
+                   weight_mode=modes[preset])
 
 
 def substream(seed, rep):
@@ -183,10 +179,10 @@ def generate_model1(config, rng):
 def generate_du(m0, m1, rng):
     """Least-favorable p-value configuration: m0 Uniform(0, 1) nulls first,
     then m1 exact zeros for the false nulls."""
-    for name, value in (("m0", m0), ("m1", m1)):
-        check_int(name, value)
-    if m0 < 0 or m1 < 0 or m0 + m1 < 1:
-        raise ValueError("need m0, m1 >= 0 with m0 + m1 >= 1")
+    check_int("m0", m0, low=0)
+    check_int("m1", m1, low=0)
+    if m0 + m1 < 1:
+        raise ValueError("need m0 + m1 >= 1")
     return np.concatenate([rng.uniform(0.0, 1.0, m0), np.zeros(m1)])
 
 
@@ -312,9 +308,7 @@ def run_simulation(config, threads=1):
     pairwise mean, so results do not depend on ``threads``.  At most one
     worker process per replication is started.
     """
-    check_int("threads", threads)
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    check_int("threads", threads, low=1)
     reps = range(config.n_reps)
     workers = min(threads, config.n_reps)
     if workers > 1:

@@ -224,6 +224,23 @@ def test_table_holds_every_entry_point():
     assert sorted(public - listed) == []
 
 
+# integer arguments with a minimum: (entry point, argument, minimum); one below
+# the minimum gets check_int's message
+MINIMUMS = [("SimConfig", "M", 1), ("SimConfig", "n_reps", 1), ("run_simulation", "threads", 1),
+            ("fdr_upper_bound", "m0", 1), ("generate_du", "m0", 0), ("generate_du", "m1", 0),
+            ("generate_synthetic_counts", "n_features", 1),
+            ("generate_synthetic_counts", "total_min", 1),
+            ("generate_synthetic_counts", "total_max", 6)]   # at least total_min
+
+
+@pytest.mark.parametrize("entry, arg, low", MINIMUMS,
+                         ids=[f"{entry}-{arg}" for entry, arg, _ in MINIMUMS])
+def test_minimum_message(entry, arg, low):
+    call, valid, _ = TABLE[entry]
+    with pytest.raises(ValueError, match=f"^{arg} must be at least {low}, got {low - 1}$"):
+        call(**{**valid, arg: low - 1})
+
+
 @pytest.mark.parametrize("value", ["0.5", None, True, [0.5], np.array([0.5, 0.5]), NAN,
                                    np.array(["0.5"]), 1 + 0j])
 def test_no_checker_passes_nan_or_a_non_number(value):

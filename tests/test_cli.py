@@ -1,6 +1,7 @@
 """CLI: exit-code contract, file formats, manifests, round trips."""
 
 import argparse
+import inspect
 import json
 import os
 import re
@@ -15,6 +16,9 @@ import wamdf
 from oracles import per_row_write_tsv
 from wamdf import cli
 from wamdf.cli import EXIT_INPUT, EXIT_NO_SOLUTION, EXIT_OK, EXIT_WARNING, main
+from wamdf.counts import analyze, generate_synthetic_counts
+from wamdf.procedures import run_procedure
+from wamdf.simulate import simulation_preset
 
 WORKED_PRIOR = "p,gamma\n" + "".join(
     f"0.5,{g}\n" for g in [2, 2, 2, 2, 2, 3, 3, 3, 3, 3]
@@ -311,8 +315,7 @@ class TestRunCommand:
         pvals.write_text("p\n0.01\n0.2\n")
         assert main(["run", str(pvals), "--variant", variant, "--lambda", "0.1",
                      "--out", str(tmp_path / "o")]) == EXIT_INPUT
-        assert capsys.readouterr().err == (
-            f"error: variant {variant} needs --weights or a weight column\n")
+        assert capsys.readouterr().err == f"error: variant {variant} requires weights\n"
 
     @pytest.mark.parametrize("variant, code", [("UU", EXIT_OK), ("WU", EXIT_OK),
                                                ("WA", EXIT_INPUT)])
@@ -474,6 +477,18 @@ class TestSimulateCommand:
             d = json.load(fh)
         assert d["variants"]["WA"]["cdp_se"] is None
 
+    @pytest.mark.parametrize("second", ["2", "2.0000001"])
+    def test_a_values_sharing_a_label_exit_1(self, tmp_path, capsys, second):
+        # the second value's summary used to overwrite the first's, and
+        # table.tsv repeated its columns
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "2", "--M", "30", "--K", "2", "--a", "2",
+                     "--a", second, "--seed", "1", "--threads", "1",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: --a values 2.0 and {float(second)!r} share the output label a2\n")
+        assert not out.exists()
+
     def test_invalid_preset_exit_1(self, tmp_path):
         assert main([
             "simulate", "--preset", "9", "--seed", "1", "--out", str(tmp_path / "o"),
@@ -482,7 +497,7 @@ class TestSimulateCommand:
     def test_invalid_preset_message(self, tmp_path, capsys):
         assert main(["simulate", "--preset", "9", "--seed", "1",
                      "--out", str(tmp_path / "o")]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: unknown preset 9; expected 1-4\n"
+        assert capsys.readouterr().err == "error: preset must be from 1 to 4, got 9\n"
 
     @pytest.mark.parametrize("key", ["p_law = uniform", "gamma_law = fixed",
                                      "lambda_rule = fixed"])
@@ -626,7 +641,6 @@ class TestAnalyzeCommand:
         (["--synthetic", "10", "--x", "1,nan"],
          "covariate must be finite with at least two distinct values"),
         (["--synthetic", "10", "--x", "1,two"], "--x must be comma-separated numbers, got '1,two'"),
-        ([], "either a counts file or --synthetic is required"),
     ])
     def test_bad_synthetic_arguments_exit_1(self, tmp_path, capsys, flags, message):
         # these used to be misreported, leak numpy's message and a warning,
@@ -708,10 +722,14 @@ class TestAnalyzeCommand:
             "analyze", str(counts), "--x", "1,2,3,4,5", "--out", str(tmp_path / "o"),
         ]) == EXIT_INPUT
 
-    def test_requires_covariate(self, tmp_path):
+    def test_requires_covariate(self, tmp_path, capsys):
         counts = tmp_path / "counts.csv"
         counts.write_text("0,1,1,0,5\n")
-        assert main(["analyze", str(counts), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(counts), "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_INPUT
+        assert capsys.readouterr().err.endswith(
+            "error: one of the arguments --x --x-file is required\n")
 
 
 class TestBoundsCommand:
@@ -801,6 +819,8 @@ class TestExitMap:
          "argument --x-file: not allowed with argument --x"),
         (["analyze", "c.csv", "--x", "1,2", "--p-prior", "0.5", "--p-prior-file", "p.txt",
           "--out", "o"], "argument --p-prior-file: not allowed with argument --p-prior"),
+        (["analyze", "--seed", "1", "--x", "1,2", "--out", "o"],
+         "one of the arguments counts --synthetic is required"),
         (["weights", "prior.csv", "--out", "o"], "one of the arguments --alpha --t is required"),
         (["weights", "prior.csv", "--alpha", "0.05", "--t", "0.05", "--out", "o"],
          "argument --t: not allowed with argument --alpha"),
@@ -808,7 +828,8 @@ class TestExitMap:
          "argument --preset: not allowed with argument --config"),
     ], ids=["no-subcommand", "weights", "run", "simulate", "analyze", "bounds",
             "analyze-counts-and-synthetic", "analyze-x-and-x-file",
-            "analyze-p-prior-and-p-prior-file", "weights-no-level", "weights-alpha-and-t",
+            "analyze-p-prior-and-p-prior-file", "analyze-no-data", "weights-no-level",
+            "weights-alpha-and-t",
             "simulate-config-and-preset"])
     def test_usage_error_exit_1(self, capsys, argv, message):
         # argparse's own status 2 would read as "no solution"
@@ -1015,7 +1036,7 @@ class TestThreadsResolution:
         out = tmp_path / "o"
         assert main(["simulate", "--preset", "1", "--a", "3", "--M", "20", "--K", "2",
                      "--seed", "1", "--threads", threads, "--out", str(out)]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+        assert capsys.readouterr().err == f"error: threads must be at least 1, got {threads}\n"
         assert not out.exists()
 
 
@@ -1054,6 +1075,30 @@ class TestAnalyzePriorFile:
             argv += ["--x", "0.86,1.34,1.81,2.37,3.00"]
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {column}: expected one value per line\n"
+
+
+class TestParserDefaults:
+    @pytest.mark.parametrize("argv, dest, function, parameter", [
+        (["run", "p.csv", "--out", "o"], "alpha", run_procedure, "alpha"),
+        (["analyze", "c.csv", "--x", "1,2", "--out", "o"], "alpha", analyze, "alpha"),
+        (["analyze", "c.csv", "--x", "1,2", "--out", "o"], "p_prior", analyze, "p_prior"),
+        (["analyze", "c.csv", "--x", "1,2", "--out", "o"], "target_power", analyze,
+         "target_avg_power"),
+        (["analyze", "c.csv", "--x", "1,2", "--out", "o"], "beta", generate_synthetic_counts,
+         "beta"),
+        (["analyze", "c.csv", "--x", "1,2", "--out", "o"], "positive_fraction",
+         generate_synthetic_counts, "positive_fraction"),
+        (["simulate", "--preset", "1", "--out", "o"], "M", simulation_preset, "M"),
+        (["simulate", "--preset", "1", "--out", "o"], "K", simulation_preset, "n_reps"),
+        (["simulate", "--preset", "1", "--out", "o"], "alpha", simulation_preset, "alpha"),
+    ], ids=["run-alpha", "analyze-alpha", "analyze-p-prior", "analyze-target-power",
+            "analyze-beta", "analyze-positive-fraction", "simulate-M", "simulate-K",
+            "simulate-alpha"])
+    def test_library_holds_the_default(self, argv, dest, function, parameter):
+        # a flag left out passes nothing, so the library's default is the only copy
+        default = inspect.signature(function).parameters[parameter].default
+        assert default is not inspect.Parameter.empty
+        assert getattr(cli.build_parser().parse_args(argv), dest) is None
 
 
 class TestManifest:

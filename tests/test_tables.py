@@ -58,7 +58,7 @@ def test_only_checks_spells_the_range_messages():
     # range and integer checks go through wamdf._checks, so a hand-written
     # one cannot grow back in another module
     phrases = ("must lie in (0, 1)", "must lie in [0, 1]", "must be positive and finite",
-               "must be an integer")
+               "must be an integer", "must be at least 1")
     spellers = [path.name for path in sorted(Path(wamdf.__file__).parent.glob("*.py"))
                 if any(phrase in path.read_text() for phrase in phrases)]
     assert spellers == ["_checks.py"]
