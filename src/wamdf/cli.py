@@ -76,8 +76,8 @@ def _manifest(args, inputs, outputs, seed=None):
     })
 
 
-def _write_tsv(path, header, columns):
-    """Write equal-length columns as a tab-separated table.
+def _write_tsv(path, header, columns, sep="\t"):
+    """Write equal-length columns as a table, with cells separated by ``sep``.
 
     Float columns are written as ``.10g``, integer and boolean columns as
     integers, and string columns as they are.  Rows are formatted in
@@ -85,9 +85,9 @@ def _write_tsv(path, header, columns):
     """
     columns = [np.asarray(c) for c in columns]
     formats = {"b": "%d", "i": "%d", "u": "%d", "U": "%s"}
-    line = "\t".join(formats.get(c.dtype.kind, "%.10g") for c in columns) + "\n"
+    line = sep.join(formats.get(c.dtype.kind, "%.10g") for c in columns) + "\n"
     with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
+        fh.write(sep.join(header) + "\n")
         for start in range(0, columns[0].size, _TSV_BLOCK):
             block = [c[start:start + _TSV_BLOCK].tolist() for c in columns]
             fh.write(line * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
@@ -130,24 +130,25 @@ def cmd_weights(args):
 def cmd_run(args):
     header, table = read_table(args.pvalues, [("p",), ("p", "weight")])
     pvalues = table[:, 0]
-    weights = None
+    weights = table[:, 1] if header == ("p", "weight") else None
+    lam, u = args.lam, args.u
     inputs = [args.pvalues]
     if args.weights:
+        if weights is not None:
+            raise ValueError(f"{args.pvalues} has a weight column, so --weights cannot be given")
         inputs.append(args.weights)
         with open(args.weights) as fh:
             profile = WeightProfile.from_dict(json.load(fh))
         weights = profile.weights
-        if args.lam is None and args.variant in ("UA", "WA"):
-            args.lam = profile.t_bar
+        if lam is None and args.variant in ("UA", "WA"):
+            lam = profile.t_bar
         # finite-FDR mode sets u = lambda itself
-        if args.u is None and args.variant in ("WU", "WA") and not args.finite_fdr:
-            args.u = profile.u
-    elif header == ("p", "weight"):
-        weights = table[:, 1]
+        if u is None and args.variant in ("WU", "WA") and not args.finite_fdr:
+            u = profile.u
     if weights is not None and weights.size != pvalues.size:
         raise ValueError("weights and p-values differ in length")
     report = run_procedure(args.variant, pvalues, weights=weights, finite_fdr=args.finite_fdr,
-                           **_given(alpha=args.alpha, lam=args.lam, u=args.u))
+                           **_given(alpha=args.alpha, lam=lam, u=u))
     outdir = _outdir(args)
     out_json = os.path.join(outdir, "report.json")
     out_tsv = os.path.join(outdir, "report.tsv")
@@ -282,6 +283,10 @@ def cmd_analyze(args):
             **_given(beta=args.beta, positive_fraction=args.positive_fraction),
         )
     else:
+        given = [f"--{n.replace('_', '-')}" for n in ("beta", "positive_fraction", "seed")
+                 if getattr(args, n) is not None]
+        if given:
+            raise ValueError(f"a counts file sets the data, so {', '.join(given)} cannot be given")
         dataset = CountDataset.from_csv(args.counts, x)
         theta = None
         inputs.append(args.counts)
@@ -297,9 +302,9 @@ def cmd_analyze(args):
         # the counts alone, so the file can be analysed again; the truth apart
         data_out = os.path.join(outdir, "synthetic_counts.csv")
         truth_out = os.path.join(outdir, "synthetic_truth.csv")
-        np.savetxt(data_out, dataset.counts, fmt="%d", delimiter=",", comments="",
-                   header=",".join(f"g{i}" for i in range(dataset.n_groups)))
-        np.savetxt(truth_out, theta, fmt="%d", header="planted", comments="")
+        _write_tsv(data_out, [f"g{i}" for i in range(dataset.n_groups)], dataset.counts.T,
+                   sep=",")
+        _write_tsv(truth_out, ["planted"], [theta])
         outputs += [data_out, truth_out]
     _manifest(args, inputs, outputs, seed=args.seed)
     print(f"WA rejected {result.wa.n_rejected}, UA rejected {result.ua.n_rejected} "

@@ -61,12 +61,13 @@ def _float_if_scalar(out):
 
 
 class _PowerModel:
-    """The four checked queries of a power model, over its unchecked kernels.
+    """The three checked queries of a power model, over its unchecked kernels.
 
     A model supplies the kernels ``_power(g, t)``, ``_log_slope(g, t)`` and
-    ``_threshold(g, s)``, for float arrays g, t and s already validated: the
-    weight solver calls them directly, once per evaluation.  ``_split(g, s)``
-    is built from ``_threshold`` and ``_power`` unless a model overrides it.
+    ``_threshold(g, s)``, for float arrays g, t and s already validated.
+    ``_split(g, s)`` is built from ``_threshold`` and ``_power`` unless a
+    model overrides it.  The weight solver, its bracket included, calls the
+    kernels alone; the checked queries serve callers outside the package.
     """
 
     def power(self, gamma, t):
@@ -90,11 +91,8 @@ class _PowerModel:
         return _float_if_scalar(self._threshold(_check_gamma(gamma),
                                                 _check_log_slope(log_slope)))
 
-    def threshold_power_split(self, gamma, log_slope):
-        """(t, 1-t, power, 1-power) at the inverse-log-slope threshold."""
-        return self._split(_check_gamma(gamma), _check_log_slope(log_slope))
-
     def _split(self, g, s):
+        """(t, 1-t, power, 1-power) at the inverse-log-slope threshold."""
         t = self._threshold(g, s)
         pi = self._power(g, t)
         return t, 1.0 - t, pi, 1.0 - pi

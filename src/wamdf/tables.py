@@ -1,7 +1,6 @@
 """The CSV table format shared by every input file."""
 
 import csv
-import warnings
 from itertools import chain, islice
 
 import numpy as np
@@ -80,14 +79,16 @@ def _plain_rows(path, skip, dtype, width):
     """
     if not _is_plain(path, csv.field_size_limit()):
         return None
+    # loadtxt warns on a file of no data rows; the csv module reports it
+    with open(path, newline="") as fh:
+        if not any(line.strip("\r\n") for line in islice(fh, skip, None)):
+            return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # loadtxt warns on a file of no rows
-            rows = np.loadtxt(path, delimiter=",", comments=None, dtype=dtype, ndmin=2,
-                              skiprows=skip)
+        rows = np.loadtxt(path, delimiter=",", comments=None, dtype=dtype, ndmin=2,
+                          skiprows=skip)
     except (ValueError, OverflowError):
         return None
-    return rows if len(rows) and rows.shape[1] == width else None
+    return rows if rows.shape[1] == width else None
 
 
 def _is_plain(path, limit):

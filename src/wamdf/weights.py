@@ -9,7 +9,6 @@ the mean threshold (fixed-t weights) or a plug-in FDP level (pre-data weights
 for the adaptive procedure) pins k down.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,14 +271,10 @@ def fdp_approximator(prior, k, model=None):
 
     With ``G_m(t_m) = (1 - p_m) t_m + p_m pi(t_m)`` the marginal rejection
     probability, returns ``[(1 - Gbar) / (1 - tbar)] * [tbar / Gbar]``.
-    Degenerates to 0 (with a warning) when k is so large every threshold
-    underflows.
+    Degenerates to 0 when k is so large every threshold underflows.
     """
     check_positive("multiplier k", k)
-    value = _fdp_at(_collapse(prior), np.log(k), model or default_model())
-    if value == 0.0:
-        warnings.warn("all thresholds underflowed to 0; FDP approximator degenerate", RuntimeWarning)
-    return value
+    return _fdp_at(_collapse(prior), np.log(k), model or default_model())
 
 
 def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI):
@@ -300,14 +295,14 @@ def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI)
     """
     log_p = np.log(prior.p)
     with np.errstate(over="ignore"):   # an overflow leaves the width not finite, checked below
-        lo = float(np.min(model.log_power_slope(prior.gamma, t_hi) + log_p))
-        hi = float(np.max(model.log_power_slope(prior.gamma, t_lo) + log_p))
+        lo = float(np.min(model._log_slope(prior.gamma, t_hi) + log_p))
+        hi = float(np.max(model._log_slope(prior.gamma, t_lo) + log_p))
     lo = min(lo - np.log(2.0) if t_hi > 1.0 - _T_EPS else lo, _LOG_K_LO)
     hi = max(hi + np.log(2.0) if t_lo < _T_EPS else hi, log_k_hi)
     if not np.isfinite(hi - lo):
         raise NoSolutionError(f"the log k bracket [{lo:g}, {hi:g}] is not finite: "
                               "an effect size is too large for float arithmetic")
-    if np.max(model.threshold_for_log_slope(prior.gamma, hi - log_p)) > 2 * _T_EPS:
+    if np.max(model._threshold(prior.gamma, hi - log_p)) > 2 * _T_EPS:
         hi += np.log(2.0)
     return lo, hi
 

@@ -50,8 +50,8 @@ def adaptive_fdp_estimate(t, q, m0_hat):
 def four_ndtr_split(gamma, log_slope):
     """The normal model's (t, 1-t, power, 1-power) with one ``ndtr`` per mass.
 
-    Frozen from the first form of ``NormalLocationModel.threshold_power_split``,
-    which evaluated each complement by its own ``ndtr`` call.
+    Frozen from the first form of the normal model's ``_split``, which
+    evaluated each complement by its own ``ndtr`` call.
     """
     g = np.asarray(gamma, dtype=float)
     z = 0.5 * g + np.asarray(log_slope, dtype=float) / g
@@ -60,7 +60,7 @@ def four_ndtr_split(gamma, log_slope):
 
 class FourNdtrModel(NormalLocationModel):
     """The normal location model with the frozen four-``ndtr`` split, in the
-    unchecked kernel that both the solver and ``threshold_power_split`` call."""
+    unchecked kernel ``_split`` that the solver calls."""
 
     def _split(self, g, s):
         return four_ndtr_split(g, s)

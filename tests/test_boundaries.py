@@ -173,11 +173,6 @@ for _name, _model in MODELS.items():
             _row("gamma", out=-2.0, shape="vector"),
             _row("log_slope", "log slope", shape="vector", infs=()),
         ]),
-        f"{_name}.threshold_power_split": (_model.threshold_power_split,
-                                           dict(gamma=2.0, log_slope=0.5), [
-            _row("gamma", out=-2.0, shape="vector"),
-            _row("log_slope", "log slope", shape="vector", infs=()),
-        ]),
     })
 
 

@@ -267,7 +267,8 @@ class TestRunCommand:
         wout = tmp_path / "wout"
         main(["weights", str(prior_file), "--alpha", "0.05", "--out", str(wout)])
         pvals = tmp_path / "pvals.csv"
-        pvals.write_text(WORKED_PVALUES)
+        pvals.write_text("p\n" + "".join(f"{line.split(',')[0]}\n"
+                                         for line in WORKED_PVALUES.splitlines()[1:]))
         rout = tmp_path / "rout"
         code = main([
             "run", str(pvals), "--weights", str(wout / "weights.json"),
@@ -279,6 +280,24 @@ class TestRunCommand:
         # lambda and u picked up from the weights profile
         assert d["lambda"] == pytest.approx(0.028, abs=5e-4)
         assert d["R"] == 3
+        # the manifest records the flags as given, not the profile's values
+        flags = json.loads((rout / "manifest.json").read_text())["flags"]
+        profile = json.loads((wout / "weights.json").read_text())
+        assert (d["lambda"], d["u"]) == (profile["t_bar"], profile["u"])
+        assert (flags["lam"], flags["u"]) == (None, None)
+
+    def test_weight_column_and_weights_json_exit_1(self, tmp_path, capsys, prior_file):
+        # the file's weight column used to be dropped for the JSON's without a word
+        wout = tmp_path / "wout"
+        main(["weights", str(prior_file), "--alpha", "0.05", "--out", str(wout)])
+        pvals = tmp_path / "pvals.csv"
+        pvals.write_text(WORKED_PVALUES)
+        rout = tmp_path / "rout"
+        assert main(["run", str(pvals), "--weights", str(wout / "weights.json"),
+                     "--out", str(rout)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {pvals} has a weight column, so --weights cannot be given\n")
+        assert not rout.exists()
 
     def test_empty_pvalue_file(self, tmp_path):
         pvals = tmp_path / "pvals.csv"
@@ -652,6 +671,24 @@ class TestAnalyzeCommand:
                          "--out", str(out)]) == EXIT_INPUT
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--beta", "9"], "--beta"),
+        (["--positive-fraction", "0.9"], "--positive-fraction"),
+        (["--seed", "3"], "--seed"),
+        (["--seed", "3", "--positive-fraction", "0.9", "--beta", "9"],
+         "--beta, --positive-fraction, --seed"),
+    ], ids=["beta", "positive-fraction", "seed", "all-three"])
+    def test_synthetic_flags_with_a_counts_file_exit_1(self, tmp_path, capsys, flags, named):
+        # they shape synthetic data only; with a counts file they used to be dropped
+        counts = tmp_path / "counts.csv"
+        counts.write_text("0,1,1,0,5\n")
+        out = tmp_path / "o"
+        assert main(["analyze", str(counts), "--x", "1,2,3,4,5", *flags,
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: a counts file sets the data, so {named} cannot be given\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("counts", ["0,0,0,0,0\n", "0,0,0,0,0\n0,0,7,0,0\n"],

@@ -142,7 +142,7 @@ class TestInfiniteSlope:
         log_slopes = np.array([0.0, np.inf, -np.inf])
         assert model.threshold_for_log_slope(2.0, np.inf) == limit
         assert model.threshold_for_log_slope(2.0, -np.inf) == 1.0 - limit
-        t, tc, pi, pic = model.threshold_power_split(2.0, log_slopes)
+        t, tc, pi, pic = model._split(2.0, log_slopes)
         np.testing.assert_array_equal(t[1:], [limit, 1.0 - limit])
         np.testing.assert_array_equal(tc[1:], 1.0 - t[1:])
         np.testing.assert_array_equal(pi[1:], model.power(2.0, t[1:]))
@@ -150,9 +150,8 @@ class TestInfiniteSlope:
         assert t[0] == model.threshold_for_log_slope(2.0, 0.0)
 
     def test_nan_rejected(self, model, limit):
-        for query in (model.threshold_for_log_slope, model.threshold_power_split):
-            with pytest.raises(ValueError, match="^log slope must not be NaN"):
-                query(2.0, np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match="^log slope must not be NaN"):
+            model.threshold_for_log_slope(2.0, np.array([0.0, np.nan]))
 
 
 class TestAgainstHighPrecisionOracle:
@@ -228,7 +227,7 @@ class TestThresholdPowerSplit:
 
     def test_within_one_ulp_of_four_ndtr_split(self):
         for g, log_s in self.grids():
-            new = MODEL.threshold_power_split(g, log_s)
+            new = MODEL._split(g, log_s)
             old = four_ndtr_split(g, log_s)
             for n, o in zip(new, old):
                 assert n.shape == o.shape == np.broadcast(g, log_s).shape
@@ -239,17 +238,11 @@ class TestThresholdPowerSplit:
 
     def test_complements_pair_up(self):
         for g, log_s in self.grids():
-            t, tc, pi, pic = MODEL.threshold_power_split(g, log_s)
+            t, tc, pi, pic = MODEL._split(g, log_s)
             np.testing.assert_array_equal(np.minimum(t, tc) + np.maximum(t, tc) - 1.0, 0.0)
             np.testing.assert_array_equal(np.minimum(pi, pic) + np.maximum(pi, pic) - 1.0, 0.0)
             small = t <= 0.5
             np.testing.assert_array_equal(t[small], MODEL.threshold_for_log_slope(g, log_s)[small])
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="gamma"):
-            MODEL.threshold_power_split(0.0, 0.0)
-        with pytest.raises(ValueError, match="slope"):
-            MODEL.threshold_power_split(2.0, np.array([0.0, np.nan]))
 
 
 def _concave_table(n=21):
@@ -359,7 +352,7 @@ class TestTabulatedModel:
             )
             found = model.threshold_for_log_slope(1.0, np.log(slopes))
             np.testing.assert_allclose(found, oracle, rtol=0, atol=1e-12)
-            t_split, tc, pi, pic = model.threshold_power_split(1.0, np.log(slopes))
+            t_split, tc, pi, pic = model._split(1.0, np.log(slopes))
             np.testing.assert_allclose(t_split, oracle, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(t_split, found)
             np.testing.assert_array_equal(tc, 1.0 - found)

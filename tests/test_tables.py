@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,32 +26,48 @@ INT_FIELDS = ["0", "-1", "+2", " 3 ", "9223372036854775807", "-92233720368547758
 PYTHON_ONLY = {float: ["1_0", "\u0663", "\u0968"], np.int64: ["1_000", "\u0663", "\u0968"]}
 
 
-def test_only_tables_imports_csv():
-    # the CSV format lives behind read_table; any other csv import is a second reader
-    importers = []
+def _package_nodes():
+    """(module file name, AST node) for every node of every package module."""
     for path in sorted(Path(wamdf.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            if "csv" in names:
-                importers.append(path.name)
+            yield path.name, node
+
+
+def _imported(node):
+    return ([a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) else [])
+
+
+def test_only_tables_imports_csv():
+    # the CSV format lives behind read_table; any other csv import is a second reader
+    importers = [name for name, node in _package_nodes() if "csv" in _imported(node)]
     assert importers == ["tables.py"]
+
+
+def test_no_module_warns_or_calls_savetxt():
+    # a solve reports on WeightProfile.warning and the CLI writes its tables
+    # through _write_tsv; a warnings import or a savetxt call is a second channel
+    found = [(name, "warnings") for name, node in _package_nodes()
+             if "warnings" in _imported(node)]
+    found += [(name, "savetxt") for name, node in _package_nodes()
+              if isinstance(node, ast.Attribute) and node.attr == "savetxt"
+              or isinstance(node, ast.Name) and node.id == "savetxt"]
+    assert found == []
 
 
 def test_no_module_reads_the_environment():
     # configuration comes from flags and config files, never from the environment
     readers = []
-    for path in sorted(Path(wamdf.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module == "os":
-                names = {a.name for a in node.names}
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "os"):
-                names = {node.attr}
-            else:
-                continue
-            if names & {"environ", "environb", "getenv", "getenvb"}:
-                readers.append(path.name)
+    for name, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {a.name for a in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "os"):
+            names = {node.attr}
+        else:
+            continue
+        if names & {"environ", "environb", "getenv", "getenvb"}:
+            readers.append(name)
     assert readers == []
 
 
@@ -119,6 +136,18 @@ def test_format_errors_name_the_file(tmp_path, text, named):
     with pytest.raises(ValueError, match=named) as info:
         read_table(path, [("a", "b"), ("a",)])
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "a,b\n", "a,b\n\n\r\n\r"],
+                         ids=["empty", "blank-lines", "header-only", "header-and-blanks"])
+def test_no_data_rows_warn_nothing(tmp_path, text):
+    # loadtxt warns on a file of no data rows, so the tokenizer never sees one
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_table(path)
 
 
 def distinct_cells(dtype, n_rows, width):

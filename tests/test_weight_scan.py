@@ -51,7 +51,7 @@ X5 = np.array([0.86, 1.34, 1.81, 2.37, 3.00])
 def dense_fdp_values(prior, log_ks, model):
     log_ks = np.asarray(log_ks, dtype=float)
     log_slopes = log_ks[:, None] - np.log(prior.p)[None, :]
-    t, tc, pi, pic = model.threshold_power_split(prior.gamma[None, :], log_slopes)
+    t, tc, pi, pic = model._split(prior.gamma[None, :], log_slopes)
     g = (1.0 - prior.p) * t + prior.p * pi
     gc = (1.0 - prior.p) * tc + prior.p * pic
     t_bar = t.mean(axis=1)
@@ -459,8 +459,8 @@ class TestScanPieces:
         pairs = weights._collapse(prior)
         log_ks = np.r_[-400.0, np.linspace(-30, 30, 41), 400.0]
         vals, means = weights._fdp_values(pairs, log_ks, MODEL)
-        t, tc, pi, pic = MODEL.threshold_power_split(pairs.gamma[None, :],
-                                                     log_ks[:, None] - pairs.log_p[None, :])
+        t, tc, pi, pic = MODEL._split(pairs.gamma[None, :],
+                                      log_ks[:, None] - pairs.log_p[None, :])
         g = (1.0 - pairs.p) * t + pairs.p * pi
         gc = (1.0 - pairs.p) * tc + pairs.p * pic
         want = [(x * pairs.count).sum(axis=1) / prior.M for x in (t, g, tc, gc)]

@@ -182,10 +182,9 @@ class TestFdpApproximator:
         prior = PriorSpec([0.3, 0.6], [1.0, 2.0])
         assert fdp_approximator(prior, 1e-10) >= 1.0 - 0.6 - 1e-9
 
-    def test_huge_k_degenerates_with_warning(self):
+    def test_huge_k_degenerates_to_zero(self):
         prior = PriorSpec([0.5], [0.05])
-        with pytest.warns(RuntimeWarning, match="degenerate"):
-            assert fdp_approximator(prior, 1e300) == 0.0
+        assert fdp_approximator(prior, 1e300) == 0.0
 
 
 class TestAsymptoticallyOptimal:
@@ -305,6 +304,42 @@ class TestTabulatedModelSolves:
         prior = PriorSpec([0.3, 0.6, 0.5], [1.0, 2.0, 1.5])
         with pytest.raises(NoSolutionError):
             asymptotically_optimal_weights(prior, 0.05, model)
+
+
+def kernels_only(model):
+    """``model`` with its checked queries replaced by ones that raise."""
+    class KernelsOnly(type(model)):
+        def refuse(self, *args):
+            raise AssertionError("the solver called a checked power query")
+
+        power = log_power_slope = threshold_for_log_slope = refuse
+
+    clone = KernelsOnly.__new__(KernelsOnly)
+    clone.__dict__.update(vars(model))
+    return clone
+
+
+class TestSolverCallsKernelsOnly:
+    # the solver, its bracket included, calls the unchecked kernels alone:
+    # with every checked query raising, each solve is bitwise the same
+    rng = np.random.default_rng(26)
+    PRIORS = [worked_prior(),
+              PriorSpec(rng.uniform(0.02, 0.4, 200), rng.uniform(1.0, 4.0, 200)),
+              PriorSpec(rng.choice([0.1, 0.3], 60), rng.choice([1.5, 2.5, 3.5], 60))]
+
+    @pytest.mark.parametrize("table", [False, True], ids=["normal", "tabulated"])
+    @pytest.mark.parametrize("solve", [asymptotically_optimal_weights, optimal_fixed_t_weights])
+    @pytest.mark.parametrize("prior", PRIORS, ids=["worked", "random", "tied"])
+    def test_profiles_match_the_plain_model(self, table, solve, prior):
+        from wamdf.power import TabulatedPowerModel
+
+        knots = np.r_[0.0, np.logspace(-8, 0, 33)]
+        model = TabulatedPowerModel(knots, np.sqrt(knots)) if table else MODEL
+        want = solve(prior, 0.05, model)
+        got = solve(prior, 0.05, kernels_only(model))
+        assert (got.k_star, got.t_bar, got.u, got.warning) == (
+            want.k_star, want.t_bar, want.u, want.warning)
+        assert got.weights.tobytes() == want.weights.tobytes()
 
 
 class TestWeightProfileSerialization:
