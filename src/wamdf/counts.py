@@ -144,7 +144,7 @@ def _average_power(k_info, totals, p_prior, alpha, model):
     gamma = np.sqrt(totals) * k_info
     prior = PriorSpec(_broadcast_prior(p_prior, totals.size), gamma)
     profile = asymptotically_optimal_weights(prior, alpha, model)
-    return float(np.mean(model.power(gamma, profile.thresholds))), profile
+    return float(np.mean(model._power(gamma, profile.thresholds))), profile
 
 
 def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5):

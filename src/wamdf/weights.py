@@ -101,10 +101,12 @@ class WeightProfile:
     ``weights`` average to 1; ``t_bar`` is the mean per-test threshold at
     ``k_star`` (the recommended census parameter lambda for the adaptive
     procedure) and ``u = 1/max(weights)`` is the largest admissible overall
-    threshold.  ``k_star`` is ``exp(log k*)``, which reads 0.0 once k* lies
-    below the float range.  ``warning`` holds the solve's warning messages,
-    empty when it has none; the solvers put them there and emit no Python
-    warning.
+    threshold.  ``k_star`` is ``exp(log_k_star)``, which reads 0.0 once k*
+    lies below the float range; ``log_k_star`` is the log multiplier the
+    solve found, which reproduces the thresholds (None for a profile read
+    from a file that lacks it).  ``warning`` holds the solve's warning
+    messages, empty when it has none; the solvers put them there and emit
+    no Python warning.
     """
 
     weights: np.ndarray
@@ -112,6 +114,7 @@ class WeightProfile:
     t_bar: float
     u: float
     warning: tuple = ()
+    log_k_star: float = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -128,6 +131,7 @@ class WeightProfile:
     def to_dict(self):
         return {
             "k_star": self.k_star,
+            "log_k_star": self.log_k_star,
             "t_bar": self.t_bar,
             "u": self.u,
             "weights": self.weights.tolist(),
@@ -136,21 +140,24 @@ class WeightProfile:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of ``to_dict``; ``warning`` is optional, and a true flag
-        becomes one fixed message, as the file keeps no message.  Every
-        value is checked, as the dict comes from a file: ``k_star`` may read
-        0.0 (k* below the float range), but not less."""
+        """Inverse of ``to_dict``; ``warning`` and ``log_k_star`` are
+        optional, and a true warning flag becomes one fixed message, as the
+        file keeps no message.  Every value is checked, as the dict comes
+        from a file: ``k_star`` may read 0.0 (k* below the float range), but
+        not less, and ``log_k_star``, when given, must be finite."""
         keys = ("weights", "k_star", "t_bar", "u")
         missing = [k for k in keys if k not in d] if isinstance(d, dict) else list(keys)
         if missing:
             raise ValueError(f"weight profile is missing {', '.join(missing)}")
+        if d.get("log_k_star") is not None:
+            keys += ("log_k_star",)
         values = []
         for k in keys:
             try:
                 values.append(np.asarray(d[k], dtype=float) if k == "weights" else float(d[k]))
             except TypeError as exc:
                 raise ValueError(f"weight profile values must be numbers ({k}: {exc})") from None
-        w, k_star, t_bar, u = values
+        w, k_star, t_bar, u, *log_k_star = values
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
         check_positive("weights", w, scalar=False)
@@ -158,12 +165,15 @@ class WeightProfile:
             raise ValueError(f"k_star must be at least 0, got {k_star!r}")
         check_unit("t_bar", t_bar)
         check_positive("u", u)
+        if log_k_star and not np.isfinite(log_k_star[0]):
+            raise ValueError(f"log_k_star must be finite, got {log_k_star[0]!r}")
         return cls(
             weights=w,
             k_star=k_star,
             t_bar=t_bar,
             u=u,
             warning=("the weight profile was written with a warning",) if d.get("warning") else (),
+            log_k_star=log_k_star[0] if log_k_star else None,
         )
 
 
@@ -177,7 +187,10 @@ def _thresholds(prior, log_k, model):
 @dataclass
 class _Pairs:
     """A prior's distinct (p, gamma) pairs in first-occurrence order, with
-    1 - p, log p, their multiplicities, the battery size and max(p)."""
+    1 - p, log p, their multiplicities, the battery size and max(p).
+    ``tied`` says whether any multiplicity exceeds 1; ``log_q_max`` and
+    ``log_q_min`` are log(max(1 - p)) and log(1 - max(p)), which every
+    round of a crossing search reads."""
 
     p: np.ndarray
     q: np.ndarray
@@ -186,19 +199,36 @@ class _Pairs:
     count: np.ndarray
     M: int
     p_max: float
+    tied: bool
+    log_q_max: float
+    log_q_min: float
 
 
 def _collapse(prior):
-    """Collapse tied (p, gamma) pairs; an untied prior keeps its own columns."""
-    # the complex key orders pairs by p, then gamma; asking for first
-    # indices makes np.unique sort stably, so they are first occurrences
-    _, first, count = np.unique(prior.p + 1j * prior.gamma, return_index=True,
-                                return_counts=True)
-    order = np.argsort(first)
-    keep = first[order]
-    p = prior.p[keep]
-    return _Pairs(p, 1.0 - p, np.log(p), prior.gamma[keep], count[order].astype(float),
-                  prior.M, prior.p_max)
+    """Collapse tied (p, gamma) pairs; an untied prior keeps its own columns.
+
+    When every p differs, which one float sort tells, no pair is tied.
+    Otherwise sorting by gamma, then stably by p, puts equal pairs next to
+    each other (the stable sort is cheap when p takes one value), and each
+    group's smallest index is its first occurrence."""
+    p, gamma = prior.p, prior.gamma
+    s = np.sort(p)
+    count = np.ones(p.size)
+    if (s[1:] == s[:-1]).any():
+        order = np.argsort(gamma)
+        order = order[np.argsort(p[order], kind="stable")]
+        ps, gs = p[order], gamma[order]
+        new = np.ones(p.size, dtype=bool)
+        new[1:] = (ps[1:] != ps[:-1]) | (gs[1:] != gs[:-1])
+        start = np.flatnonzero(new)
+        first = np.minimum.reduceat(order, start)
+        by_first = np.argsort(first)
+        keep = first[by_first]
+        count = np.diff(start, append=p.size)[by_first].astype(float)
+        p, gamma = p[keep], gamma[keep]
+    q = 1.0 - p
+    return _Pairs(p, q, np.log(p), gamma, count, prior.M, prior.p_max, count.size < prior.M,
+                  np.log(q.max()), np.log(1.0 - prior.p_max))
 
 
 def _fdp_values(pairs, log_ks, model):
@@ -206,11 +236,12 @@ def _fdp_values(pairs, log_ks, model):
 
     Returns the values and a (4, rows) array of the means.  Means over the
     battery weight each distinct pair by its multiplicity
-    (``sum(x * count) / M``), so unit counts give the bits of a plain mean.
-    The four per-pair quantities fill one (4, rows, pairs) buffer, scaled by
-    the counts and summed along its last axis in one call each; the sum
-    still reduces every row on its own, as a per-row sum does, so
-    splitting ``ks`` into blocks leaves every value bitwise unchanged.
+    (``sum(x * count) / M``), so unit counts give the bits of a plain mean;
+    an untied prior skips the multiply by 1.  The four per-pair quantities
+    fill one (4, rows, pairs) buffer, summed along its last axis in one
+    call; the sum still reduces every row on its own, as a per-row sum
+    does, so splitting ``ks`` into blocks, or one row in ``_fdp_at``, leaves
+    every value bitwise unchanged.
     Callers scanning many multipliers go through ``_fdp_scan``.  Works with
     the survival masses 1 - t and 1 - G directly: near k = 0 every
     threshold sits within float rounding of 1 and the leading ratio would
@@ -225,7 +256,8 @@ def _fdp_values(pairs, log_ks, model):
         np.multiply(pairs.q, mass, out=x[i + 1])
         x[i + 1] += x[i]
         x[i] = mass
-    x *= pairs.count
+    if pairs.tied:
+        x *= pairs.count
     means = np.add.reduce(x, axis=-1)
     means /= pairs.M
     t_bar, g_bar, tc_bar, gc_bar = means
@@ -233,9 +265,11 @@ def _fdp_values(pairs, log_ks, model):
         vals = gc_bar / tc_bar
         vals *= t_bar / g_bar
     # k -> infinity: all thresholds underflow, the estimator vanishes
-    vals[(t_bar == 0.0) | (g_bar == 0.0)] = 0.0
+    if not (t_bar.all() and g_bar.all()):
+        vals[(t_bar == 0.0) | (g_bar == 0.0)] = 0.0
     # k -> 0: survival masses underflow; use the limiting lower bound
-    vals[tc_bar == 0.0] = 1.0 - pairs.p_max
+    if not tc_bar.all():
+        vals[tc_bar == 0.0] = 1.0 - pairs.p_max
     return vals, means
 
 
@@ -262,8 +296,22 @@ def _fdp_scan(pairs, log_ks, model):
 
 
 def _fdp_at(pairs, log_k, model):
-    """FDP approximator at one log multiplier."""
-    return float(_fdp_values(pairs, np.array([float(log_k)]), model)[0][0])
+    """FDP approximator at one log multiplier: ``_fdp_values``' row on 1-d
+    arrays, its means and fixups on floats.  Each element, each sum and each
+    float operation is the row's own, so the value keeps its bits."""
+    t, tc, pi, pic = model._split(pairs.gamma, log_k - pairs.log_p)
+    g, gc = pairs.p * pi, pairs.p * pic
+    g += pairs.q * t
+    gc += pairs.q * tc
+    rows = (t, g, tc, gc)
+    if pairs.tied:
+        rows = [x * pairs.count for x in rows]
+    t_bar, g_bar, tc_bar, gc_bar = (float(np.add.reduce(x)) / pairs.M for x in rows)
+    if tc_bar == 0.0:
+        return 1.0 - pairs.p_max
+    if t_bar == 0.0 or g_bar == 0.0:
+        return 0.0
+    return gc_bar / tc_bar * (t_bar / g_bar)
 
 
 def fdp_approximator(prior, k, model=None):
@@ -328,7 +376,7 @@ def _profile(prior, log_k, model, warning=()):
         warning += (f"weights below the smallest normal float {tiny:g} (thresholds "
                     "that underflowed) were raised to it",)
     return WeightProfile(weights=w, k_star=float(np.exp(log_k)), t_bar=t_bar,
-                         u=1.0 / float(w.max()), warning=warning)
+                         u=1.0 / float(w.max()), warning=warning, log_k_star=float(log_k))
 
 
 def optimal_fixed_t_weights(prior, t, model=None):
@@ -373,9 +421,10 @@ def _fdp_cannot_rise(pairs, pts):
     lgg, ltt = lg + lgc, lt + ltc
     peak = np.where((lt[1:] <= _LOG_HALF) & (lt[:-1] >= _LOG_HALF), 2 * _LOG_HALF,
                     np.fmax(ltt[:-1], ltt[1:]))
-    finite = np.isfinite(pts[3:]).all(axis=0)
+    # the four logs are never NaN or +inf, so their sum is finite just when each is
+    finite = np.isfinite(lgg + ltt)
     with np.errstate(invalid="ignore"):
-        return finite[:-1] & finite[1:] & (np.logaddexp(log_k[1:], np.log(pairs.q.max()))
+        return finite[:-1] & finite[1:] & (np.logaddexp(log_k[1:], pairs.log_q_max)
                                            + _CERT_MARGIN < np.fmin(lgg[:-1], lgg[1:]) - peak)
 
 
@@ -385,7 +434,7 @@ def _log_fdp_bounds(pairs, pts):
     with np.errstate(invalid="ignore"):
         var = ltc[1:] - ltc[:-1] + lt[:-1] - lt[1:]
         gvar = lgc[1:] - lgc[:-1] + lg[:-1] - lg[1:]
-        lower = np.fmax(lf[1:] - gvar, np.log(1.0 - pairs.p_max) + lt[1:] - lg[:-1])
+        lower = np.fmax(lf[1:] - gvar, pairs.log_q_min + lt[1:] - lg[:-1])
         return lower, lf[:-1] + gvar, np.fmin(var, gvar)
 
 
@@ -444,18 +493,20 @@ def _smallest_downward_crossing(pairs, alpha, lo, hi, model):
             if down.size:
                 pts, above = pts[:, :down[0] + 2], above[:down[0] + 2]
             x, f, lf, lt, lg, ltc, _ = pts
-            a, b, width = x[:-1], x[1:], np.diff(x)
+            a, b = x[:-1], x[1:]
+            width = b - a
             lower, upper, rise = _log_fdp_bounds(pairs, pts)
             cert = _fdp_cannot_rise(pairs, pts)
             # 1 - t_bar(b), t_bar(a) or g_bar(a) underflowed: the FDP is constant
-            flat = np.isneginf(np.fmin(np.fmin(lt[:-1], lg[:-1]), ltc[1:]))
+            flat = np.fmin(np.fmin(lt[:-1], lg[:-1]), ltc[1:]) == -np.inf
             # split uncertified cells that may cross, are wide, and have a float
             # strictly inside
             cells = np.flatnonzero((lower < log_alpha) & (upper >= log_alpha) & ~flat & ~cert
                                    & (width > _CELL_WIDTH) & (np.nextafter(a, b) < b))
             if not cells.size:
                 break
-            margin = np.fmin(*np.abs(lf[np.array([cells, cells + 1])] - log_alpha))
+            dist = np.abs(lf - log_alpha)
+            margin = np.fmin(dist[cells], dist[cells + 1])
             pieces = np.ceil(rise[cells] / margin) + 1
             pieces = np.fmax(np.fmin(pieces, _SPLIT_CAP), 2)
             pieces[above[cells] != above[cells + 1]] = _SPLIT_CAP // 2

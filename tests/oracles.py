@@ -1,5 +1,7 @@
 """Reference implementations the tests hold the package's kernels against."""
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
@@ -297,3 +299,97 @@ def linear_fixed_t_k_star(prior, t, model):
     log_k = brentq(lambda lk: resid(np.exp(lk)), np.log(lo), np.log(hi),
                    xtol=1e-13, rtol=8.9e-16, maxiter=200)
     return float(np.exp(log_k))
+
+
+# The tie collapse and the FDP evaluator, frozen from the solver before its
+# one-row evaluations, its sort-light collapse and its guarded fixups.
+def unique_collapse(prior):
+    """Collapse tied (p, gamma) pairs; an untied prior keeps its own columns."""
+    # the complex key orders pairs by p, then gamma; asking for first
+    # indices makes np.unique sort stably, so they are first occurrences
+    _, first, count = np.unique(prior.p + 1j * prior.gamma, return_index=True,
+                                return_counts=True)
+    order = np.argsort(first)
+    keep = first[order]
+    p = prior.p[keep]
+    return SimpleNamespace(p=p, q=1.0 - p, log_p=np.log(p), gamma=prior.gamma[keep],
+                           count=count[order].astype(float), M=prior.M, p_max=prior.p_max)
+
+
+def block_fdp_values(pairs, log_ks, model):
+    """FDP approximator and means t_bar, g_bar, 1 - t_bar, 1 - g_bar at each ``log_ks``."""
+    t, tc, pi, pic = model._split(pairs.gamma[None, :], log_ks[:, None] - pairs.log_p[None, :])
+    # rows t, G = (1 - p) t + p pi, 1 - t, 1 - G = (1 - p)(1 - t) + p (1 - pi);
+    # the row of each mass holds the p-scaled power term until the mass goes in
+    x = np.empty((4,) + t.shape)
+    for i, mass, power in ((0, t, pi), (2, tc, pic)):
+        np.multiply(pairs.p, power, out=x[i])
+        np.multiply(pairs.q, mass, out=x[i + 1])
+        x[i + 1] += x[i]
+        x[i] = mass
+    x *= pairs.count
+    means = np.add.reduce(x, axis=-1)
+    means /= pairs.M
+    t_bar, g_bar, tc_bar, gc_bar = means
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = gc_bar / tc_bar
+        vals *= t_bar / g_bar
+    # k -> infinity: all thresholds underflow, the estimator vanishes
+    vals[(t_bar == 0.0) | (g_bar == 0.0)] = 0.0
+    # k -> 0: survival masses underflow; use the limiting lower bound
+    vals[tc_bar == 0.0] = 1.0 - pairs.p_max
+    return vals, means
+
+
+# The population law of a simulation preset.  As M grows, the plug-in FDP
+# approximator of a prior drawn from the law tends to the same ratio of the
+# law's means, and its smallest downward crossing to the law's.  The means are
+# integrated by Gauss-Legendre quadrature, with p = u^2 to soften log p near
+# 0, and each mass takes its own ndtr; nothing here calls the package.
+def gauss_legendre(n, lo, hi):
+    """Gauss-Legendre nodes and weights of order n on [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
+
+
+def preset_law(preset, a, n_p=50, n_gamma=20):
+    """Nodes (p, gamma) and weights of a preset's prior law: p = 0.5
+    (preset 1) or p ~ U(0, 1) (presets 2-4), with gamma ~ U(1, a); p or
+    gamma is one node where the law puts it at one point."""
+    if preset == 1:
+        p, wp = np.array([0.5]), np.array([1.0])
+    else:
+        u, wu = gauss_legendre(n_p, 0.0, 1.0)
+        p, wp = u * u, 2.0 * u * wu
+    if a == 1:
+        gamma, wg = np.array([1.0]), np.array([1.0])
+    else:
+        gamma, wg = gauss_legendre(n_gamma, 1.0, a)
+        wg = wg / (a - 1.0)
+    return np.repeat(p, gamma.size), np.tile(gamma, p.size), np.outer(wp, wg).ravel()
+
+
+def population_means(log_ks, law):
+    """The law's t_bar, g_bar, 1 - t_bar and 1 - g_bar at each of ``log_ks``,
+    on the normal location model."""
+    p, gamma, w = law
+    z = 0.5 * gamma + (np.atleast_1d(log_ks)[:, None] - np.log(p)) / gamma
+    t, tc, pi, pic = ndtr(-z), ndtr(z), ndtr(gamma - z), ndtr(z - gamma)
+    return [x @ w for x in (t, (1.0 - p) * t + p * pi, tc, (1.0 - p) * tc + p * pic)]
+
+
+def population_fdp(log_ks, law):
+    t_bar, g_bar, tc_bar, gc_bar = population_means(log_ks, law)
+    return gc_bar / tc_bar * (t_bar / g_bar)
+
+
+def population_crossing(law, alpha, lo=-10.0, hi=10.0, points=201):
+    """(log k*_inf, lambda_inf): the first downward crossing of alpha by the
+    law's FDP on an even grid over [lo, hi], refined by brentq, and the mean
+    threshold there."""
+    grid = np.linspace(lo, hi, points)
+    vals = population_fdp(grid, law) - alpha
+    i = np.flatnonzero((vals[:-1] >= 0) & (vals[1:] < 0))[0]
+    log_k = brentq(lambda lk: population_fdp(lk, law)[0] - alpha, grid[i], grid[i + 1],
+                   xtol=1e-14, rtol=8.9e-16)
+    return log_k, float(population_means(log_k, law)[0][0])

@@ -920,7 +920,8 @@ class TestExitMap:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
-    @pytest.mark.parametrize("key, value", [("t_bar", "NaN"), ("u", "-1"), ("k_star", "-5")])
+    @pytest.mark.parametrize("key, value", [("t_bar", "NaN"), ("u", "-1"), ("k_star", "-5"),
+                                            ("log_k_star", "Infinity")])
     @pytest.mark.parametrize("flags", [[], ["--lambda", "0.2", "--u", "0.9"]],
                              ids=["from-file", "from-flags"])
     def test_bad_profile_value_exit_1(self, tmp_path, capsys, key, value, flags):

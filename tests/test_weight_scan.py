@@ -15,7 +15,6 @@ guaranteed regime.
 """
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,11 +36,13 @@ from wamdf.weights import (
 
 from oracles import (
     FourNdtrModel,
+    block_fdp_values,
     expanding_crossing,
     expanding_fixed_t_log_k,
     first_k_bracket,
     linear_fixed_t_k_star,
     linear_pre_data_k_star,
+    unique_collapse,
 )
 
 MODEL = NormalLocationModel()
@@ -98,14 +99,12 @@ def oracle_log_k(prior, alpha, model=MODEL):
 
 
 def solved_log_k(solve, prior, level, model=MODEL):
-    """(log k*, profile) of one solve, log k* as the solve hands it to
-    ``weights._profile``; (None, None) when it raises NoSolutionError."""
-    with mock.patch.object(weights, "_profile", wraps=weights._profile) as profile:
-        try:
-            result = solve(prior, level, model)
-        except NoSolutionError:
-            return None, None
-    return profile.call_args.args[1], result
+    """(log k*, profile) of one solve; (None, None) when it raises NoSolutionError."""
+    try:
+        profile = solve(prior, level, model)
+    except NoSolutionError:
+        return None, None
+    return profile.log_k_star, profile
 
 
 def linear_pre_data(prior, alpha, model):
@@ -472,6 +471,65 @@ class TestScanPieces:
         fdp = np.where(tc_bar == 0.0, 1.0 - prior.p_max, fdp)
         np.testing.assert_array_equal(vals, fdp)
         assert pairs.count.max() == 10 and vals[0] == 1.0 - prior.p_max and vals[-1] == 0.0
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("table", [False, True], ids=["normal", "table"])
+    def test_one_row_and_blocks_are_bitwise_the_frozen_block(self, tied, table):
+        # log k from -800 to 800 reaches all three of the normal model's
+        # branches: 1 - t_bar underflowed, t_bar or g_bar underflowed, neither
+        rng = np.random.default_rng(11)
+        p, gamma = rng.uniform(0.02, 0.95, 120), rng.uniform(0.3, 6.0, 120)
+        if tied:
+            pick = rng.integers(0, 40, 300)
+            p, gamma = p[pick], gamma[pick]
+        prior = PriorSpec(p, gamma)
+        knots = np.linspace(0, 1, 11) ** 2
+        model = TabulatedPowerModel(knots, knots ** 0.3) if table else MODEL
+        pairs = weights._collapse(prior)
+        assert pairs.tied == tied
+        log_ks = np.r_[np.linspace(-800, 800, 2401), rng.uniform(-40, 40, 400)]
+        want, want_means = block_fdp_values(pairs, log_ks, model)
+        got, got_means = weights._fdp_values(pairs, log_ks, model)
+        assert got.tobytes() == want.tobytes() and got_means.tobytes() == want_means.tobytes()
+        rows = np.array([weights._fdp_at(pairs, lk, model) for lk in log_ks])
+        assert rows.tobytes() == want.tobytes()
+        if not table:
+            assert {"survival", "underflow", "ratio"} == {
+                "survival" if tc == 0 else "underflow" if t == 0 or g == 0 else "ratio"
+                for t, g, tc in want_means[:3].T}
+
+    @pytest.mark.parametrize("zeroed", range(1, 16))
+    def test_one_row_fixups_take_the_block_precedence(self, zeroed):
+        # a model whose masses t, 1 - t, pi, 1 - pi are zeroed by the bits of
+        # ``zeroed`` reaches every combination of the fixups
+        class Zeroing(NormalLocationModel):
+            def _split(self, g, s):
+                return tuple(x * (0.0 if zeroed >> i & 1 else 1.0)
+                             for i, x in enumerate(super()._split(g, s)))
+
+        prior = PriorSpec([0.3, 0.6, 0.6], [1.0, 2.0, 2.0])
+        pairs, model = weights._collapse(prior), Zeroing()
+        for lk in (-3.0, 0.5, 4.0):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = block_fdp_values(pairs, np.array([lk]), model)[0][0]
+                got = weights._fdp_at(pairs, lk, model)
+            assert np.float64(got).tobytes() == want.tobytes(), (lk, got, want)
+
+    @pytest.mark.parametrize("ties", ["neither", "p", "gamma", "both"])
+    @pytest.mark.parametrize("M", [1, 2, 3, 10, 100, 2000])
+    def test_collapse_is_the_frozen_collapse(self, ties, M):
+        rng = np.random.default_rng(M)
+        for _ in range(5):
+            p, gamma = rng.uniform(0.01, 0.99, M), rng.uniform(0.1, 5.0, M)
+            if ties in ("p", "both"):
+                p = rng.choice(p[:max(1, M // 3)], M)
+            if ties in ("gamma", "both"):
+                gamma = rng.choice(gamma[:max(1, M // 4)], M)
+            for prior in (PriorSpec(p, gamma), PriorSpec(np.full(M, p[0]), gamma)):
+                got, want = weights._collapse(prior), unique_collapse(prior)
+                for name in ("p", "q", "log_p", "gamma", "count"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                assert (got.M, got.p_max, got.tied) == (want.M, want.p_max, want.count.size < M)
 
     def test_fdp_approximator_matches_dense_on_ties(self):
         prior = PriorSpec(np.full(30, 0.4), np.repeat([1.0, 2.5, 4.0], 10))

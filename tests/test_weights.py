@@ -370,3 +370,40 @@ class TestWeightProfileSerialization:
         # the file keeps the flag; a true one reads back as one fixed message
         assert WeightProfile.from_dict(d).warning == (
             ("the weight profile was written with a warning",) if warning else ())
+
+
+class TestLogKStar:
+    # k* of this prior lies below the float range, so k_star reads 0.0
+    STRONG = PriorSpec([0.5, 0.3, 0.2], [60.0, 45.0, 50.0])
+
+    def test_roundtrip_with_and_without_the_key(self):
+        import json
+
+        profile = asymptotically_optimal_weights(worked_prior(), 0.05)
+        d = json.loads(json.dumps(profile.to_dict()))
+        assert d["log_k_star"] == profile.log_k_star and np.exp(d["log_k_star"]) == profile.k_star
+        assert WeightProfile.from_dict(d).log_k_star == profile.log_k_star
+        # a file written before the key existed still loads, without it
+        del d["log_k_star"]
+        old = WeightProfile.from_dict(d)
+        assert old.log_k_star is None
+        assert (old.k_star, old.t_bar, old.u) == (profile.k_star, profile.t_bar, profile.u)
+        np.testing.assert_array_equal(old.weights, profile.weights)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, value):
+        d = asymptotically_optimal_weights(worked_prior(), 0.05).to_dict()
+        with pytest.raises(ValueError, match="^log_k_star must be finite"):
+            WeightProfile.from_dict(dict(d, log_k_star=value))
+
+    @pytest.mark.parametrize("solve", [asymptotically_optimal_weights, optimal_fixed_t_weights],
+                             ids=["alpha", "t"])
+    def test_below_the_float_range_reproduces_the_weights(self, solve):
+        import json
+
+        profile = solve(self.STRONG, 0.05)
+        loaded = WeightProfile.from_dict(json.loads(json.dumps(profile.to_dict())))
+        assert loaded.k_star == 0.0 and loaded.log_k_star < -700
+        thresholds = _thresholds(self.STRONG, loaded.log_k_star, MODEL)
+        assert float(np.mean(thresholds)) == loaded.t_bar
+        np.testing.assert_array_equal(thresholds / loaded.t_bar, loaded.weights)
