@@ -24,7 +24,7 @@ def check_int(name, x, low=None):
         raise ValueError(f"{name} must be at least {low}, got {x}")
 
 
-def _numbers(x, scalar):
+def as_numbers(x, scalar):
     """``x`` as an array, or None when it holds anything but integers and
     floats, or when a scalar argument is given an array."""
     a = np.asarray(x)
@@ -33,13 +33,13 @@ def _numbers(x, scalar):
 
 def check_unit(name, x, closed=False, scalar=True):
     """Every value of ``x`` in (0, 1), or in [0, 1] when ``closed``."""
-    a = _numbers(x, scalar)
+    a = as_numbers(x, scalar)
     if a is None or not ((a >= 0) & (a <= 1) if closed else (a > 0) & (a < 1)).all():
         raise ValueError(f"{name} must lie in [0, 1]" if closed else f"{name} must lie in (0, 1)")
 
 
 def check_positive(name, x, scalar=True):
     """Every value of ``x`` positive and finite."""
-    a = _numbers(x, scalar)
+    a = as_numbers(x, scalar)
     if a is None or not ((a > 0) & (a < np.inf)).all():
         raise ValueError(f"{name} must be positive and finite")

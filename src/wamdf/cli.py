@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .counts import CalibrationError, CountDataset, analyze, generate_synthetic_counts
 from .power import TabulatedPowerModel
-from .procedures import alpha_star, fdr_upper_bound, run_procedure
+from .procedures import VARIANTS, alpha_star, fdr_upper_bound, run_procedure
 from .simulate import (
     SimConfig,
     run_simulation,
@@ -49,11 +49,42 @@ EXIT_WARNING = 3
 # 60 KB, well under glibc's 128 KiB starting mmap threshold.  Larger blocks write
 # no faster and hold more memory.
 _TSV_BLOCK = 1024
+# The argparse dests that name input files, in the order the manifest lists them
+_INPUTS = ("prior", "power_table", "pvalues", "weights", "config", "x_file", "counts",
+           "p_prior_file")
 
 
-def _outdir(args):
+def _finish(args, outputs, summary, seed=None, warning=()):
+    """Write a command's outputs and its manifest into ``--out``, print its
+    summary lines and one ``warning:`` line per warning message, and return
+    its exit code: 3 with a warning, else 0.
+
+    ``outputs`` maps each file name to its content, in write order: a dict
+    is written as JSON, a ``(header, columns)`` pair as a table, comma
+    separated for a ``.csv`` name and tab separated otherwise.  Commands
+    call this last, so a failed command leaves no ``--out``.
+    """
+    manifest = {
+        "subcommand": args.subcommand,
+        "flags": {k: v for k, v in vars(args).items() if k != "func"},
+        "inputs": [path for path in (getattr(args, dest, None) for dest in _INPUTS) if path],
+        "outputs": [os.path.join(args.out, name) for name in outputs],
+        "seed": seed,
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    for name, content in {**outputs, "manifest.json": manifest}.items():
+        path = os.path.join(args.out, name)
+        if isinstance(content, dict):
+            _write_json(path, content)
+        else:
+            _write_tsv(path, *content, sep="," if name.endswith(".csv") else "\t")
+    for line in summary:
+        print(line)
+    for message in warning:
+        print(f"warning: {message}", file=sys.stderr)
+    return EXIT_WARNING if warning else EXIT_OK
 
 
 def _write_json(path, obj):
@@ -61,19 +92,6 @@ def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-
-
-def _manifest(args, inputs, outputs, seed=None):
-    """Provenance record written next to every output."""
-    _write_json(os.path.join(args.out, "manifest.json"), {
-        "subcommand": args.subcommand,
-        "flags": {k: v for k, v in vars(args).items() if k != "func"},
-        "inputs": inputs,
-        "outputs": outputs,
-        "seed": seed,
-        "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    })
 
 
 def _write_tsv(path, header, columns, sep="\t"):
@@ -98,14 +116,6 @@ def _given(**kwargs):
     return {key: value for key, value in kwargs.items() if value is not None}
 
 
-def _exit_for(profile):
-    """Exit 3 with one ``warning:`` line per message of the solved profile's
-    warning, or exit 0 when it has none."""
-    for message in profile.warning:
-        print(f"warning: {message}", file=sys.stderr)
-    return EXIT_WARNING if profile.warning else EXIT_OK
-
-
 # ---------------------------------------------------------------- weights
 
 def cmd_weights(args):
@@ -115,14 +125,12 @@ def cmd_weights(args):
         profile = asymptotically_optimal_weights(prior, args.alpha, model)
     else:
         profile = optimal_fixed_t_weights(prior, args.t, model)
-    outdir = _outdir(args)
-    out = os.path.join(outdir, "weights.json")
-    _write_json(out, profile.to_dict())
-    tsv = os.path.join(outdir, "weights.tsv")
-    _write_tsv(tsv, ["index", "p", "gamma", "weight", "threshold"],
-               [np.arange(prior.M), prior.p, prior.gamma, profile.weights, profile.thresholds])
-    _manifest(args, [f for f in (args.prior, args.power_table) if f], [out, tsv])
-    return _exit_for(profile)
+    return _finish(args, {
+        "weights.json": profile.to_dict(),
+        "weights.tsv": (["index", "p", "gamma", "weight", "threshold"],
+                        [np.arange(prior.M), prior.p, prior.gamma, profile.weights,
+                         profile.thresholds]),
+    }, (), warning=profile.warning)
 
 
 # ---------------------------------------------------------------- run
@@ -132,11 +140,9 @@ def cmd_run(args):
     pvalues = table[:, 0]
     weights = table[:, 1] if header == ("p", "weight") else None
     lam, u = args.lam, args.u
-    inputs = [args.pvalues]
     if args.weights:
         if weights is not None:
             raise ValueError(f"{args.pvalues} has a weight column, so --weights cannot be given")
-        inputs.append(args.weights)
         with open(args.weights) as fh:
             profile = WeightProfile.from_dict(json.load(fh))
         weights = profile.weights
@@ -149,26 +155,22 @@ def cmd_run(args):
         raise ValueError("weights and p-values differ in length")
     report = run_procedure(args.variant, pvalues, weights=weights, finite_fdr=args.finite_fdr,
                            **_given(alpha=args.alpha, lam=lam, u=u))
-    outdir = _outdir(args)
-    out_json = os.path.join(outdir, "report.json")
-    out_tsv = os.path.join(outdir, "report.tsv")
-    _write_json(out_json, report.to_dict())
-    _write_tsv(out_tsv, ["index", "p", "weight", "q", "rejected"],
-               [np.arange(report.pvalues.size), report.pvalues, report.weights, report.q,
-                report.rejected])
-    _manifest(args, inputs, [out_json, out_tsv])
-    print(f"{args.variant}: rejected {report.n_rejected} of {pvalues.size} "
-          f"(t_hat={report.t_hat:.6g}, m0_hat={report.m0_hat:.6g})")
-    return EXIT_OK
+    return _finish(args, {
+        "report.json": report.to_dict(),
+        "report.tsv": (["index", "p", "weight", "q", "rejected"],
+                       [np.arange(report.pvalues.size), report.pvalues, report.weights,
+                        report.q, report.rejected]),
+    }, [f"{args.variant}: rejected {report.n_rejected} of {pvalues.size} "
+        f"(t_hat={report.t_hat:.6g}, m0_hat={report.m0_hat:.6g})"])
 
 
 # ---------------------------------------------------------------- simulate
 
-def _write_summary_tables(summaries, labels, outdir):
-    """``table.tsv`` (one row per variant; CDP, FDP and their SEs per a
-    value, to 4 places) and ``long.tsv`` (one row per a value, variant and
-    metric, to 6 places).  Each a value is written as its label.  A missing
-    SE is an empty cell."""
+def _summary_tables(summaries, labels):
+    """The entries of ``table.tsv`` (one row per variant; CDP, FDP and their
+    SEs per a value, to 4 places) and ``long.tsv`` (one row per a value,
+    variant and metric, to 6 places).  Each a value is written as its
+    label.  A missing SE is an empty cell."""
     def cell(x, places):
         return "" if x is None else f"{x:.{places}f}"
 
@@ -181,11 +183,8 @@ def _write_summary_tables(summaries, labels, outdir):
         columns += [[cell(s.se(v, m), 4) for v in variants] for m in metrics]
         rows += [(v, a, m, cell(s.mean(v, m), 6), cell(s.se(v, m), 6))
                  for v in variants for m in metrics]
-    table = os.path.join(outdir, "table.tsv")
-    long_form = os.path.join(outdir, "long.tsv")
-    _write_tsv(table, header, columns)
-    _write_tsv(long_form, ["variant", "a", "metric", "value", "se"], list(zip(*rows)))
-    return [table, long_form]
+    return {"table.tsv": (header, columns),
+            "long.tsv": (["variant", "a", "metric", "value", "se"], list(zip(*rows)))}
 
 
 def cmd_simulate(args):
@@ -211,21 +210,14 @@ def cmd_simulate(args):
                              f"{configs[i].gamma_a!r} share the output label a{label}")
     threads = (os.cpu_count() or 1) if args.threads is None else args.threads
     summaries = [run_simulation(c, threads=threads) for c in configs]
-    outdir = _outdir(args)
-    outputs = []
-    for s, label in zip(summaries, labels):
-        out = os.path.join(outdir, f"summary_a{label}.json")
-        _write_json(out, s.to_dict())
-        outputs.append(out)
-    outputs += _write_summary_tables(summaries, labels, outdir)
-    _manifest(args, [args.config] if args.config else [], outputs, seed=configs[0].seed)
-    for s, label in zip(summaries, labels):
-        skipped = f", skipped {s.n_skipped}" if s.n_skipped else ""
-        print(f"a={label}: "
-              + "  ".join(f"{v} CDP={s.mean(v, 'cdp'):.3f} FDP={s.mean(v, 'fdp'):.3f}"
-                          for v in s.config.variants)
-              + skipped)
-    return EXIT_OK
+    outputs = {f"summary_a{label}.json": s.to_dict() for s, label in zip(summaries, labels)}
+    summary = [f"a={label}: "
+               + "  ".join(f"{v} CDP={s.mean(v, 'cdp'):.3f} FDP={s.mean(v, 'fdp'):.3f}"
+                           for v in s.config.variants)
+               + (f", skipped {s.n_skipped}" if s.n_skipped else "")
+               for s, label in zip(summaries, labels)]
+    return _finish(args, {**outputs, **_summary_tables(summaries, labels)}, summary,
+                   seed=configs[0].seed)
 
 
 # ---------------------------------------------------------------- analyze
@@ -238,34 +230,32 @@ def _read_column(path):
     return table[:, 0]
 
 
-def _write_analysis(result, outdir):
-    out_tsv = os.path.join(outdir, "features.tsv")
-    features = ["n", "z", "p", "gamma", "weight", "q", "rejected_wa", "rejected_ua"]
-    _write_tsv(out_tsv, ["feature"] + features,
-               [result.valid_indices] + [result.table[c] for c in features])
-    out_power = os.path.join(outdir, "weight_power.tsv")
-    power = ["gamma", "weight", "power_unweighted", "power_weighted"]
-    _write_tsv(out_power, ["feature"] + power,
-               [result.valid_indices] + [result.table[c] for c in power])
-    out_json = os.path.join(outdir, "analysis.json")
-    _write_json(out_json, {
-        "n_features": int(result.valid_indices.size + result.excluded_indices.size),
-        "n_tested": int(result.valid_indices.size),
-        "excluded_features": result.excluded_indices.tolist(),
-        "k_info": result.calibration.k_info,
-        "achieved_avg_power": result.calibration.achieved_power,
-        "lambda": result.calibration.profile.t_bar,
-        "u": result.calibration.profile.u,
-        "rejected_wa": result.wa.n_rejected,
-        "rejected_ua": result.ua.n_rejected,
-        "wa": result.wa.to_dict(),
-        "ua": result.ua.to_dict(),
-    })
-    return [out_tsv, out_power, out_json]
+def _analysis_outputs(result):
+    """The entries of ``features.tsv``, ``weight_power.tsv`` and ``analysis.json``."""
+    def table(columns):
+        return ["feature"] + columns, [result.valid_indices] + [result.table[c] for c in columns]
+
+    return {
+        "features.tsv": table(["n", "z", "p", "gamma", "weight", "q", "rejected_wa",
+                               "rejected_ua"]),
+        "weight_power.tsv": table(["gamma", "weight", "power_unweighted", "power_weighted"]),
+        "analysis.json": {
+            "n_features": int(result.valid_indices.size + result.excluded_indices.size),
+            "n_tested": int(result.valid_indices.size),
+            "excluded_features": result.excluded_indices.tolist(),
+            "k_info": result.calibration.k_info,
+            "achieved_avg_power": result.calibration.achieved_power,
+            "lambda": result.calibration.profile.t_bar,
+            "u": result.calibration.profile.u,
+            "rejected_wa": result.wa.n_rejected,
+            "rejected_ua": result.ua.n_rejected,
+            "wa": result.wa.to_dict(),
+            "ua": result.ua.to_dict(),
+        },
+    }
 
 
 def cmd_analyze(args):
-    inputs = []
     if args.x is not None:
         try:
             x = np.array([float(v) for v in args.x.split(",")])
@@ -273,7 +263,6 @@ def cmd_analyze(args):
             raise ValueError(f"--x must be comma-separated numbers, got {args.x!r}")
     else:
         x = _read_column(args.x_file)
-        inputs.append(args.x_file)
     if args.synthetic is not None:
         if args.seed is None:
             raise ValueError("--seed is required with --synthetic")
@@ -289,28 +278,20 @@ def cmd_analyze(args):
             raise ValueError(f"a counts file sets the data, so {', '.join(given)} cannot be given")
         dataset = CountDataset.from_csv(args.counts, x)
         theta = None
-        inputs.append(args.counts)
-    p_prior = args.p_prior
-    if args.p_prior_file:
-        inputs.append(args.p_prior_file)
-        p_prior = _read_column(args.p_prior_file)
+    p_prior = _read_column(args.p_prior_file) if args.p_prior_file else args.p_prior
     result = analyze(dataset, **_given(alpha=args.alpha, p_prior=p_prior,
                                        target_avg_power=args.target_power))
-    outdir = _outdir(args)
-    outputs = _write_analysis(result, outdir)
+    outputs = _analysis_outputs(result)
     if theta is not None:
         # the counts alone, so the file can be analysed again; the truth apart
-        data_out = os.path.join(outdir, "synthetic_counts.csv")
-        truth_out = os.path.join(outdir, "synthetic_truth.csv")
-        _write_tsv(data_out, [f"g{i}" for i in range(dataset.n_groups)], dataset.counts.T,
-                   sep=",")
-        _write_tsv(truth_out, ["planted"], [theta])
-        outputs += [data_out, truth_out]
-    _manifest(args, inputs, outputs, seed=args.seed)
-    print(f"WA rejected {result.wa.n_rejected}, UA rejected {result.ua.n_rejected} "
-          f"of {result.valid_indices.size} tested features "
-          f"({result.excluded_indices.size} excluded)")
-    return _exit_for(result.calibration.profile)
+        outputs["synthetic_counts.csv"] = ([f"g{i}" for i in range(dataset.n_groups)],
+                                           dataset.counts.T)
+        outputs["synthetic_truth.csv"] = (["planted"], [theta])
+    return _finish(args, outputs,
+                   [f"WA rejected {result.wa.n_rejected}, UA rejected {result.ua.n_rejected} "
+                    f"of {result.valid_indices.size} tested features "
+                    f"({result.excluded_indices.size} excluded)"],
+                   seed=args.seed, warning=result.calibration.profile.warning)
 
 
 # ---------------------------------------------------------------- bounds
@@ -352,7 +333,7 @@ def build_parser():
     r = sub.add_parser("run", help="run a procedure on a p-value file")
     r.add_argument("pvalues", help="CSV with header p or p,weight")
     r.add_argument("--weights", help="weights JSON produced by the weights subcommand")
-    r.add_argument("--variant", default="WA", choices=["UU", "WU", "UA", "WA"])
+    r.add_argument("--variant", default="WA", choices=VARIANTS)
     r.add_argument("--alpha", type=float)
     r.add_argument("--lambda", dest="lam", type=float, help="census level for adaptive variants")
     r.add_argument("--u", type=float, help="upper threshold bound (default 1/max weight)")

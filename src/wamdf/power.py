@@ -20,6 +20,10 @@ __all__ = [
     "default_model",
 ]
 
+# Tabulated thresholds are clamped to [_T_EPS, 1 - _T_EPS]; the weight solver
+# brackets t by the same ends, and its fixup for tables relies on that
+_T_EPS = 1e-15
+
 
 def _check_gamma(gamma):
     g = np.asarray(gamma, dtype=float)
@@ -203,7 +207,7 @@ class TabulatedPowerModel(_PowerModel):
         # the clamp keeps t inside (0, 1) like the bisection bracket, so a
         # log slope of +inf lands on 1e-15 and -inf on 1 - 1e-15
         j = np.searchsorted(-self._log_secants, -s, side="right")
-        return np.clip(self._t[j], 1e-15, 1 - 1e-15)
+        return np.clip(self._t[j], _T_EPS, 1 - _T_EPS)
 
 
 def default_model():

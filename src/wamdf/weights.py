@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._brent import brentq
-from ._checks import check_positive, check_unit
-from .power import default_model
+from ._checks import as_numbers, check_positive, check_unit
+from .power import _T_EPS, default_model
 from .tables import read_table
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
 # with n in the hundreds) put the solution hundreds of decades below 1, out
 # of the float range of k itself.
 _LOG_K_LO, _LOG_K_HI = np.log(1e-8), np.log(1e8)
-_T_EPS = 1e-15
 # brentq in log k: bisection alone narrows any finite bracket (under 2^1024
 # wide) to xtol 1e-13 (over 2^-44) in 1,068 steps
 _BRENTQ = dict(xtol=1e-13, rtol=8.9e-16, maxiter=1100)
@@ -153,10 +152,11 @@ class WeightProfile:
             keys += ("log_k_star",)
         values = []
         for k in keys:
-            try:
-                values.append(np.asarray(d[k], dtype=float) if k == "weights" else float(d[k]))
-            except TypeError as exc:
-                raise ValueError(f"weight profile values must be numbers ({k}: {exc})") from None
+            # a string or a bool is no number, though float() would take it
+            a = as_numbers(d[k], scalar=k != "weights")
+            if a is None:
+                raise ValueError(f"weight profile values must be numbers ({k}: {d[k]!r:.40})")
+            values.append(a.astype(float) if k == "weights" else float(a))
         w, k_star, t_bar, u, *log_k_star = values
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
@@ -550,8 +550,13 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     out_of_regime = bool(alpha > 1.0 - prior.p_max)
 
     pairs = _collapse(prior)
-    # FDP(k) <= 1/k for a concave power curve, so it is below alpha at 2/alpha
-    lo, hi = _k_bracket(pairs, model, log_k_hi=max(_LOG_K_HI, np.log(2.0 / alpha)))
+    # FDP(k) <= 1/k for a concave power curve, so it is below alpha at 2/alpha;
+    # where 2/alpha overflows (a Python float division does so silently), its
+    # log is log 2 - log alpha
+    two_over_alpha = 2.0 / float(alpha)
+    log_k_hi = (np.log(two_over_alpha) if two_over_alpha < np.inf
+                else np.log(2.0) - np.log(alpha))
+    lo, hi = _k_bracket(pairs, model, log_k_hi=max(_LOG_K_HI, log_k_hi))
     log_k = _smallest_downward_crossing(pairs, alpha, lo, hi, model)
     if log_k is None:
         detail = (

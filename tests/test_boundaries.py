@@ -24,6 +24,7 @@ CONFIG = SimConfig(M=10, n_reps=1, seed=1)
 DATASET = CountDataset([[0, 1, 1, 0, 5], [3, 1, 2, 4, 1], [1, 1, 1, 1, 9]], X)
 Q = [0.001, 0.2, 0.9]
 Q_SHAPES = [np.array([]), np.full((2, 2), 0.01)]
+NON_NUMBERS = ("0.5", True, None)
 
 
 def _from_dict(**d):
@@ -75,12 +76,14 @@ TABLE = {
         _row("p", out=1.0, shape="vector"),
         _row("gamma", out=0.0, shape="vector"),
     ]),
+    # from_dict reads a file: a string, a bool or None is no number, though float() takes some
     "WeightProfile.from_dict": (_from_dict,
                                 dict(weights=[1.0, 1.0], k_star=1.0, t_bar=0.1, u=1.0), [
-        _row("weights", out=0.0, shape="vector"),
-        _row("k_star", out=-5.0, infs=(-INF,)),   # 0.0 and inf stand for out-of-range k*
-        _row("t_bar", out=1.0),
-        _row("u", out=-1.0),
+        _row("weights", out=0.0, shape="vector", extra=[[v, v] for v in NON_NUMBERS]),
+        _row("k_star", out=-5.0, infs=(-INF,),   # 0.0 and inf stand for out-of-range k*
+             extra=NON_NUMBERS),
+        _row("t_bar", out=1.0, extra=NON_NUMBERS),
+        _row("u", out=-1.0, extra=NON_NUMBERS),
     ]),
     "optimal_fixed_t_weights": (weights.optimal_fixed_t_weights, dict(prior=PRIOR, t=0.1), [
         _row("t", out=1.0),

@@ -1,6 +1,7 @@
 """CLI: exit-code contract, file formats, manifests, round trips."""
 
 import argparse
+import ast
 import inspect
 import json
 import os
@@ -908,8 +909,14 @@ class TestExitMap:
         ('{"weights": [], "k_star": 1, "t_bar": 0.1, "u": 1}', "nonempty vector"),
         ('{"weights": 1, "k_star": 1, "t_bar": 0.1, "u": 1}', "nonempty vector"),
         ('{"weights": [1, 1, 1], "k_star": 1, "t_bar": 0.1, "u": 1}', "differ in length"),
+        # float() takes these, so each used to run (or fail naming no key)
+        ('{"weights": [1, 1], "k_star": 1, "t_bar": "0.5", "u": 1}', "numbers (t_bar: '0.5')"),
+        ('{"weights": [1, 1], "k_star": 1, "t_bar": "abc", "u": 1}', "numbers (t_bar: 'abc')"),
+        ('{"weights": ["1", "1"], "k_star": 1, "t_bar": 0.1, "u": 1}', "numbers (weights: "),
+        ('{"weights": [1, 1], "k_star": true, "t_bar": 0.1, "u": 1}', "numbers (k_star: True)"),
     ], ids=["no-k_star", "not-an-object", "negative", "nan", "null", "object-weights",
-            "empty-weights", "scalar-weights", "three-weights-two-p-values"])
+            "empty-weights", "scalar-weights", "three-weights-two-p-values", "string-t_bar",
+            "word-t_bar", "string-weights", "bool-k_star"])
     def test_bad_weights_json_exit_1(self, tmp_path, capsys, profile, named):
         pvals = tmp_path / "pvals.csv"
         pvals.write_text("p\n0.01\n0.2\n")
@@ -1139,26 +1146,82 @@ class TestParserDefaults:
         assert getattr(cli.build_parser().parse_args(argv), dest) is None
 
 
+def contract_argv(tmp_path, case):
+    """(argv, input files in the manifest's order) of one invocation per
+    CONTRACT_CASES entry, with every input file that subcommand takes given;
+    analyze gives its counts before the covariate file the manifest lists first."""
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    if case == "weights":
+        files = [write("prior.csv", WORKED_PRIOR),
+                 write("table.csv", "t,power\n0,0\n0.2,0.6\n1,1\n")]
+        return ["weights", files[0], "--t", "0.1", "--power-table", files[1]], files
+    if case == "run":
+        files = [write("p.csv", "p\n0.01\n0.2\n"),
+                 write("w.json", '{"weights": [1.2, 0.8], "k_star": 1, "t_bar": 0.1, "u": 0.8}')]
+        return ["run", files[0], "--weights", files[1]], files
+    if case == "simulate-config":
+        files = [write("sim.cfg", "preset = 1\nM = 30\nn_reps = 3\nseed = 6\ngamma_a = 1\n")]
+        return ["simulate", "--config", files[0], "--threads", "1"], files
+    if case == "simulate-preset":
+        return ["simulate", "--preset", "2", "--a", "5", "--a", "1", "--M", "30", "--K", "2",
+                "--seed", "1", "--threads", "1"], []
+    if case == "analyze-counts":
+        files = [write("x.txt", "0.86\n1.34\n1.81\n2.37\n3.00\n"),
+                 write("counts.csv", "0,1,1,0,5\n3,1,2,4,1\n"), write("priors.txt", "0.7\n0.3\n")]
+        return ["analyze", files[1], "--x-file", files[0], "--p-prior-file", files[2]], files
+    return ["analyze", "--synthetic", "30", "--seed", "1", "--x", "1,2,3,4,5"], []
+
+
+CONTRACT_CASES = ["weights", "run", "simulate-config", "simulate-preset", "analyze-counts",
+                  "analyze-synthetic"]
+
+
 class TestManifest:
-    def test_inputs_list_every_file_read(self, tmp_path, prior_file):
-        table = tmp_path / "table.csv"
-        table.write_text("t,power\n0,0\n0.2,0.6\n1,1\n")
-        out = tmp_path / "w"
-        assert main(["weights", str(prior_file), "--t", "0.1", "--power-table", str(table),
-                     "--out", str(out)]) == EXIT_OK
-        assert json.loads((out / "manifest.json").read_text())["inputs"] == [
-            str(prior_file), str(table)]
-        counts = tmp_path / "counts.csv"
-        counts.write_text("0,1,1,0,5\n3,1,2,4,1\n")
-        x = tmp_path / "x.txt"
-        x.write_text("0.86\n1.34\n1.81\n2.37\n3.00\n")
-        prior = tmp_path / "priors.txt"
-        prior.write_text("0.7\n0.3\n")
-        out = tmp_path / "a"
-        assert main(["analyze", str(counts), "--x-file", str(x), "--p-prior-file", str(prior),
-                     "--out", str(out)]) == EXIT_OK
-        assert json.loads((out / "manifest.json").read_text())["inputs"] == [
-            str(x), str(counts), str(prior)]
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_outputs_list_every_file_written_in_order(self, tmp_path, monkeypatch, case):
+        written = []
+
+        def recording(write):
+            def call(path, *args, **kwargs):
+                written.append(path)
+                write(path, *args, **kwargs)
+            return call
+
+        for name in ("_write_json", "_write_tsv"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        argv, _ = contract_argv(tmp_path, case)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert written == outputs + [str(out / "manifest.json")]
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in written)
+
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_inputs_list_every_file_given_in_order(self, tmp_path, case):
+        argv, inputs = contract_argv(tmp_path, case)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["inputs"] == inputs
+
+    @pytest.mark.parametrize("argv, code", [
+        (["weights", "{}", "--alpha", "0.05"], EXIT_NO_SOLUTION),
+        (["run", "{}", "--variant", "UA", "--lambda", "0.9", "--u", "0.5"], EXIT_INPUT),
+        (["simulate", "--preset", "1", "--a", "1", "--M", "10", "--K", "1", "--seed", "1",
+          "--threads", "0"], EXIT_INPUT),
+        (["analyze", "--synthetic", "30", "--seed", "1", "--x", "1,2,3,4,5", "--p-prior", "0.95",
+          "--target-power", "0.9"], EXIT_NO_SOLUTION),
+    ], ids=["weights", "run", "simulate", "analyze"])
+    def test_failure_in_the_last_computation_leaves_no_out(self, tmp_path, capsys, argv, code):
+        # each fails in the solve, procedure, study or calibration itself
+        data = tmp_path / "data.csv"
+        data.write_text("p,gamma\n0.96,2\n" if argv[0] == "weights" else "p\n0.01\n0.2\n")
+        out = tmp_path / "out"
+        assert main([a.format(data) for a in argv] + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_reproducibility_fields(self, tmp_path, prior_file):
         out = tmp_path / "out"
@@ -1171,6 +1234,16 @@ class TestManifest:
         assert any(p.endswith("weights.json") for p in manifest["outputs"])
         assert manifest["version"]
         assert manifest["timestamp"]
+
+
+def test_only_finish_writes_files():
+    # every output goes through _finish, so none can bypass the manifest
+    writers = {"os.makedirs", "_write_json", "_write_tsv"}
+    callers = {(getattr(func, "name", None), ast.unparse(node.func))
+               for func in ast.parse(inspect.getsource(cli)).body
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) in writers}
+    assert callers == {("_finish", name) for name in writers}
 
 
 def test_startup_skips_scipy_optimize(tmp_path):

@@ -231,6 +231,20 @@ class TestAsymptoticallyOptimal:
         assert not recwarn.list
         assert fdp_approximator(prior, profile.k_star) == pytest.approx(0.05, abs=5e-4)
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-308, 5e-324])
+    def test_tiny_alpha_names_the_underflow(self, alpha):
+        # 2/alpha overflows below alpha = 1.1e-308; the bracket's top was then
+        # inf, and the error blamed the effect sizes
+        with pytest.raises(NoSolutionError, match="^every threshold underflowed"):
+            asymptotically_optimal_weights(PriorSpec([0.5, 0.5], [2.0, 3.0]), alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-308, np.float64(1e-310)], ids=["float", "float64"])
+    def test_tiny_alpha_solves_strong_effects(self, alpha):
+        prior = PriorSpec([0.5, 0.5], [40.0, 45.0])
+        profile = asymptotically_optimal_weights(prior, alpha)
+        assert profile.t_bar == pytest.approx(0.99 * alpha, rel=0.01)
+        assert fdp_approximator(prior, profile.k_star) == pytest.approx(alpha, rel=1e-12)
+
     def test_residual_on_random_priors(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
