@@ -2,8 +2,9 @@
 
 Each check raises ``ValueError`` with a message that starts with the name it
 is given.  NaN fails every check, and so does anything that is not a number:
-a string, ``None`` or a bool.  A scalar argument given an array fails with
-the same message as an out-of-range value.
+a string, ``None`` or a bool, also inside a list or tuple.  A scalar
+argument given an array fails with the same message as an out-of-range
+value.
 """
 
 from numbers import Integral
@@ -24,11 +25,24 @@ def check_int(name, x, low=None):
         raise ValueError(f"{name} must be at least {low}, got {x}")
 
 
+def _holds_bool(x):
+    """Whether the list or tuple ``x`` holds a bool at any depth: numpy turns
+    ``[True, 1.0]`` into a float array.  Reads the set of element types, so
+    a long flat list costs one pass in C."""
+    types = set(map(type, x))
+    if types & {bool, np.bool_}:
+        return True
+    nested = any(issubclass(t, (list, tuple)) for t in types)
+    return nested and any(_holds_bool(v) for v in x if isinstance(v, (list, tuple)))
+
+
 def as_numbers(x, scalar):
     """``x`` as an array, or None when it holds anything but integers and
     floats, or when a scalar argument is given an array."""
     a = np.asarray(x)
-    return a if a.dtype.kind in "iuf" and not (scalar and a.ndim) else None
+    if a.dtype.kind not in "iuf" or (scalar and a.ndim):
+        return None
+    return None if isinstance(x, (list, tuple)) and _holds_bool(x) else a
 
 
 def check_unit(name, x, closed=False, scalar=True):

@@ -245,6 +245,8 @@ def _analysis_outputs(result):
             "excluded_features": result.excluded_indices.tolist(),
             "k_info": result.calibration.k_info,
             "achieved_avg_power": result.calibration.achieved_power,
+            "calibration_bracket": list(result.calibration.bracket),
+            "calibration_trials": [list(t) for t in result.calibration.trials],
             "lambda": result.calibration.profile.t_bar,
             "u": result.calibration.profile.u,
             "rejected_wa": result.wa.n_rejected,

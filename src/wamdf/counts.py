@@ -9,7 +9,7 @@ its null distribution.  Effect sizes for the weighting step scale as
 calibrated so the posited average power across features hits a target.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,11 +19,7 @@ from ._checks import check_int, check_unit
 from .power import default_model
 from .procedures import run_procedure
 from .tables import read_table
-from .weights import (
-    NoSolutionError,
-    PriorSpec,
-    asymptotically_optimal_weights,
-)
+from .weights import NoSolutionError, PriorSpec, _collapse, _pre_data_weights
 
 __all__ = [
     "CountDataset",
@@ -41,7 +37,16 @@ _POWER_TOL = 1e-6
 
 
 class CalibrationError(RuntimeError):
-    """The average-power target cannot be bracketed in the information constant."""
+    """The average-power target cannot be bracketed in the information constant.
+
+    ``trials`` holds the ``(constant, average power)`` of each inner solve
+    made before the error, in solve order, as ``CalibrationResult.trials``
+    does.
+    """
+
+    def __init__(self, message, trials=()):
+        super().__init__(message)
+        self.trials = tuple(trials)
 
 
 def _check_counts(counts):
@@ -123,12 +128,19 @@ def score_statistic(counts, x):
 
 @dataclass
 class CalibrationResult:
-    """Solved information constant with the effect sizes and weights it implies."""
+    """Solved information constant with the effect sizes and weights it implies.
+
+    ``trials`` records each constant the calibration solved at, in solve
+    order, as ``(constant, average power)``; ``bracket`` is the ``(lo, hi)``
+    brentq started from.
+    """
 
     k_info: float
     gamma: np.ndarray
     achieved_power: float
     profile: object  # WeightProfile at the solved constant
+    trials: tuple
+    bracket: tuple
 
 
 def _broadcast_prior(p_prior, size):
@@ -140,11 +152,19 @@ def _broadcast_prior(p_prior, size):
     return p
 
 
-def _average_power(k_info, totals, p_prior, alpha, model):
-    gamma = np.sqrt(totals) * k_info
-    prior = PriorSpec(_broadcast_prior(p_prior, totals.size), gamma)
-    profile = asymptotically_optimal_weights(prior, alpha, model)
-    return float(np.mean(model._power(gamma, profile.thresholds))), profile
+def _average_power(k_info, pairs, alpha, model):
+    """Average power and weight profile at constant ``k_info``, from the
+    collapsed pairs of ``(p, sqrt(totals))``.
+
+    Scaling keeps ties and first-occurrence order, so the pairs with gamma
+    times ``k_info`` are the collapse of the scaled prior.  Power is taken
+    once per pair and expanded before the mean, so it keeps the bits of a
+    per-feature computation.
+    """
+    pairs = replace(pairs, gamma=pairs.gamma * k_info)
+    profile = _pre_data_weights(pairs, alpha, model)
+    w = profile.weights if pairs.first is None else profile.weights[pairs.first]
+    return float(np.mean(pairs.expand(model._power(pairs.gamma, profile.t_bar * w)))), profile
 
 
 def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5):
@@ -156,7 +176,9 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
     the smallest tried K that reaches the target.  brentq then runs on
     average power (at the solved per-feature thresholds) minus the
     target, wrapping the inner weight solve; every constant is solved
-    once, so the bracket's ends cost nothing more.
+    once, so the bracket's ends cost nothing more.  The inputs are checked
+    and the ``(p, sqrt(totals))`` pairs collapsed once; each constant's
+    solve runs on those pairs.
     Average power need not be continuous or increasing in the constant:
     the smallest crossing ``k*`` of the inner solve can jump, and power
     jumps with it.  The achieved power is certified to within 1e-6 of
@@ -169,13 +191,18 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
     if not np.all((totals >= 1) & (totals < np.inf)):
         raise ValueError("every feature total must be finite and at least 1")
     check_unit("target average power", target_avg_power)
+    root_n = np.sqrt(totals)
+    pairs = _collapse(PriorSpec(_broadcast_prior(p_prior, totals.size), root_n))
+    check_unit("alpha", alpha)
     model = default_model()
 
     solved = {}  # constant -> (average power, profile), each solved once
+    trials = []  # (constant, average power) per solve, in solve order
 
     def power_at(k):
         if k not in solved:
-            solved[k] = _average_power(k, totals, p_prior, alpha, model)
+            solved[k] = _average_power(k, pairs, alpha, model)
+            trials.append((k, solved[k][0]))
         return solved[k][0]
 
     hi = 1.0
@@ -184,7 +211,7 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
             break
         hi *= 2.0
     else:
-        raise CalibrationError(f"target {target_avg_power} not reached by K = {hi}")
+        raise CalibrationError(f"target {target_avg_power} not reached by K = {hi}", trials)
     # halve down to the first constant that falls short; each one that
     # still reaches the target becomes the upper end
     lo = hi
@@ -196,10 +223,11 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
         except NoSolutionError as exc:
             raise CalibrationError(
                 f"target {target_avg_power} is below the attainable floor "
-                f"(weight solve failed at K = {lo:g}: {exc})"
+                f"(weight solve failed at K = {lo:g}: {exc})", trials
             ) from exc
     else:
-        raise CalibrationError(f"could not bracket the target: power reaches it down to K = {lo}")
+        raise CalibrationError(f"could not bracket the target: power reaches it down to K = {lo}",
+                               trials)
 
     k_info = brentq(lambda k: power_at(k) - target_avg_power, lo, hi,
                     xtol=1e-12, rtol=8.9e-16, maxiter=200)
@@ -213,13 +241,15 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
         raise CalibrationError(
             f"achieved power {achieved:.8f} misses target {target_avg_power} beyond {_POWER_TOL}: "
             f"average power jumps from {solved[left][0]:.8g} at K = {left:.12g} "
-            f"to {solved[right][0]:.8g} at K = {right:.12g}"
+            f"to {solved[right][0]:.8g} at K = {right:.12g}", trials
         )
     return CalibrationResult(
         k_info=float(k_info),
-        gamma=np.sqrt(totals) * float(k_info),
+        gamma=root_n * float(k_info),
         achieved_power=achieved,
         profile=solved[k_info][1],
+        trials=tuple(trials),
+        bracket=(lo, hi),
     )
 
 

@@ -177,20 +177,15 @@ class WeightProfile:
         )
 
 
-def _thresholds(prior, log_k, model):
-    """Per-hypothesis thresholds at multiplier ``exp(log_k)``.  Queries the
-    model's unchecked kernel: ``PriorSpec`` validated gamma, and log k is
-    never NaN."""
-    return model._threshold(prior.gamma, log_k - np.log(prior.p))
-
-
 @dataclass
 class _Pairs:
     """A prior's distinct (p, gamma) pairs in first-occurrence order, with
     1 - p, log p, their multiplicities, the battery size and max(p).
     ``tied`` says whether any multiplicity exceeds 1; ``log_q_max`` and
     ``log_q_min`` are log(max(1 - p)) and log(1 - max(p)), which every
-    round of a crossing search reads."""
+    round of a crossing search reads.  ``index`` maps each hypothesis to
+    its pair and ``first`` each pair to its first hypothesis; both are None
+    when every p differs, as the pairs are then the hypotheses."""
 
     p: np.ndarray
     q: np.ndarray
@@ -202,6 +197,13 @@ class _Pairs:
     tied: bool
     log_q_max: float
     log_q_min: float
+    index: np.ndarray
+    first: np.ndarray
+
+    def expand(self, x):
+        """Per-pair values ``x`` as per-hypothesis values, bitwise those a
+        per-hypothesis computation gives, as each element is its pair's."""
+        return x if self.index is None else x[self.index]
 
 
 def _collapse(prior):
@@ -214,6 +216,7 @@ def _collapse(prior):
     p, gamma = prior.p, prior.gamma
     s = np.sort(p)
     count = np.ones(p.size)
+    index = keep = None
     if (s[1:] == s[:-1]).any():
         order = np.argsort(gamma)
         order = order[np.argsort(p[order], kind="stable")]
@@ -226,9 +229,14 @@ def _collapse(prior):
         keep = first[by_first]
         count = np.diff(start, append=p.size)[by_first].astype(float)
         p, gamma = p[keep], gamma[keep]
+        # sorted position -> group -> the group's rank in first-occurrence order
+        rank = np.empty(keep.size, dtype=np.intp)
+        rank[by_first] = np.arange(keep.size)
+        index = np.empty(prior.M, dtype=np.intp)
+        index[order] = rank[np.cumsum(new) - 1]
     q = 1.0 - p
     return _Pairs(p, q, np.log(p), gamma, count, prior.M, prior.p_max, count.size < prior.M,
-                  np.log(q.max()), np.log(1.0 - prior.p_max))
+                  np.log(q.max()), np.log(1.0 - prior.p_max), index, keep)
 
 
 def _fdp_values(pairs, log_ks, model):
@@ -355,17 +363,22 @@ def _k_bracket(prior, model, t_lo=_T_EPS, t_hi=1.0 - _T_EPS, log_k_hi=_LOG_K_HI)
     return lo, hi
 
 
-def _profile(prior, log_k, model, warning=()):
+def _profile(pairs, log_k, model, warning=()):
     """Weight profile at multiplier exp(log_k): ``w_m = t_m / t_bar``, ``u = 1/max(w)``.
 
+    Thresholds (from the model's unchecked kernel: ``PriorSpec`` validated
+    gamma, and log k is never NaN) and weights are computed once per pair
+    and expanded to the hypotheses; ``t_bar`` is the plain mean of the
+    expanded thresholds, so every value keeps the bits of a per-hypothesis
+    computation.
     The profile's warning is ``warning`` (the caller's messages), plus one
     message when a weight below the smallest normal float (a threshold that
     underflowed) is raised to it, so every weight stays positive.  When
     every threshold underflowed there is no weight to form, and
     NoSolutionError is raised.
     """
-    thresholds = _thresholds(prior, log_k, model)
-    t_bar = float(np.mean(thresholds))
+    thresholds = model._threshold(pairs.gamma, log_k - pairs.log_p)
+    t_bar = float(np.mean(pairs.expand(thresholds)))
     if not t_bar > 0:
         raise NoSolutionError(f"every threshold underflowed to 0 at log k* = {log_k:g}, "
                               "so no weights can be formed")
@@ -375,7 +388,7 @@ def _profile(prior, log_k, model, warning=()):
         w = np.maximum(w, tiny)
         warning += (f"weights below the smallest normal float {tiny:g} (thresholds "
                     "that underflowed) were raised to it",)
-    return WeightProfile(weights=w, k_star=float(np.exp(log_k)), t_bar=t_bar,
+    return WeightProfile(weights=pairs.expand(w), k_star=float(np.exp(log_k)), t_bar=t_bar,
                          u=1.0 / float(w.max()), warning=warning, log_k_star=float(log_k))
 
 
@@ -401,16 +414,17 @@ def optimal_fixed_t_weights(prior, t, model=None):
     """
     check_unit("target mean threshold t", t)
     model = model or default_model()
+    pairs = _collapse(prior)
 
     def resid(log_k):
-        return float(np.mean(_thresholds(prior, log_k, model))) - t
+        return float(np.mean(pairs.expand(model._threshold(pairs.gamma, log_k - pairs.log_p)))) - t
 
-    lo, hi = _k_bracket(prior, model, min(t, _T_EPS), max(t, 1.0 - _T_EPS))
+    lo, hi = _k_bracket(pairs, model, min(t, _T_EPS), max(t, 1.0 - _T_EPS))
     if resid(lo) < 0 or resid(hi) > 0:
         raise NoSolutionError(f"no multiplier attains mean threshold t={float(t)!r} "
                               f"(searched log k in [{lo:g}, {hi:g}])")
     log_k = brentq(resid, lo, hi, **_BRENTQ)
-    return _profile(prior, log_k, model)
+    return _profile(pairs, log_k, model)
 
 
 def _fdp_cannot_rise(pairs, pts):
@@ -546,10 +560,13 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     any weight raised to the smallest normal float.
     """
     check_unit("alpha", alpha)
-    model = model or default_model()
-    out_of_regime = bool(alpha > 1.0 - prior.p_max)
+    return _pre_data_weights(_collapse(prior), alpha, model or default_model())
 
-    pairs = _collapse(prior)
+
+def _pre_data_weights(pairs, alpha, model):
+    """``asymptotically_optimal_weights`` on a prior's collapsed pairs; the
+    caller has checked alpha."""
+    out_of_regime = bool(alpha > 1.0 - pairs.p_max)
     # FDP(k) <= 1/k for a concave power curve, so it is below alpha at 2/alpha;
     # where 2/alpha overflows (a Python float division does so silently), its
     # log is log 2 - log alpha
@@ -560,7 +577,7 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
     log_k = _smallest_downward_crossing(pairs, alpha, lo, hi, model)
     if log_k is None:
         detail = (
-            f"alpha={alpha:g} > 1 - max(p) = {1.0 - prior.p_max:g}; "
+            f"alpha={alpha:g} > 1 - max(p) = {1.0 - pairs.p_max:g}; "
             "the posited prior model claims more signal than the level tolerates"
             if out_of_regime
             else f"searched log k in [{lo:g}, {hi:g}]"
@@ -569,7 +586,7 @@ def asymptotically_optimal_weights(prior, alpha, model=None):
                               out_of_regime)
     warning = ()
     if out_of_regime:
-        warning = (f"alpha={alpha:g} exceeds 1 - max(p) = {1.0 - prior.p_max:g}; "
+        warning = (f"alpha={alpha:g} exceeds 1 - max(p) = {1.0 - pairs.p_max:g}; "
                    "a crossing was found but existence is not guaranteed in this regime",)
-    return _profile(prior, log_k, model, warning)
+    return _profile(pairs, log_k, model, warning)
 

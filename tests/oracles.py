@@ -6,8 +6,11 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from wamdf import weights
-from wamdf.power import NormalLocationModel, TabulatedPowerModel
+from wamdf import counts, weights
+from wamdf._brent import brentq as package_brentq
+from wamdf.counts import CalibrationError
+from wamdf.power import NormalLocationModel, TabulatedPowerModel, default_model
+from wamdf.weights import NoSolutionError, PriorSpec, WeightProfile
 
 
 def bisect_decreasing(f, target, lo=1e-15, hi=1 - 1e-15, tol=1e-12, max_iter=200):
@@ -339,6 +342,98 @@ def block_fdp_values(pairs, log_ks, model):
     # k -> 0: survival masses underflow; use the limiting lower bound
     vals[tc_bar == 0.0] = 1.0 - pairs.p_max
     return vals, means
+
+
+# The weight profile and the information-constant calibration, frozen from the
+# solver before they worked on collapsed pairs: one threshold per hypothesis,
+# and one public pre-data solve, with its own checks and collapse, per constant.
+def per_hypothesis_thresholds(prior, log_k, model):
+    """Per-hypothesis thresholds at multiplier ``exp(log_k)``."""
+    return model._threshold(prior.gamma, log_k - np.log(prior.p))
+
+
+def per_hypothesis_profile(prior, log_k, model, warning=()):
+    """Weight profile at multiplier exp(log_k): ``w_m = t_m / t_bar``, ``u = 1/max(w)``."""
+    thresholds = per_hypothesis_thresholds(prior, log_k, model)
+    t_bar = float(np.mean(thresholds))
+    if not t_bar > 0:
+        raise NoSolutionError(f"every threshold underflowed to 0 at log k* = {log_k:g}, "
+                              "so no weights can be formed")
+    w = thresholds / t_bar
+    tiny = np.finfo(float).tiny
+    if w.min() < tiny:
+        w = np.maximum(w, tiny)
+        warning += (f"weights below the smallest normal float {tiny:g} (thresholds "
+                    "that underflowed) were raised to it",)
+    return WeightProfile(weights=w, k_star=float(np.exp(log_k)), t_bar=t_bar,
+                         u=1.0 / float(w.max()), warning=warning, log_k_star=float(log_k))
+
+
+def per_hypothesis_fixed_t_log_k(prior, t, model):
+    """log k* of the fixed-t solve with its residual on per-hypothesis thresholds."""
+    def resid(log_k):
+        return float(np.mean(per_hypothesis_thresholds(prior, log_k, model))) - t
+
+    lo, hi = weights._k_bracket(prior, model, min(t, 1e-15), max(t, 1.0 - 1e-15))
+    return package_brentq(resid, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=1100)
+
+
+def per_constant_average_power(k_info, totals, p_prior, alpha, model):
+    gamma = np.sqrt(totals) * k_info
+    prior = PriorSpec(counts._broadcast_prior(p_prior, totals.size), gamma)
+    profile = weights.asymptotically_optimal_weights(prior, alpha, model)
+    return float(np.mean(model._power(gamma, profile.thresholds))), profile
+
+
+def per_constant_calibration(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5):
+    """``(k_info, achieved power, profile)`` of the calibration, or its
+    CalibrationError raised."""
+    totals = np.asarray(totals, dtype=float)
+    if not np.all((totals >= 1) & (totals < np.inf)):
+        raise ValueError("every feature total must be finite and at least 1")
+    model = default_model()
+
+    solved = {}  # constant -> (average power, profile), each solved once
+
+    def power_at(k):
+        if k not in solved:
+            solved[k] = per_constant_average_power(k, totals, p_prior, alpha, model)
+        return solved[k][0]
+
+    hi = 1.0
+    for _ in range(40):
+        if power_at(hi) >= target_avg_power:
+            break
+        hi *= 2.0
+    else:
+        raise CalibrationError(f"target {target_avg_power} not reached by K = {hi}")
+    lo = hi
+    for _ in range(60):
+        hi, lo = lo, lo / 2.0
+        try:
+            if power_at(lo) < target_avg_power:
+                break
+        except NoSolutionError as exc:
+            raise CalibrationError(
+                f"target {target_avg_power} is below the attainable floor "
+                f"(weight solve failed at K = {lo:g}: {exc})"
+            ) from exc
+    else:
+        raise CalibrationError(f"could not bracket the target: power reaches it down to K = {lo}")
+
+    k_info = package_brentq(lambda k: power_at(k) - target_avg_power, lo, hi,
+                            xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    achieved = power_at(k_info)
+    if abs(achieved - target_avg_power) > 1e-6:
+        sides = [min((k for k, (v, _) in solved.items() if (v < target_avg_power) == short),
+                     key=lambda k: abs(k - k_info)) for short in (True, False)]
+        left, right = sorted(sides)
+        raise CalibrationError(
+            f"achieved power {achieved:.8f} misses target {target_avg_power} beyond 1e-06: "
+            f"average power jumps from {solved[left][0]:.8g} at K = {left:.12g} "
+            f"to {solved[right][0]:.8g} at K = {right:.12g}"
+        )
+    return float(k_info), achieved, solved[k_info][1]
 
 
 # The population law of a simulation preset.  As M grows, the plug-in FDP

@@ -79,7 +79,8 @@ TABLE = {
     # from_dict reads a file: a string, a bool or None is no number, though float() takes some
     "WeightProfile.from_dict": (_from_dict,
                                 dict(weights=[1.0, 1.0], k_star=1.0, t_bar=0.1, u=1.0), [
-        _row("weights", out=0.0, shape="vector", extra=[[v, v] for v in NON_NUMBERS]),
+        _row("weights", out=0.0, shape="vector",
+             extra=[[v, v] for v in NON_NUMBERS] + [[True, 1.0], [1.0, np.True_]]),
         _row("k_star", out=-5.0, infs=(-INF,),   # 0.0 and inf stand for out-of-range k*
              extra=NON_NUMBERS),
         _row("t_bar", out=1.0, extra=NON_NUMBERS),
@@ -256,3 +257,16 @@ def test_vector_checks_take_arrays():
     _checks.check_positive("w", np.array([[1, 2], [3, 4]]), scalar=False)
     with pytest.raises(ValueError, match=r"^p must lie in \(0, 1\)$"):
         _checks.check_unit("p", [0.2, 1.0], scalar=False)
+
+
+# numpy turns a list that mixes bools with numbers into a float array
+@pytest.mark.parametrize("value", [[True, 1.0], [0.5, False], (0.5, np.True_), [[0.5], [True]]],
+                         ids=["bool-first", "bool-last", "numpy-bool", "nested"])
+def test_vector_checks_refuse_a_bool_in_a_list(value):
+    checks = [lambda x: _checks.check_unit("x", x, scalar=False),
+              lambda x: _checks.check_unit("x", x, closed=True, scalar=False),
+              lambda x: _checks.check_positive("x", x, scalar=False)]
+    for check in checks:
+        with pytest.raises(ValueError, match="^x must "):
+            check(value)
+    assert _checks.as_numbers(value, scalar=False) is None

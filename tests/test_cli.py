@@ -914,9 +914,11 @@ class TestExitMap:
         ('{"weights": [1, 1], "k_star": 1, "t_bar": "abc", "u": 1}', "numbers (t_bar: 'abc')"),
         ('{"weights": ["1", "1"], "k_star": 1, "t_bar": 0.1, "u": 1}', "numbers (weights: "),
         ('{"weights": [1, 1], "k_star": true, "t_bar": 0.1, "u": 1}', "numbers (k_star: True)"),
+        ('{"weights": [true, 1.0], "k_star": 1, "t_bar": 0.1, "u": 1}',
+         "numbers (weights: [True, 1.0])"),
     ], ids=["no-k_star", "not-an-object", "negative", "nan", "null", "object-weights",
             "empty-weights", "scalar-weights", "three-weights-two-p-values", "string-t_bar",
-            "word-t_bar", "string-weights", "bool-k_star"])
+            "word-t_bar", "string-weights", "bool-k_star", "bool-among-weights"])
     def test_bad_weights_json_exit_1(self, tmp_path, capsys, profile, named):
         pvals = tmp_path / "pvals.csv"
         pvals.write_text("p\n0.01\n0.2\n")

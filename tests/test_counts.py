@@ -187,50 +187,78 @@ class TestCalibration:
         assert 0.0975 < k_left < k_right < 0.0976
 
     @pytest.mark.parametrize("p_prior", [0.5, 0.95])
-    def test_each_constant_solved_once(self, monkeypatch, p_prior):
+    def test_each_constant_solved_once(self, p_prior):
         # the bracketing loops, brentq's ends and its root share one table;
-        # with prior 0.95 this input ends at a jump, whose message reads it too
-        import wamdf.counts as counts
-
-        solve = counts._average_power
-        seen = []
-
-        def recording_power(k_info, *args):
-            seen.append(k_info)
-            return solve(k_info, *args)
-
-        monkeypatch.setattr(counts, "_average_power", recording_power)
+        # with prior 0.95 this input ends at a jump, whose message reads it
+        # too, and the error carries the record
         ds, _ = generate_synthetic_counts(30, np.arange(1.0, 6.0), substream(1, 0))
         try:
-            calibrate_information(ds.totals, p_prior=p_prior, target_avg_power=0.9)
-        except CalibrationError:
+            trials = calibrate_information(ds.totals, p_prior=p_prior,
+                                           target_avg_power=0.9).trials
+        except CalibrationError as exc:
             assert p_prior == 0.95
+            trials = exc.trials
+        seen = [k for k, _ in trials]
         assert seen and len(seen) == len(set(seen))
 
     @pytest.mark.parametrize("seed, target, solves", [(2, 0.5, 10), (1, 0.999, 12)],
                              ids=["halving", "doubling"])
-    def test_never_solves_above_its_bracket(self, monkeypatch, seed, target, solves):
+    def test_never_solves_above_its_bracket(self, seed, target, solves):
         # a constant whose power reaches the target caps every later trial,
         # so brentq starts on [K/2, K] for the smallest such K
-        import wamdf.counts as counts
-
-        solve = counts._average_power
-        trials = []
-
-        def recording_power(k_info, *args):
-            power, profile = solve(k_info, *args)
-            trials.append((k_info, power))
-            return power, profile
-
-        monkeypatch.setattr(counts, "_average_power", recording_power)
         ds, _ = generate_synthetic_counts(60, X, substream(seed, 0))
-        calibrate_information(ds.totals, target_avg_power=target)
+        result = calibrate_information(ds.totals, target_avg_power=target)
         cap = np.inf
-        for k, power in trials:
+        for k, power in result.trials:
             assert k <= cap
             if power >= target:
                 cap = min(cap, k)
-        assert len(trials) == solves
+        assert len(result.trials) == solves
+        # brentq starts where power goes from short of the target to reaching it
+        lo, hi = result.bracket
+        powers = dict(result.trials)
+        assert lo == hi / 2 and powers[lo] < target <= powers[hi] and lo <= result.k_info <= hi
+
+    def test_record_holds_each_solve(self, monkeypatch):
+        # the record is the inner solves themselves, in the order they ran
+        import wamdf.counts as counts
+
+        solve = counts._average_power
+        calls = []
+
+        def recording_power(k_info, *args):
+            power, profile = solve(k_info, *args)
+            calls.append((k_info, power))
+            return power, profile
+
+        monkeypatch.setattr(counts, "_average_power", recording_power)
+        ds, _ = generate_synthetic_counts(60, X, substream(2, 0))
+        result = calibrate_information(ds.totals)
+        assert list(result.trials) == calls
+        assert (result.k_info, result.achieved_power) in result.trials
+
+    def test_collapses_once_per_calibration(self, monkeypatch):
+        # the inner solves share one collapse of (p, sqrt(totals)) and no
+        # public solver is called, so no constant pays the checks again
+        import wamdf.counts as counts
+        import wamdf.weights as weights
+
+        collapse = weights._collapse
+        calls = []
+
+        def counting_collapse(prior):
+            calls.append(prior.M)
+            return collapse(prior)
+
+        def no_public_solve(*args, **kwargs):
+            raise AssertionError("the calibration called the public solver")
+
+        monkeypatch.setattr(counts, "_collapse", counting_collapse)
+        monkeypatch.setattr(weights, "_collapse", counting_collapse)
+        monkeypatch.setattr(weights, "asymptotically_optimal_weights", no_public_solve)
+        ds, _ = generate_synthetic_counts(200, X, substream(2, 0))
+        result = calibrate_information(ds.totals)
+        assert len(result.trials) > 5 and calls == [200]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
     def test_totals_not_finite_named(self, bad):

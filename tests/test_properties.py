@@ -31,7 +31,7 @@ from wamdf.weights import (
     optimal_fixed_t_weights,
 )
 
-from oracles import adaptive_fdp_estimate
+from oracles import adaptive_fdp_estimate, per_hypothesis_thresholds
 
 
 @st.composite
@@ -123,7 +123,7 @@ def test_one_bracket_holds_the_solution(case):
     eps = 1e-15
 
     def mean_threshold_at(log_k):
-        return float(np.mean(weights._thresholds(prior, log_k, model)))
+        return float(np.mean(per_hypothesis_thresholds(prior, log_k, model)))
 
     # fixed t: the bracket straddles t, or the solve says it cannot reach t
     lo, hi = weights._k_bracket(prior, model, min(t, eps), max(t, 1 - eps))

@@ -42,6 +42,7 @@ from oracles import (
     first_k_bracket,
     linear_fixed_t_k_star,
     linear_pre_data_k_star,
+    per_hypothesis_thresholds,
     unique_collapse,
 )
 
@@ -748,7 +749,7 @@ def sweep_pre_data(prior, model, alpha):
 
 
 def mean_threshold_at(prior, log_k, model):
-    return float(np.mean(weights._thresholds(prior, log_k, model)))
+    return float(np.mean(per_hypothesis_thresholds(prior, log_k, model)))
 
 
 def sweep_fixed_t(prior, model, t):

@@ -8,11 +8,12 @@ from wamdf.weights import (
     NoSolutionError,
     PriorSpec,
     WeightProfile,
-    _thresholds,
     asymptotically_optimal_weights,
     fdp_approximator,
     optimal_fixed_t_weights,
 )
+
+from oracles import per_hypothesis_thresholds
 
 MODEL = NormalLocationModel()
 
@@ -57,18 +58,18 @@ class TestPriorSpec:
 class TestSolveThresholds:
     def test_homogeneous_equal(self):
         prior = PriorSpec(np.full(6, 0.4), np.full(6, 2.5))
-        t = _thresholds(prior, np.log(1.3), MODEL)
+        t = per_hypothesis_thresholds(prior, np.log(1.3), MODEL)
         assert np.ptp(t) == 0.0
 
     def test_worked_example_thresholds(self):
         # at k = 2.52 the two effect-size groups land on 0.0352 / 0.0207
-        t = _thresholds(worked_prior(), np.log(2.52), MODEL)
+        t = per_hypothesis_thresholds(worked_prior(), np.log(2.52), MODEL)
         np.testing.assert_allclose(t[:5], 0.035248575147992487, rtol=1e-12)
         np.testing.assert_allclose(t[5:], 0.020718259971459153, rtol=1e-10)
         assert np.mean(t) == pytest.approx(0.028, abs=5e-5)
 
     def test_large_k_vanishes(self):
-        t = _thresholds(worked_prior(), np.log(1e8), MODEL)
+        t = per_hypothesis_thresholds(worked_prior(), np.log(1e8), MODEL)
         assert np.all(t < 1e-6)
 
     @pytest.mark.parametrize("solve", [fdp_approximator])
@@ -150,7 +151,8 @@ class TestOptimalFixedT:
     def test_monotone_mean_threshold(self):
         prior = worked_prior()
         ks = np.logspace(-3, 3, 25)
-        tbars = np.array([np.mean(_thresholds(prior, np.log(k), MODEL)) for k in ks])
+        tbars = np.array([np.mean(per_hypothesis_thresholds(prior, np.log(k), MODEL))
+                          for k in ks])
         assert np.all(np.diff(tbars) < 0)
 
     def test_weight_increases_in_prior(self):
@@ -270,7 +272,7 @@ class TestWeightUnderflow:
         assert profile.weights[2] == tiny
         assert np.all(profile.weights >= tiny)
         # the other weights are those of the unclamped profile
-        thresholds = _thresholds(self.PRIOR, np.log(profile.k_star), MODEL)
+        thresholds = per_hypothesis_thresholds(self.PRIOR, np.log(profile.k_star), MODEL)
         untouched = [0, 1, 3]
         np.testing.assert_array_equal(profile.weights[untouched],
                                       (thresholds / np.mean(thresholds))[untouched])
@@ -418,6 +420,6 @@ class TestLogKStar:
         profile = solve(self.STRONG, 0.05)
         loaded = WeightProfile.from_dict(json.loads(json.dumps(profile.to_dict())))
         assert loaded.k_star == 0.0 and loaded.log_k_star < -700
-        thresholds = _thresholds(self.STRONG, loaded.log_k_star, MODEL)
+        thresholds = per_hypothesis_thresholds(self.STRONG, loaded.log_k_star, MODEL)
         assert float(np.mean(thresholds)) == loaded.t_bar
         np.testing.assert_array_equal(thresholds / loaded.t_bar, loaded.weights)
