@@ -13,10 +13,11 @@ import argparse
 import contextlib
 import ctypes
 import datetime
+import functools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -49,6 +50,9 @@ EXIT_WARNING = 3
 # 60 KB, well under glibc's 128 KiB starting mmap threshold.  Larger blocks write
 # no faster and hold more memory.
 _TSV_BLOCK = 1024
+# _write_tsv's cell format by dtype kind, objects being the cells a _PerPair
+# column formatted; every other kind is written as a float
+_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "U": "%s", "O": "%s"}
 # The argparse dests that name input files, in the order the manifest lists them
 _INPUTS = ("prior", "power_table", "pvalues", "weights", "config", "x_file", "counts",
            "p_prior_file")
@@ -60,9 +64,10 @@ def _finish(args, outputs, summary, seed=None, warning=()):
     its exit code: 3 with a warning, else 0.
 
     ``outputs`` maps each file name to its content, in write order: a dict
-    is written as JSON, a ``(header, columns)`` pair as a table, comma
-    separated for a ``.csv`` name and tab separated otherwise.  Commands
-    call this last, so a failed command leaves no ``--out``.
+    is written as JSON, a ``(header, columns)`` pair as a table (see
+    ``_write_tsv``), comma separated for a ``.csv`` name and tab separated
+    otherwise.  Commands call this last, so a failed command leaves no
+    ``--out``.
     """
     manifest = {
         "subcommand": args.subcommand,
@@ -94,16 +99,31 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+@dataclass
+class _PerPair:
+    """A table column given as its distinct ``values`` and, for each row,
+    the ``index`` of the row's value.  ``cells`` formats each value once, as
+    ``_write_tsv`` formats its dtype, however many rows or tables use it."""
+
+    values: np.ndarray
+    index: np.ndarray
+
+    @functools.cached_property
+    def cells(self):
+        fmt = _FORMATS.get(self.values.dtype.kind, "%.10g")
+        return np.array([fmt % v for v in self.values.tolist()], dtype=object)
+
+
 def _write_tsv(path, header, columns, sep="\t"):
     """Write equal-length columns as a table, with cells separated by ``sep``.
 
     Float columns are written as ``.10g``, integer and boolean columns as
-    integers, and string columns as they are.  Rows are formatted in
-    blocks, so memory stays bounded.
+    integers, and string columns (a tuple of strings among them) as they
+    are.  A ``_PerPair`` column writes the formatted value of each row.
+    Rows are formatted in blocks, so memory stays bounded.
     """
-    columns = [np.asarray(c) for c in columns]
-    formats = {"b": "%d", "i": "%d", "u": "%d", "U": "%s"}
-    line = sep.join(formats.get(c.dtype.kind, "%.10g") for c in columns) + "\n"
+    columns = [c.cells[c.index] if isinstance(c, _PerPair) else np.asarray(c) for c in columns]
+    line = sep.join(_FORMATS.get(c.dtype.kind, "%.10g") for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(sep.join(header) + "\n")
         for start in range(0, columns[0].size, _TSV_BLOCK):
@@ -231,9 +251,17 @@ def _read_column(path):
 
 
 def _analysis_outputs(result):
-    """The entries of ``features.tsv``, ``weight_power.tsv`` and ``analysis.json``."""
-    def table(columns):
-        return ["feature"] + columns, [result.valid_indices] + [result.table[c] for c in columns]
+    """The entries of ``features.tsv``, ``weight_power.tsv`` and ``analysis.json``.
+
+    The columns computed per distinct pair go to the writer as such, and
+    the two tables share them, so each distinct value is formatted once."""
+    columns = dict(result.table)
+    if result.pair_index is not None:
+        columns.update({name: _PerPair(values, result.pair_index)
+                        for name, values in result.pair_table.items()})
+
+    def table(names):
+        return ["feature"] + names, [result.valid_indices] + [columns[c] for c in names]
 
     return {
         "features.tsv": table(["n", "z", "p", "gamma", "weight", "q", "rejected_wa",
@@ -316,6 +344,7 @@ def cmd_bounds(args):
 # ---------------------------------------------------------------- parser
 
 def build_parser():
+    """A new parser of the command line; ``main`` parses with ``_parser()``."""
     parser = argparse.ArgumentParser(
         prog="wamdf",
         description="Weighted adaptive multiple decision functions for FDR control.",
@@ -389,6 +418,11 @@ def build_parser():
     return parser
 
 
+# main's one parser per process, built at its first call, not at import; parsing
+# leaves no state in a parser, so one call's flags never reach the next
+_parser = functools.cache(build_parser)
+
+
 def _release_freed_memory():
     """Hand the heap's free pages back to the operating system.
 
@@ -405,7 +439,7 @@ def _release_freed_memory():
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, the no-solution code here
         raise SystemExit(EXIT_INPUT if exc.code == 2 else exc.code)
     _release_freed_memory()

@@ -132,7 +132,10 @@ class CalibrationResult:
 
     ``trials`` records each constant the calibration solved at, in solve
     order, as ``(constant, average power)``; ``bracket`` is the ``(lo, hi)``
-    brentq started from.
+    brentq started from.  ``pairs`` holds the distinct ``(p, sqrt(totals))``
+    pairs the calibration solved on: ``pairs.index`` maps each feature to
+    its pair and ``pairs.first`` each pair to its first feature, both None
+    when no two features share a pair.
     """
 
     k_info: float
@@ -141,6 +144,7 @@ class CalibrationResult:
     profile: object  # WeightProfile at the solved constant
     trials: tuple
     bracket: tuple
+    pairs: object    # weights._Pairs of (p, sqrt(totals))
 
 
 def _broadcast_prior(p_prior, size):
@@ -163,7 +167,7 @@ def _average_power(k_info, pairs, alpha, model):
     """
     pairs = replace(pairs, gamma=pairs.gamma * k_info)
     profile = _pre_data_weights(pairs, alpha, model)
-    w = profile.weights if pairs.first is None else profile.weights[pairs.first]
+    w = pairs.take(profile.weights)
     return float(np.mean(pairs.expand(model._power(pairs.gamma, profile.t_bar * w)))), profile
 
 
@@ -250,6 +254,7 @@ def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5)
         profile=solved[k_info][1],
         trials=tuple(trials),
         bracket=(lo, hi),
+        pairs=pairs,
     )
 
 
@@ -263,6 +268,8 @@ class AnalysisResult:
     valid_indices: np.ndarray  # dataset row index per analyzed feature
     excluded_indices: np.ndarray
     table: dict                # per-feature columns, aligned with valid_indices
+    pair_table: dict           # gamma, weight and the two powers once per distinct pair
+    pair_index: np.ndarray     # each feature's row of pair_table; None when untied
 
 
 def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
@@ -273,7 +280,10 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
     with the dataset rows (excluded rows are dropped from it).  Both
     procedures use the census level equal to the solved mean threshold;
     the weighted run caps the threshold at ``1/max(w)`` and the
-    unweighted at 1.
+    unweighted at 1.  The columns that depend on a feature's
+    ``(p, sqrt(n))`` pair alone (``gamma``, ``weight`` and the two powers)
+    are computed once per distinct pair, in ``pair_table``, and expanded
+    into ``table`` with the bits of a per-feature computation.
     """
     model = default_model()
     z = score_statistic(dataset.counts, dataset.x)
@@ -295,18 +305,23 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
     wa = run_procedure("WA", pvalues, weights=profile.weights, alpha=alpha, lam=lam)
     ua = run_procedure("UA", pvalues, alpha=alpha, lam=lam)
 
-    gamma = calibration.gamma
+    pairs = calibration.pairs
+    gamma = pairs.gamma * calibration.k_info
+    weight = pairs.take(profile.weights)
+    pair_table = {
+        "gamma": gamma,
+        "weight": weight,
+        "power_unweighted": model.power(gamma, np.full(gamma.size, lam)),
+        "power_weighted": model.power(gamma, lam * weight),
+    }
     table = {
         "n": totals,
         "z": z,
         "p": pvalues,
-        "gamma": gamma,
-        "weight": profile.weights,
         "q": wa.q,
-        "power_unweighted": model.power(gamma, np.full(gamma.size, lam)),
-        "power_weighted": model.power(gamma, profile.thresholds),
         "rejected_wa": wa.rejected,
         "rejected_ua": ua.rejected,
+        **{name: pairs.expand(column) for name, column in pair_table.items()},
     }
     return AnalysisResult(
         wa=wa,
@@ -315,6 +330,8 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
         valid_indices=valid,
         excluded_indices=np.flatnonzero(degenerate),
         table=table,
+        pair_table=pair_table,
+        pair_index=pairs.index,
     )
 
 

@@ -205,21 +205,34 @@ class _Pairs:
         per-hypothesis computation gives, as each element is its pair's."""
         return x if self.index is None else x[self.index]
 
+    def take(self, x):
+        """Per-hypothesis values ``x`` that are equal within each pair as
+        per-pair values: each pair's first hypothesis's."""
+        return x if self.first is None else x[self.first]
+
 
 def _collapse(prior):
     """Collapse tied (p, gamma) pairs; an untied prior keeps its own columns.
 
     When every p differs, which one float sort tells, no pair is tied.
     Otherwise sorting by gamma, then stably by p, puts equal pairs next to
-    each other (the stable sort is cheap when p takes one value), and each
-    group's smallest index is its first occurrence."""
+    each other, and each group's smallest index is its first occurrence.
+    The stable sort is skipped when p takes one value, and otherwise runs
+    on p's rank among its distinct values, stored in the smallest unsigned
+    type that holds it: numpy sorts integers of at most 16 bits stably by
+    radix, in linear time."""
     p, gamma = prior.p, prior.gamma
     s = np.sort(p)
     count = np.ones(p.size)
     index = keep = None
-    if (s[1:] == s[:-1]).any():
+    tie = s[1:] == s[:-1]
+    if tie.any():
         order = np.argsort(gamma)
-        order = order[np.argsort(p[order], kind="stable")]
+        if s[0] != s[-1]:
+            ranks = np.cumsum(~tie)
+            p_rank = np.zeros(p.size, dtype=np.min_scalar_type(ranks[-1]))
+            p_rank[np.argsort(p)[1:]] = ranks
+            order = order[np.argsort(p_rank[order], kind="stable")]
         ps, gs = p[order], gamma[order]
         new = np.ones(p.size, dtype=bool)
         new[1:] = (ps[1:] != ps[:-1]) | (gs[1:] != gs[:-1])

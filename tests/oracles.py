@@ -319,6 +319,37 @@ def unique_collapse(prior):
                            count=count[order].astype(float), M=prior.M, p_max=prior.p_max)
 
 
+def stable_sort_collapse(prior):
+    """The distinct (p, gamma) pairs with their counts, each hypothesis's
+    pair (``index``) and each pair's first hypothesis (``first``), the two
+    None for an untied prior.
+
+    Frozen from ``weights._collapse`` before it sorted p's integer ranks:
+    gamma sorted, then stably p itself.
+    """
+    p, gamma = prior.p, prior.gamma
+    s = np.sort(p)
+    count = np.ones(p.size)
+    index = keep = None
+    if (s[1:] == s[:-1]).any():
+        order = np.argsort(gamma)
+        order = order[np.argsort(p[order], kind="stable")]
+        ps, gs = p[order], gamma[order]
+        new = np.ones(p.size, dtype=bool)
+        new[1:] = (ps[1:] != ps[:-1]) | (gs[1:] != gs[:-1])
+        start = np.flatnonzero(new)
+        first = np.minimum.reduceat(order, start)
+        by_first = np.argsort(first)
+        keep = first[by_first]
+        count = np.diff(start, append=p.size)[by_first].astype(float)
+        p, gamma = p[keep], gamma[keep]
+        rank = np.empty(keep.size, dtype=np.intp)
+        rank[by_first] = np.arange(keep.size)
+        index = np.empty(prior.M, dtype=np.intp)
+        index[order] = rank[np.cumsum(new) - 1]
+    return SimpleNamespace(p=p, gamma=gamma, count=count, index=index, first=keep)
+
+
 def block_fdp_values(pairs, log_ks, model):
     """FDP approximator and means t_bar, g_bar, 1 - t_bar, 1 - g_bar at each ``log_ks``."""
     t, tc, pi, pic = model._split(pairs.gamma[None, :], log_ks[:, None] - pairs.log_p[None, :])

@@ -17,9 +17,9 @@ import wamdf
 from oracles import per_row_write_tsv
 from wamdf import cli
 from wamdf.cli import EXIT_INPUT, EXIT_NO_SOLUTION, EXIT_OK, EXIT_WARNING, main
-from wamdf.counts import analyze, generate_synthetic_counts
+from wamdf.counts import CountDataset, analyze, generate_synthetic_counts
 from wamdf.procedures import run_procedure
-from wamdf.simulate import simulation_preset
+from wamdf.simulate import simulation_preset, substream
 
 WORKED_PRIOR = "p,gamma\n" + "".join(
     f"0.5,{g}\n" for g in [2, 2, 2, 2, 2, 3, 3, 3, 3, 3]
@@ -464,6 +464,31 @@ class TestTsvWriter:
     def test_partial_blocks(self, tmp_path, monkeypatch, n):
         monkeypatch.setattr(cli, "_TSV_BLOCK", 3)
         self.assert_same_bytes(tmp_path, writer_columns(n))
+
+    @pytest.mark.parametrize("n, block", [(20_000, cli._TSV_BLOCK), (0, 3), (1, 3), (7, 3)])
+    def test_per_pair_columns(self, tmp_path, monkeypatch, n, block):
+        # each kind given as its values and a row index, beside the same rows
+        # given whole, writes the bytes of the expanded columns
+        monkeypatch.setattr(cli, "_TSV_BLOCK", block)
+        columns = writer_columns(n)
+        rng = np.random.default_rng(n)
+        index = rng.integers(0, n, n) if n else np.arange(0)
+        index[:11] = np.arange(min(n, 11))  # the special values first, as writer_columns has them
+        header = self.HEADER + [f"{name}_per_pair" for name in self.HEADER]
+        per_pair = [cli._PerPair(c, index) for c in columns]
+        expanded = [c[index] for c in columns]
+        cli._write_tsv(tmp_path / "got.tsv", header, expanded + per_pair)
+        per_row_write_tsv(tmp_path / "want.tsv", header, expanded + expanded)
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_tuple_of_strings_is_a_string_column(self, tmp_path):
+        # simulate's long.tsv passes tuples of strings, which no per-pair
+        # column may be taken for
+        columns = [("WA", "UA", "WA"), ("1", "5", "%d"), ("0.1000", "", "{}"),
+                   cli._PerPair(np.array([0.5, 2.0]), np.array([1, 0, 1]))]
+        cli._write_tsv(tmp_path / "got.tsv", ["variant", "a", "value", "x"], columns)
+        assert (tmp_path / "got.tsv").read_text() == ("variant\ta\tvalue\tx\nWA\t1\t0.1000\t2\n"
+                                                      "UA\t5\t\t0.5\nWA\t%d\t{}\t2\n")
 
 
 class TestSimulateCommand:
@@ -1087,6 +1112,35 @@ class TestThreadsResolution:
         assert not out.exists()
 
 
+class TestAnalysisTables:
+    # features.tsv and weight_power.tsv, written from the per-pair columns,
+    # hold the bytes of the per-feature columns written row by row
+    @pytest.mark.parametrize("case", ["tied counts file", "distinct prior file", "synthetic"])
+    def test_tables_are_the_per_feature_columns(self, tmp_path, case):
+        x = np.array([0.86, 1.34, 1.81, 2.37, 3.00])
+        dataset, _ = generate_synthetic_counts(600, x, substream(4, 0))
+        p_prior = 0.5
+        if case != "synthetic":
+            counts = dataset.counts.copy()
+            counts[[3, 40]] = 0                # two degenerate rows, excluded
+            path = tmp_path / "counts.csv"
+            np.savetxt(path, counts, fmt="%d", delimiter=",")
+            dataset = CountDataset.from_csv(path, x)
+        if case == "distinct prior file":
+            path = tmp_path / "priors.txt"
+            np.savetxt(path, np.random.default_rng(4).uniform(0.2, 0.8, 600))
+            p_prior = cli._read_column(path)
+        result = analyze(dataset, p_prior=p_prior)
+        # a scalar prior ties the features of equal totals; distinct priors tie none
+        assert (result.pair_index is None) == (case == "distinct prior file")
+        outputs = cli._analysis_outputs(result)
+        for header, columns in (outputs["features.tsv"], outputs["weight_power.tsv"]):
+            cli._write_tsv(tmp_path / "got.tsv", header, columns)
+            per_row_write_tsv(tmp_path / "want.tsv", header,
+                              [result.valid_indices] + [result.table[c] for c in header[1:]])
+            assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
 class TestAnalyzePriorFile:
     def test_per_feature_prior_file(self, tmp_path):
         counts = tmp_path / "counts.csv"
@@ -1146,6 +1200,59 @@ class TestParserDefaults:
         default = inspect.signature(function).parameters[parameter].default
         assert default is not inspect.Parameter.empty
         assert getattr(cli.build_parser().parse_args(argv), dest) is None
+
+
+class TestParserReuse:
+    # main parses every call of a process with one parser; a flag one call
+    # gives must not reach the next
+    CALLS = [
+        ["run", "{pv}", "--variant", "UA", "--alpha", "0.1", "--lambda", "0.5", "--out", "{o}1"],
+        ["run", "{pv}", "--variant", "UA", "--lambda", "0.5", "--out", "{o}2"],
+        ["run", "{pv}", "--alpha", "0.3"],    # no --out: a usage error, exit 1
+        ["analyze", "--synthetic", "30", "--seed", "1", "--x", "1,2,3,4,5", "--alpha", "0.1",
+         "--out", "{o}3"],
+        ["analyze", "--synthetic", "30", "--seed", "1", "--x", "1,2,3,4,5", "--out", "{o}4"],
+        ["weights", "{prior}", "--alpha", "0.05", "--out", "{o}5"],
+        ["weights", "{prior}", "--t", "0.05", "--out", "{o}6"],
+        ["simulate", "--preset", "1", "--a", "1", "--a", "3", "--M", "10", "--K", "1", "--seed",
+         "1", "--threads", "1", "--out", "{o}7"],
+        ["simulate", "--preset", "1", "--M", "10", "--K", "1", "--seed", "1", "--threads", "1",
+         "--out", "{o}8"],
+    ]
+
+    def run_calls(self, tmp_path, capsys):
+        """Exit code, stdout, stderr and output bytes of each call, manifests
+        without their timestamp; the outputs are removed after reading."""
+        files = {"pv": tmp_path / "pv.csv", "prior": tmp_path / "prior.csv", "o": tmp_path / "o"}
+        files["pv"].write_text("p\n0.01\n0.2\n0.5\n0.04\n")
+        files["prior"].write_text(WORKED_PRIOR)
+        seen = []
+        for argv in self.CALLS:
+            try:
+                code = main([a.format(**files) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            out = {}
+            for path in sorted(tmp_path.glob("o*/*")):
+                if path.name == "manifest.json":
+                    manifest = json.loads(path.read_text())
+                    del manifest["timestamp"]
+                    out[path.name] = manifest
+                else:
+                    out[path.name] = path.read_bytes()
+                path.unlink()
+            seen.append((code, capsys.readouterr(), out))
+        return seen
+
+    def test_calls_match_a_parser_built_per_call(self, tmp_path, capsys, monkeypatch):
+        assert cli._parser() is cli._parser()
+        reused = self.run_calls(tmp_path, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert self.run_calls(tmp_path, capsys) == reused
+        assert [code for code, _, _ in reused] == [EXIT_OK] * 2 + [EXIT_INPUT] + [EXIT_OK] * 6
+        flags = [out["manifest.json"]["flags"] for code, _, out in reused if code == EXIT_OK]
+        assert [f["alpha"] for f in flags[:6]] == [0.1, None, 0.1, None, 0.05, None]
+        assert flags[6]["a"] == [1.0, 3.0] and flags[7]["a"] is None
 
 
 def contract_argv(tmp_path, case):

@@ -19,6 +19,7 @@ from oracles import (
     per_constant_calibration,
     per_hypothesis_fixed_t_log_k,
     per_hypothesis_profile,
+    stable_sort_collapse,
 )
 
 X = np.arange(1.0, 6.0)
@@ -77,6 +78,31 @@ class TestCollapseMap:
     def test_untied_prior_has_no_map(self):
         pairs = weights._collapse(PriorSpec([0.1, 0.2, 0.3], [1.0, 1.0, 1.0]))
         assert pairs.index is None and pairs.first is None
+
+    # p drawn from 500 values ranks p in 16 bits, and from 200,000 values
+    # (some 100,000 distinct in the draw) in 32 bits
+    @pytest.mark.parametrize("kind, M", [("untied", 2000), ("scalar p", 2000),
+                                         ("three p values", 2000), ("500 p values", 1970),
+                                         ("200,000 p values", 140_000), ("fully tied", 2000),
+                                         ("three p values", 1)])
+    def test_matches_the_stable_sort_collapse(self, kind, M):
+        rng = np.random.default_rng(M)
+        # gamma as in a count prior: the square roots of log-uniform totals
+        gamma = np.sqrt(np.exp(rng.uniform(np.log(6), np.log(912), M)).astype(np.int64))
+        p = {"untied": lambda: rng.uniform(0.05, 0.95, M),
+             "scalar p": lambda: np.full(M, 0.5),
+             "three p values": lambda: rng.choice([0.3, 0.5, 0.7], M),
+             "500 p values": lambda: rng.choice(rng.uniform(0.05, 0.95, 500), M),
+             "200,000 p values": lambda: rng.choice(rng.uniform(0.05, 0.95, 200_000), M),
+             "fully tied": lambda: np.full(M, 0.5)}[kind]()
+        if kind == "fully tied":
+            gamma = np.full(M, 2.0)
+        prior = PriorSpec(p, gamma)
+        got, want = weights._collapse(prior), stable_sort_collapse(prior)
+        for field in ("p", "gamma", "count", "index", "first"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), field
+        assert got.tied == (want.count.size < M)
 
 
 class TestProfiles:
