@@ -12,14 +12,10 @@ from numbers import Integral
 import numpy as np
 
 
-def is_int(x):
-    """True for an integer; bool is an Integral, but True is no count, seed or preset."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
 def check_int(name, x, low=None):
-    """``x`` an integer (see ``is_int``), and at least ``low`` when it is given."""
-    if not is_int(x):
+    """``x`` an integer, and at least ``low`` when it is given."""
+    # bool is an Integral, but True is no count, seed or preset
+    if not isinstance(x, Integral) or isinstance(x, bool):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     if low is not None and x < low:
         raise ValueError(f"{name} must be at least {low}, got {x}")

@@ -17,7 +17,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -50,8 +50,8 @@ EXIT_WARNING = 3
 # 60 KB, well under glibc's 128 KiB starting mmap threshold.  Larger blocks write
 # no faster and hold more memory.
 _TSV_BLOCK = 1024
-# _write_tsv's cell format by dtype kind, objects being the cells a _PerPair
-# column formatted; every other kind is written as a float
+# _write_tsv's cell format by dtype kind, objects being the cells _cells formatted;
+# every other kind is written as a float
 _FORMATS = {"b": "%d", "i": "%d", "u": "%d", "U": "%s", "O": "%s"}
 # The argparse dests that name input files, in the order the manifest lists them
 _INPUTS = ("prior", "power_table", "pvalues", "weights", "config", "x_file", "counts",
@@ -99,19 +99,10 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-@dataclass
-class _PerPair:
-    """A table column given as its distinct ``values`` and, for each row,
-    the ``index`` of the row's value.  ``cells`` formats each value once, as
-    ``_write_tsv`` formats its dtype, however many rows or tables use it."""
-
-    values: np.ndarray
-    index: np.ndarray
-
-    @functools.cached_property
-    def cells(self):
-        fmt = _FORMATS.get(self.values.dtype.kind, "%.10g")
-        return np.array([fmt % v for v in self.values.tolist()], dtype=object)
+def _cells(values):
+    """``values`` formatted as ``_write_tsv`` formats their dtype, into an object array."""
+    fmt = _FORMATS.get(values.dtype.kind, "%.10g")
+    return np.array([fmt % v for v in values.tolist()], dtype=object)
 
 
 def _write_tsv(path, header, columns, sep="\t"):
@@ -119,10 +110,10 @@ def _write_tsv(path, header, columns, sep="\t"):
 
     Float columns are written as ``.10g``, integer and boolean columns as
     integers, and string columns (a tuple of strings among them) as they
-    are.  A ``_PerPair`` column writes the formatted value of each row.
+    are; an object column holds cells ``_cells`` formatted.
     Rows are formatted in blocks, so memory stays bounded.
     """
-    columns = [c.cells[c.index] if isinstance(c, _PerPair) else np.asarray(c) for c in columns]
+    columns = [np.asarray(c) for c in columns]
     line = sep.join(_FORMATS.get(c.dtype.kind, "%.10g") for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(sep.join(header) + "\n")
@@ -253,12 +244,11 @@ def _read_column(path):
 def _analysis_outputs(result):
     """The entries of ``features.tsv``, ``weight_power.tsv`` and ``analysis.json``.
 
-    The columns computed per distinct pair go to the writer as such, and
-    the two tables share them, so each distinct value is formatted once."""
-    columns = dict(result.table)
-    if result.pair_index is not None:
-        columns.update({name: _PerPair(values, result.pair_index)
-                        for name, values in result.pair_table.items()})
+    The columns computed per distinct pair are formatted once per pair and
+    expanded, and the two tables share the cells."""
+    index = result.calibration.pairs.index
+    columns = {**result.table,
+               **{name: _cells(values)[index] for name, values in result.pair_table.items()}}
 
     def table(names):
         return ["feature"] + names, [result.valid_indices] + [columns[c] for c in names]

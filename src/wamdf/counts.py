@@ -134,8 +134,7 @@ class CalibrationResult:
     order, as ``(constant, average power)``; ``bracket`` is the ``(lo, hi)``
     brentq started from.  ``pairs`` holds the distinct ``(p, sqrt(totals))``
     pairs the calibration solved on: ``pairs.index`` maps each feature to
-    its pair and ``pairs.first`` each pair to its first feature, both None
-    when no two features share a pair.
+    its pair and ``pairs.first`` each pair to its first feature.
     """
 
     k_info: float
@@ -167,8 +166,8 @@ def _average_power(k_info, pairs, alpha, model):
     """
     pairs = replace(pairs, gamma=pairs.gamma * k_info)
     profile = _pre_data_weights(pairs, alpha, model)
-    w = pairs.take(profile.weights)
-    return float(np.mean(pairs.expand(model._power(pairs.gamma, profile.t_bar * w)))), profile
+    w = profile.weights[pairs.first]
+    return float(np.mean(model._power(pairs.gamma, profile.t_bar * w)[pairs.index])), profile
 
 
 def calibrate_information(totals, p_prior=0.5, alpha=0.05, target_avg_power=0.5):
@@ -269,7 +268,6 @@ class AnalysisResult:
     excluded_indices: np.ndarray
     table: dict                # per-feature columns, aligned with valid_indices
     pair_table: dict           # gamma, weight and the two powers once per distinct pair
-    pair_index: np.ndarray     # each feature's row of pair_table; None when untied
 
 
 def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
@@ -307,7 +305,7 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
 
     pairs = calibration.pairs
     gamma = pairs.gamma * calibration.k_info
-    weight = pairs.take(profile.weights)
+    weight = profile.weights[pairs.first]
     pair_table = {
         "gamma": gamma,
         "weight": weight,
@@ -321,7 +319,7 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
         "q": wa.q,
         "rejected_wa": wa.rejected,
         "rejected_ua": ua.rejected,
-        **{name: pairs.expand(column) for name, column in pair_table.items()},
+        **{name: column[pairs.index] for name, column in pair_table.items()},
     }
     return AnalysisResult(
         wa=wa,
@@ -331,7 +329,6 @@ def analyze(dataset, alpha=0.05, p_prior=0.5, target_avg_power=0.5):
         excluded_indices=np.flatnonzero(degenerate),
         table=table,
         pair_table=pair_table,
-        pair_index=pairs.index,
     )
 
 

@@ -184,8 +184,9 @@ class _Pairs:
     ``tied`` says whether any multiplicity exceeds 1; ``log_q_max`` and
     ``log_q_min`` are log(max(1 - p)) and log(1 - max(p)), which every
     round of a crossing search reads.  ``index`` maps each hypothesis to
-    its pair and ``first`` each pair to its first hypothesis; both are None
-    when every p differs, as the pairs are then the hypotheses."""
+    its pair and ``first`` each pair to its first hypothesis, so
+    ``x[index]`` expands per-pair values and ``x[first]`` takes them back;
+    both are ``arange(M)`` when every p differs."""
 
     p: np.ndarray
     q: np.ndarray
@@ -200,19 +201,10 @@ class _Pairs:
     index: np.ndarray
     first: np.ndarray
 
-    def expand(self, x):
-        """Per-pair values ``x`` as per-hypothesis values, bitwise those a
-        per-hypothesis computation gives, as each element is its pair's."""
-        return x if self.index is None else x[self.index]
-
-    def take(self, x):
-        """Per-hypothesis values ``x`` that are equal within each pair as
-        per-pair values: each pair's first hypothesis's."""
-        return x if self.first is None else x[self.first]
-
 
 def _collapse(prior):
-    """Collapse tied (p, gamma) pairs; an untied prior keeps its own columns.
+    """Collapse tied (p, gamma) pairs; an untied prior keeps its own columns
+    and maps each hypothesis to itself.
 
     When every p differs, which one float sort tells, no pair is tied.
     Otherwise sorting by gamma, then stably by p, puts equal pairs next to
@@ -224,7 +216,7 @@ def _collapse(prior):
     p, gamma = prior.p, prior.gamma
     s = np.sort(p)
     count = np.ones(p.size)
-    index = keep = None
+    index = keep = np.arange(p.size)
     tie = s[1:] == s[:-1]
     if tie.any():
         order = np.argsort(gamma)
@@ -391,7 +383,7 @@ def _profile(pairs, log_k, model, warning=()):
     NoSolutionError is raised.
     """
     thresholds = model._threshold(pairs.gamma, log_k - pairs.log_p)
-    t_bar = float(np.mean(pairs.expand(thresholds)))
+    t_bar = float(np.mean(thresholds[pairs.index]))
     if not t_bar > 0:
         raise NoSolutionError(f"every threshold underflowed to 0 at log k* = {log_k:g}, "
                               "so no weights can be formed")
@@ -401,7 +393,7 @@ def _profile(pairs, log_k, model, warning=()):
         w = np.maximum(w, tiny)
         warning += (f"weights below the smallest normal float {tiny:g} (thresholds "
                     "that underflowed) were raised to it",)
-    return WeightProfile(weights=pairs.expand(w), k_star=float(np.exp(log_k)), t_bar=t_bar,
+    return WeightProfile(weights=w[pairs.index], k_star=float(np.exp(log_k)), t_bar=t_bar,
                          u=1.0 / float(w.max()), warning=warning, log_k_star=float(log_k))
 
 
@@ -430,7 +422,7 @@ def optimal_fixed_t_weights(prior, t, model=None):
     pairs = _collapse(prior)
 
     def resid(log_k):
-        return float(np.mean(pairs.expand(model._threshold(pairs.gamma, log_k - pairs.log_p)))) - t
+        return float(np.mean(model._threshold(pairs.gamma, log_k - pairs.log_p)[pairs.index])) - t
 
     lo, hi = _k_bracket(pairs, model, min(t, _T_EPS), max(t, 1.0 - _T_EPS))
     if resid(lo) < 0 or resid(hi) > 0:

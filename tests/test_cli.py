@@ -467,25 +467,25 @@ class TestTsvWriter:
 
     @pytest.mark.parametrize("n, block", [(20_000, cli._TSV_BLOCK), (0, 3), (1, 3), (7, 3)])
     def test_per_pair_columns(self, tmp_path, monkeypatch, n, block):
-        # each kind given as its values and a row index, beside the same rows
-        # given whole, writes the bytes of the expanded columns
+        # each kind formatted once per value and expanded by a row index,
+        # beside the same rows given whole, writes the bytes of the expanded columns
         monkeypatch.setattr(cli, "_TSV_BLOCK", block)
         columns = writer_columns(n)
         rng = np.random.default_rng(n)
         index = rng.integers(0, n, n) if n else np.arange(0)
         index[:11] = np.arange(min(n, 11))  # the special values first, as writer_columns has them
         header = self.HEADER + [f"{name}_per_pair" for name in self.HEADER]
-        per_pair = [cli._PerPair(c, index) for c in columns]
+        per_pair = [cli._cells(c)[index] for c in columns]
         expanded = [c[index] for c in columns]
         cli._write_tsv(tmp_path / "got.tsv", header, expanded + per_pair)
         per_row_write_tsv(tmp_path / "want.tsv", header, expanded + expanded)
         assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
     def test_tuple_of_strings_is_a_string_column(self, tmp_path):
-        # simulate's long.tsv passes tuples of strings, which no per-pair
-        # column may be taken for
+        # simulate's long.tsv passes tuples of strings, written as they are
+        # beside a column of formatted cells
         columns = [("WA", "UA", "WA"), ("1", "5", "%d"), ("0.1000", "", "{}"),
-                   cli._PerPair(np.array([0.5, 2.0]), np.array([1, 0, 1]))]
+                   cli._cells(np.array([0.5, 2.0]))[np.array([1, 0, 1])]]
         cli._write_tsv(tmp_path / "got.tsv", ["variant", "a", "value", "x"], columns)
         assert (tmp_path / "got.tsv").read_text() == ("variant\ta\tvalue\tx\nWA\t1\t0.1000\t2\n"
                                                       "UA\t5\t\t0.5\nWA\t%d\t{}\t2\n")
@@ -1132,7 +1132,11 @@ class TestAnalysisTables:
             p_prior = cli._read_column(path)
         result = analyze(dataset, p_prior=p_prior)
         # a scalar prior ties the features of equal totals; distinct priors tie none
-        assert (result.pair_index is None) == (case == "distinct prior file")
+        n_pairs, n_tested = result.pair_table["gamma"].size, result.valid_indices.size
+        if case == "distinct prior file":
+            assert n_pairs == n_tested
+        else:
+            assert n_pairs < n_tested
         outputs = cli._analysis_outputs(result)
         for header, columns in (outputs["features.tsv"], outputs["weight_power.tsv"]):
             cli._write_tsv(tmp_path / "got.tsv", header, columns)
